@@ -235,10 +235,8 @@ def left_divisible_by(w: BraidWord, j: int) -> Optional[BraidWord]:
         return None
     cached = _CLASS_CACHE.get((w.diagram, w.letters))
     if cached is not None:
-        for u in sorted(cached):
-            if u[0] == j:
-                return BraidWord(w.diagram, u[1:])
-        return None
+        best = min((u for u in cached if u[0] == j), default=None)
+        return None if best is None else BraidWord(w.diagram, best[1:])
     if w.letters[0] == j:
         return BraidWord(w.diagram, w.letters[1:])
     seen = {w.letters}
@@ -253,7 +251,9 @@ def left_divisible_by(w: BraidWord, j: int) -> Optional[BraidWord]:
                     seen.add(v)
                     nxt.append(v)
         frontier = nxt
-    _CLASS_CACHE[(w.diagram, w.letters)] = frozenset(seen)
+    result = frozenset(seen)
+    for u in seen:
+        _CLASS_CACHE[(w.diagram, u)] = result
     return None
 
 

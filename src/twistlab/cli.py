@@ -46,7 +46,7 @@ from .meshbraid import (
     to_dot,
     word_of,
 )
-from .reconstruct import NotTwistImage, min_degree, recover_trace
+from .reconstruct import NotTwistImage, recover_trace
 from .twists import twist_word
 from .zigzag import ZigzagAlgebra
 
@@ -110,23 +110,20 @@ def _object_spec(config: RunConfig, algebra: ZigzagAlgebra, spec: str) -> ProjCo
     raise InputError(f"unknown object spec {spec!r} (use L, P<i> or - for stdin)")
 
 
-def _profile_json(t: ProjComplex) -> dict:
-    return {f"{j},{d}": h for (j, d), h in sorted(profile(t).items())}
-
-
 def cmd_twist(args) -> int:
     config = _config(args)
     algebra = ZigzagAlgebra(config.diagram, config.field)
     w = _parse_word(config, args.word)
     x = _object_spec(config, algebra, args.object)
     t = minimize(twist_word(w, x))
+    prof = profile(t)
     payload = {
         "complex": complex_to_json_obj(t),
-        "profile": _profile_json(t),
+        "profile": {f"{j},{d}": h for (j, d), h in sorted(prof.items())},
     }
     if not t.is_zero():
-        payload["min_degree"] = min_degree(t)
-        payload["max_degree"] = max(d for (_, d) in profile(t))
+        payload["min_degree"] = min(d for (_, d) in prof)
+        payload["max_degree"] = max(d for (_, d) in prof)
     lines = [f"T = twist of {list(w.letters)} applied to the input object"]
     lines.append(f"degrees: {t.degrees()}; summands: { {d: list(t.summands[d]) for d in t.degrees()} }")
     lines.append(f"profile: {payload['profile']}")

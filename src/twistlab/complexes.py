@@ -6,6 +6,11 @@ c-th summand in degree d to the r-th summand in degree d+1.  The cone of a
 chain map f: X -> Y carries X^{d+1} (+) Y^d in degree d with differential
 [[-D_X, 0], [F, D_Y]]; a shift by n multiplies the differential by (-1)^n.
 
+cone() checks that f is a chain map on every call.  The check composes
+nonzero entries only, so it costs in proportion to the nonzero entries of
+the blocks and differentials, not to their cells.  cone() builds the cone
+complex alone; only cone_triangle() also builds the maps Y -> C -> X[1].
+
 minimize() strips contractible summand pairs by Gaussian elimination: any
 entry P_i -> P_i whose identity coefficient is a unit can be split off, the
 parallel block picking up the correction delta - gamma phi^{-1} beta.  Pivot
@@ -15,15 +20,19 @@ so outputs are reproducible.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Tuple
+from functools import lru_cache
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from . import linalg
 from .braid import DynkinDiagram
 from .fields import Field, Scalar
 from .zigzag import MorphBasisElement, MorphElement, ZigzagAlgebra
 
-Matrix = Tuple[Tuple[MorphElement, ...], ...]
+# Aliases name twistlab classes as strings: typing caches every subscription
+# it evaluates, and a class held there outlives a reload of its module.
+Matrix = Tuple[Tuple["MorphElement", ...], ...]
 
 
 @dataclass(eq=False)
@@ -86,13 +95,10 @@ class ProjComplex:
                 assert len(row) == len(cols), f"bad col count at degree {d}"
                 for c, m in enumerate(row):
                     assert m.src == cols[c] and m.tgt == rows[r], f"entry typing at {d}[{r}][{c}]"
-        for d in self.degrees():
-            if d + 1 not in self.summands or d + 2 not in self.summands:
-                continue
-            prod = _mat_mul(self.algebra, self.diff(d + 1), self.diff(d))
-            for row in prod:
-                for m in row:
-                    assert m.is_zero(), f"d^2 != 0 between degrees {d} and {d+2}"
+        for d in self.diffs:
+            prod: Dict[Tuple[int, int], MorphElement] = {}
+            _add_products(self.algebra, prod, self.diffs.get(d + 1), self.diffs[d])
+            assert not any(m.terms for m in prod.values()), f"d^2 != 0 between degrees {d} and {d+2}"
 
 
 def make_complex(
@@ -104,24 +110,47 @@ def make_complex(
     dd: Dict[int, Matrix] = {}
     for d, mat in diffs.items():
         mat = tuple(tuple(row) for row in mat)
-        if d in sm and d + 1 in sm and any(not m.is_zero() for row in mat for m in row):
+        if d in sm and d + 1 in sm and any(m.terms for row in mat for m in row):
             dd[d] = mat
     return ProjComplex(algebra, sm, dd)
 
 
-def _mat_mul(algebra: ZigzagAlgebra, a: Matrix, b: Matrix) -> Matrix:
-    # a: (n x m), b: (m x p) -> (n x p)
-    out = []
-    for r in range(len(a)):
-        row = []
-        for c in range(len(b[0]) if b else 0):
-            acc = None
-            for k in range(len(b)):
-                term = algebra.compose(a[r][k], b[k][c])
-                acc = term if acc is None else algebra.add(acc, term)
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+def _nonzero_by_col(a: Matrix) -> Dict[int, List[Tuple[int, MorphElement]]]:
+    """col -> [(row, entry)] over the nonzero entries of a, rows ascending."""
+    out: Dict[int, List[Tuple[int, MorphElement]]] = {}
+    for r, row in enumerate(a):
+        for c, m in enumerate(row):
+            if m.terms:
+                out.setdefault(c, []).append((r, m))
+    return out
+
+
+def _add_products(
+    algebra: ZigzagAlgebra,
+    acc: Dict[Tuple[int, int], MorphElement],
+    a: Optional[Matrix],
+    b: Optional[Matrix],
+    sign: Optional[Scalar] = None,
+) -> None:
+    """acc[(r, c)] += sign * (a o b)[r][c], composing nonzero entries only."""
+    if not a or not b:
+        return
+    a_cols = _nonzero_by_col(a)
+    for k, row in enumerate(b):
+        lefts = a_cols.get(k)
+        if not lefts:
+            continue
+        for c, m in enumerate(row):
+            if not m.terms:
+                continue
+            for r, g in lefts:
+                term = algebra.compose(g, m)
+                if not term.terms:
+                    continue
+                if sign is not None:
+                    term = algebra.scale(sign, term)
+                cur = acc.get((r, c))
+                acc[(r, c)] = term if cur is None else algebra.add(cur, term)
 
 
 @dataclass(eq=False)
@@ -131,15 +160,6 @@ class ChainMap:
     src: ProjComplex
     tgt: ProjComplex
     blocks: Dict[int, Matrix]  # degree d -> matrix from src^d to tgt^d
-
-    def block(self, d: int) -> Matrix:
-        mat = self.blocks.get(d)
-        if mat is not None:
-            return mat
-        alg = self.src.algebra
-        rows = self.tgt.summands.get(d, ())
-        cols = self.src.summands.get(d, ())
-        return tuple(tuple(alg.zero(c, r) for c in cols) for r in rows)
 
     def is_valid(self) -> bool:
         alg = self.src.algebra
@@ -156,27 +176,14 @@ class ChainMap:
                 for c, m in enumerate(row):
                     if m.src != cols[c] or m.tgt != rows[r]:
                         return False
-        degs = set(self.src.summands) | set(self.tgt.summands)
-        for d in degs:
-            src_cols = self.src.summands.get(d, ())
-            tgt_rows = self.tgt.summands.get(d + 1, ())
-            if not src_cols or not tgt_rows:
-                continue
-            blk_next = self.block(d + 1)
-            blk_here = self.block(d)
-            dsrc = self.src.diff(d)
-            dtgt = self.tgt.diff(d)
-            mid_src = len(self.src.summands.get(d + 1, ()))
-            mid_tgt = len(self.tgt.summands.get(d, ()))
-            for r, rlab in enumerate(tgt_rows):
-                for c, clab in enumerate(src_cols):
-                    acc = alg.zero(clab, rlab)
-                    for k in range(mid_src):
-                        acc = alg.add(acc, alg.compose(blk_next[r][k], dsrc[k][c]))
-                    for k in range(mid_tgt):
-                        acc = alg.add(acc, alg.compose(dtgt[r][k], blk_here[k][c]).scaled(alg.field.neg(alg.field.one)))
-                    if not acc.is_zero():
-                        return False
+        # f_{d+1} o d_X - d_Y o f_d, summed from the nonzero entries only
+        neg_one = alg.field.neg(alg.field.one)
+        for d in set(self.src.diffs) | set(self.blocks):
+            acc: Dict[Tuple[int, int], MorphElement] = {}
+            _add_products(alg, acc, self.blocks.get(d + 1), self.src.diffs.get(d))
+            _add_products(alg, acc, self.tgt.diffs.get(d), self.blocks.get(d), neg_one)
+            if any(m.terms for m in acc.values()):
+                return False
         return True
 
 
@@ -232,14 +239,15 @@ def direct_sum(x: ProjComplex, y: ProjComplex) -> ProjComplex:
     return make_complex(alg, sm, dd)
 
 
-def cone_triangle(f: ChainMap) -> tuple[ProjComplex, ChainMap, ChainMap]:
-    """The cone C of f: X -> Y plus the canonical maps Y -> C and C -> X[1]."""
+def cone(f: ChainMap) -> ProjComplex:
+    """The cone of f: X -> Y, after checking that f is a chain map."""
     if not f.is_valid():
         raise ValueError("cone of an invalid chain map")
     x, y = f.src, f.tgt
     alg = x.algebra
     k = alg.field
     neg_one = k.neg(k.one)
+    zero = lru_cache(maxsize=None)(alg.zero)
     sm: Dict[int, Tuple[int, ...]] = {}
     degs = set()
     for d in x.summands:
@@ -255,20 +263,28 @@ def cone_triangle(f: ChainMap) -> tuple[ProjComplex, ChainMap, ChainMap]:
         yc = y.summands.get(d, ())
         xr = x.summands.get(d + 2, ())
         yr = y.summands.get(d + 1, ())
-        dx = x.diff(d + 1)
-        dy = y.diff(d)
-        fb = f.block(d + 1)
+        dx = x.diffs.get(d + 1)
+        dy = y.diffs.get(d)
+        fb = f.blocks.get(d + 1)
         mat = []
         for r, lab in enumerate(xr):
-            mat.append(tuple(m.scaled(neg_one) for m in dx[r]) + tuple(alg.zero(c, lab) for c in yc))
+            left = tuple(m.scaled(neg_one) for m in dx[r]) if dx else tuple(zero(c, lab) for c in xc)
+            mat.append(left + tuple(zero(c, lab) for c in yc))
         for r, lab in enumerate(yr):
-            mat.append(tuple(fb[r]) + tuple(dy[r]))
+            left = tuple(fb[r]) if fb else tuple(zero(c, lab) for c in xc)
+            mat.append(left + (tuple(dy[r]) if dy else tuple(zero(c, lab) for c in yc)))
         dd[d] = tuple(mat)
-    cone_complex = make_complex(alg, sm, dd)
+    return make_complex(alg, sm, dd)
+
+
+def cone_triangle(f: ChainMap) -> tuple[ProjComplex, ChainMap, ChainMap]:
+    """The cone C of f: X -> Y plus the canonical maps Y -> C and C -> X[1]."""
+    cone_complex = cone(f)
+    x, y = f.src, f.tgt
+    alg = x.algebra
     inc_blocks: Dict[int, Matrix] = {}
     proj_blocks: Dict[int, Matrix] = {}
-    x1 = shift(x, 1)
-    for d in sm:
+    for d in cone_complex.summands:
         xc = x.summands.get(d + 1, ())
         yc = y.summands.get(d, ())
         inc_rows = []
@@ -283,92 +299,106 @@ def cone_triangle(f: ChainMap) -> tuple[ProjComplex, ChainMap, ChainMap]:
             for r, lab in enumerate(xc)
         )
     inclusion = ChainMap(y, cone_complex, inc_blocks)
-    projection = ChainMap(cone_complex, x1, proj_blocks)
+    projection = ChainMap(cone_complex, shift(x, 1), proj_blocks)
     return cone_complex, inclusion, projection
-
-
-def cone(f: ChainMap) -> ProjComplex:
-    return cone_triangle(f)[0]
 
 
 # -- minimal models -----------------------------------------------------------
 
 
 def minimize(x: ProjComplex) -> ProjComplex:
-    """Strip contractible pairs until no unit identity entry remains."""
+    """Strip contractible pairs until no unit identity entry remains.
+
+    Entries keep their input (row, col) positions until the end: removing
+    summands never reorders the ones that stay, so a heap of unit entries
+    keyed by (degree, row, col) pops pivots in the order of the module
+    docstring.  Stale heap items (entries since removed or changed) are
+    skipped when popped; every entry that becomes a unit is pushed again.
+    """
     alg = x.algebra
-    sm = {d: list(t) for d, t in x.summands.items()}
-    dd: Dict[int, Dict[Tuple[int, int], MorphElement]] = {}
-    for d in x.diffs:
-        entries = {}
-        for r, row in enumerate(x.diffs[d]):
+    is_unit = alg.is_unit
+    entries: Dict[int, Dict[Tuple[int, int], MorphElement]] = {}
+    row_cols: Dict[int, Dict[int, set]] = {}  # degree -> row -> cols with an entry
+    col_rows: Dict[int, Dict[int, set]] = {}  # degree -> col -> rows with an entry
+    queue: List[Tuple[int, int, int]] = []
+    for d, mat in x.diffs.items():
+        ent = entries[d] = {}
+        rc = row_cols[d] = {}
+        cr = col_rows[d] = {}
+        for r, row in enumerate(mat):
             for c, m in enumerate(row):
-                if not m.is_zero():
-                    entries[(r, c)] = m
-        if entries:
-            dd[d] = entries
+                if m.terms:
+                    ent[(r, c)] = m
+                    rc.setdefault(r, set()).add(c)
+                    cr.setdefault(c, set()).add(r)
+                    if is_unit(m):
+                        queue.append((d, r, c))
+    heapq.heapify(queue)
 
-    def find_pivot():
-        for d in sorted(dd):
-            best = None
-            for (r, c), m in dd[d].items():
-                if alg.is_unit(m):
-                    if best is None or (r, c) < best:
-                        best = (r, c)
-            if best is not None:
-                return d, best
-        return None
+    def drop_row(d: int, r: int) -> None:
+        if d in entries:
+            for c in row_cols[d].pop(r, ()):
+                del entries[d][(r, c)]
+                col_rows[d][c].discard(r)
 
-    while True:
-        found = find_pivot()
-        if found is None:
-            break
-        d, (pr, pc) = found
-        phi_inv = alg.invert_endo(dd[d][(pr, pc)])
-        row_entries = {c: m for (r, c), m in dd[d].items() if r == pr and c != pc}
-        col_entries = {r: m for (r, c), m in dd[d].items() if c == pc and r != pr}
-        block = dd[d]
-        for r2, g in col_entries.items():
+    def drop_col(d: int, c: int) -> None:
+        if d in entries:
+            for r in col_rows[d].pop(c, ()):
+                del entries[d][(r, c)]
+                row_cols[d][r].discard(c)
+
+    dropped: Dict[int, set] = {d: set() for d in x.summands}
+    while queue:
+        d, pr, pc = heapq.heappop(queue)
+        block = entries[d]
+        phi = block.get((pr, pc))
+        if phi is None or not is_unit(phi):
+            continue
+        phi_inv = alg.invert_endo(phi)
+        row_entries = [(c, block[(pr, c)]) for c in row_cols[d][pr] if c != pc]
+        col_entries = [(r, block[(r, pc)]) for r in col_rows[d][pc] if r != pr]
+        for r2, g in col_entries:
             g_phi = alg.compose(g, phi_inv)
-            for c2, b in row_entries.items():
+            for c2, b in row_entries:
                 corr = alg.compose(g_phi, b)
                 cur = block.get((r2, c2))
                 new = (cur - corr) if cur is not None else -corr
-                if new.is_zero():
-                    block.pop((r2, c2), None)
-                else:
+                if new.terms:
+                    if cur is None:
+                        row_cols[d][r2].add(c2)
+                        col_rows[d][c2].add(r2)
                     block[(r2, c2)] = new
+                    if is_unit(new):
+                        heapq.heappush(queue, (d, r2, c2))
+                elif cur is not None:
+                    del block[(r2, c2)]
+                    row_cols[d][r2].discard(c2)
+                    col_rows[d][c2].discard(r2)
         # drop the pivot row/column in degree d, the incoming column in d-1
-        # and the outgoing row in d+1, then reindex.
-        def drop_and_shift(entries, drop_row, drop_col):
-            out = {}
-            for (r, c), m in entries.items():
-                if (drop_row is not None and r == drop_row) or (drop_col is not None and c == drop_col):
-                    continue
-                nr = r - 1 if (drop_row is not None and r > drop_row) else r
-                nc = c - 1 if (drop_col is not None and c > drop_col) else c
-                out[(nr, nc)] = m
-            return out
+        # and the outgoing row in d+1
+        drop_row(d, pr)
+        drop_col(d, pc)
+        drop_row(d - 1, pc)
+        drop_col(d + 1, pr)
+        dropped[d].add(pc)
+        dropped[d + 1].add(pr)
 
-        dd[d] = drop_and_shift(block, pr, pc)
-        if d - 1 in dd:
-            dd[d - 1] = drop_and_shift(dd[d - 1], pc, None)
-        if d + 1 in dd:
-            dd[d + 1] = drop_and_shift(dd[d + 1], None, pr)
-        del sm[d][pc]
-        del sm[d + 1][pr]
-        for deg in (d - 1, d, d + 1):
-            if deg in dd and not dd[deg]:
-                del dd[deg]
-
-    summands = {d: tuple(labels) for d, labels in sm.items() if labels}
+    summands: Dict[int, Tuple[int, ...]] = {}
+    position: Dict[int, Dict[int, int]] = {}  # degree -> input index -> output index
+    for d, labels in x.summands.items():
+        keep = [s for s in range(len(labels)) if s not in dropped[d]]
+        if keep:
+            summands[d] = tuple(labels[s] for s in keep)
+            position[d] = {s: n for n, s in enumerate(keep)}
+    zero = lru_cache(maxsize=None)(alg.zero)
     diffs: Dict[int, Matrix] = {}
-    for d, entries in dd.items():
-        rows = summands.get(d + 1, ())
-        cols = summands.get(d, ())
-        mat = [[alg.zero(cols[c], rows[r]) for c in range(len(cols))] for r in range(len(rows))]
-        for (r, c), m in entries.items():
-            mat[r][c] = m
+    for d, block in entries.items():
+        if not block:
+            continue
+        cols, rpos, cpos = summands[d], position[d + 1], position[d]
+        mat = [[zero(c, lab) for c in cols] for lab in summands[d + 1]]
+        for (r, c), m in block.items():
+            mat[rpos[r]][cpos[c]] = m
         diffs[d] = tuple(tuple(row) for row in mat)
     return make_complex(alg, summands, diffs)
 
@@ -414,35 +444,41 @@ class HomComplex:
 def hom_complex(j: int, x: ProjComplex) -> HomComplex:
     alg = x.algebra
     k = alg.field
+    bases: Dict[int, Tuple[MorphBasisElement, ...]] = {}  # label -> hom_basis(j, label)
     basis: Dict[int, Tuple[Tuple[int, MorphBasisElement], ...]] = {}
-    index: Dict[int, Dict[Tuple[int, MorphBasisElement], int]] = {}
+    index: Dict[int, Dict[Tuple[int, str], int]] = {}  # (summand, kind) -> position
     for d, labels in x.summands.items():
         items = []
         for s, lab in enumerate(labels):
-            for b in alg.hom_basis(j, lab):
+            if lab not in bases:
+                bases[lab] = alg.hom_basis(j, lab)
+            for b in bases[lab]:
                 items.append((s, b))
         if items:
             basis[d] = tuple(items)
-            index[d] = {it: n for n, it in enumerate(items)}
+            index[d] = {(s, b.kind): n for n, (s, b) in enumerate(items)}
+    basis_maps: Dict[MorphBasisElement, MorphElement] = {}
     mats: Dict[int, List[List[Scalar]]] = {}
     for d in basis:
         if d + 1 not in basis or d not in x.diffs:
             continue
         rows = basis[d + 1]
         cols = basis[d]
+        row_index = index[d + 1]
         mat = [[k.zero] * len(cols) for _ in rows]
-        diff = x.diffs[d]
+        nonzero = False
+        diff_cols = _nonzero_by_col(x.diffs[d])
         for cidx, (s, b) in enumerate(cols):
-            bm = alg.basis_morph(b)
-            for r in range(len(x.summands[d + 1])):
-                entry = diff[r][s]
-                if entry.is_zero():
-                    continue
-                image = alg.compose(entry, bm)
-                for bb, coef in image.terms:
-                    ridx = index[d + 1][(r, bb)]
-                    mat[ridx][cidx] = k.add(mat[ridx][cidx], coef)
-        if any(not k.is_zero(a) for row in mat for a in row):
+            bm = basis_maps.get(b)
+            if bm is None:
+                bm = basis_maps[b] = alg.basis_morph(b)
+            # one entry per row r, and distinct kinds in its image: every
+            # cell is written at most once, with a nonzero coefficient
+            for r, entry in diff_cols.get(s, ()):
+                for bb, coef in alg.compose(entry, bm).terms:
+                    mat[row_index[(r, bb.kind)]][cidx] = coef
+                    nonzero = True
+        if nonzero:
             mats[d] = mat
     return HomComplex(k, j, basis, mats)
 

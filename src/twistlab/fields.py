@@ -127,7 +127,7 @@ class RationalField:
         return "QQ"
 
 
-Field = Union[PrimeField, RationalField]
+Field = Union["PrimeField", "RationalField"]  # strings: see complexes.Matrix
 
 GF2 = PrimeField(2)
 QQ = RationalField()

@@ -223,7 +223,7 @@ class BraidMove:
         return {"move": "braid", "a": list(self.a), "b": list(self.b), "c": list(self.c)}
 
 
-Move = Union[CommuteMove, BraidMove]
+Move = Union["CommuteMove", "BraidMove"]  # strings: see complexes.Matrix
 MoveCertificate = Tuple[Move, ...]
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, Optional, Tuple
 
 from .braid import BraidWord
@@ -60,26 +61,21 @@ def twist(i: int, x: ProjComplex) -> ProjComplex:
     """t_i(X) = minimize(cone(P_i (x) Hom(P_i, X) -> X))."""
     alg = x.algebra
     hc = hom_complex(i, x)
+    zero = lru_cache(maxsize=None)(alg.zero)
+    times_id = lru_cache(maxsize=None)(alg.identity(i).scaled)
+    evaluation = lru_cache(maxsize=None)(alg.basis_morph)
     src_summands = {d: (i,) * hc.dim(d) for d in hc.degrees()}
     src_diffs: Dict[int, Matrix] = {}
     for d, mat in hc.mats.items():
-        src_diffs[d] = tuple(
-            tuple(alg.identity(i).scaled(a) for a in row) for row in mat
-        )
+        src_diffs[d] = tuple(tuple(times_id(a) for a in row) for row in mat)
     source = make_complex(alg, src_summands, src_diffs)
     ev_blocks: Dict[int, Matrix] = {}
     for d in hc.degrees():
         cols = hc.basis[d]
-        rows = x.summands.get(d, ())
-        block = []
-        for r, lab in enumerate(rows):
-            block.append(
-                tuple(
-                    alg.basis_morph(b) if s == r else alg.zero(i, lab)
-                    for (s, b) in cols
-                )
-            )
-        ev_blocks[d] = tuple(block)
+        block = [[zero(i, lab)] * len(cols) for lab in x.summands.get(d, ())]
+        for n, (s, b) in enumerate(cols):
+            block[s][n] = evaluation(b)
+        ev_blocks[d] = tuple(tuple(row) for row in block)
     ev = ChainMap(source, x, ev_blocks)
     return minimize(cone(ev))
 
@@ -87,9 +83,11 @@ def twist(i: int, x: ProjComplex) -> ProjComplex:
 def twist_inv(i: int, x: ProjComplex) -> ProjComplex:
     """Quasi-inverse twist, built from the trace-pairing dual basis."""
     alg = x.algebra
-    k = alg.field
-    neg = k.neg
+    neg = alg.field.neg
     hc = hom_complex(i, x)
+    zero = lru_cache(maxsize=None)(alg.zero)
+    times_id = lru_cache(maxsize=None)(alg.identity(i).scaled)
+    coevaluation = lru_cache(maxsize=None)(lambda b: alg.basis_morph(alg.dual_basis_element(b)))
     summands: Dict[int, Tuple[int, ...]] = {}
     degs = set(x.summands) | {d + 1 for d in hc.degrees()}
     for d in degs:
@@ -102,21 +100,20 @@ def twist_inv(i: int, x: ProjComplex) -> ProjComplex:
         w_cols = hc.basis.get(d - 1, ())
         x_rows = x.summands.get(d + 1, ())
         w_rows = hc.basis.get(d, ())
-        dx = x.diff(d)
+        dx = x.diffs.get(d)
         wmat = hc.mats.get(d - 1)
         rows = []
         for r, lab in enumerate(x_rows):
-            rows.append(tuple(dx[r]) + tuple(alg.zero(i, lab) for _ in w_cols))
+            left = tuple(dx[r]) if dx else tuple(zero(c, lab) for c in x_cols)
+            rows.append(left + (zero(i, lab),) * len(w_cols))
         for ridx, (s, b) in enumerate(w_rows):
-            coev = tuple(
-                alg.basis_morph(alg.dual_basis_element(b)) if c == s else alg.zero(x_cols[c], i)
-                for c in range(len(x_cols))
-            )
+            coev = [zero(c, i) for c in x_cols]
+            coev[s] = coevaluation(b)
             if wmat is None:
-                wpart = tuple(alg.zero(i, i) for _ in w_cols)
+                wpart = (zero(i, i),) * len(w_cols)
             else:
-                wpart = tuple(alg.identity(i).scaled(neg(wmat[ridx][cidx])) for cidx in range(len(w_cols)))
-            rows.append(coev + wpart)
+                wpart = tuple(times_id(neg(a)) for a in wmat[ridx])
+            rows.append(tuple(coev) + wpart)
         diffs[d] = tuple(rows)
     return minimize(make_complex(alg, summands, diffs))
 

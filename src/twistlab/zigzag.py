@@ -59,7 +59,11 @@ class MorphElement:
         return self.algebra.field.zero
 
     def id_coeff(self) -> Scalar:
-        return self.coeff(MorphBasisElement(KIND_ID, self.src, self.src)) if self.src == self.tgt else self.algebra.field.zero
+        if self.src == self.tgt:
+            for b, c in self.terms:
+                if b.kind == KIND_ID:
+                    return c
+        return self.algebra.field.zero
 
     def __add__(self, other: "MorphElement") -> "MorphElement":
         return self.algebra.add(self, other)
@@ -86,9 +90,12 @@ class MorphElement:
         }
 
 
-def _basis_key(b: MorphBasisElement) -> tuple:
-    order = {KIND_ID: 0, KIND_LOOP: 1, KIND_ARROW: 2}
-    return (order[b.kind], b.src, b.tgt)
+_KIND_ORDER = {KIND_ID: 0, KIND_LOOP: 1, KIND_ARROW: 2}
+
+
+def _term_key(term: tuple[MorphBasisElement, Scalar]) -> tuple:
+    b = term[0]
+    return (_KIND_ORDER[b.kind], b.src, b.tgt)
 
 
 @dataclass(frozen=True)
@@ -120,15 +127,21 @@ class ZigzagAlgebra:
     # -- element constructors -------------------------------------------
 
     def morph(self, src: int, tgt: int, coeffs: Mapping[MorphBasisElement, Scalar]) -> MorphElement:
+        rank = self.diagram.rank
         terms = []
         for b, c in coeffs.items():
             if b.src != src or b.tgt != tgt:
                 raise ValueError(f"basis element {b} does not map {src} -> {tgt}")
-            if b not in self.hom_basis(src, tgt):
+            # b in hom_basis(src, tgt), without building the basis: id and
+            # loop already force src == tgt, an arrow needs an edge
+            if not (1 <= src <= rank and 1 <= tgt <= rank):
+                raise ValueError(f"unknown vertex pair ({src}, {tgt})")
+            if b.kind == KIND_ARROW and not self.diagram.adjacent(src, tgt):
                 raise ValueError(f"{b} is not a basis element of Hom(P_{src}, P_{tgt})")
             if not self.field.is_zero(c):
                 terms.append((b, c))
-        terms.sort(key=lambda t: _basis_key(t[0]))
+        if len(terms) > 1:
+            terms.sort(key=_term_key)
         return MorphElement(self, src, tgt, tuple(terms))
 
     def zero(self, src: int, tgt: int) -> MorphElement:
@@ -160,6 +173,8 @@ class ZigzagAlgebra:
         return self.morph(f.src, f.tgt, acc)
 
     def scale(self, c: Scalar, f: MorphElement) -> MorphElement:
+        if not f.terms or c == self.field.one:
+            return f
         return self.morph(f.src, f.tgt, {b: self.field.mul(c, a) for b, a in f.terms})
 
     # -- composition ------------------------------------------------------

@@ -91,6 +91,20 @@ class TestOracle:
                 expected = any(u[0] == j for u in cls)
                 assert (left_divisible_by(w, j) is not None) == expected
 
+    def test_no_divisor_query_caches_the_whole_class(self, monkeypatch):
+        from twistlab import braid
+
+        monkeypatch.setattr(braid, "_CLASS_CACHE", {})
+        # in D4, 1, 3 and 4 commute pairwise and are all adjacent to 2
+        w = word(D4, (1, 3, 4, 2))
+        assert left_divisible_by(w, 2) is None
+        other = word(D4, (4, 1, 3, 2))
+        assert (D4, other.letters) in braid._CLASS_CACHE
+        assert equivalent(other, w)
+        assert not equivalent(other, word(D4, (2, 1, 3, 4)))
+        assert left_divisible_by(other, 4).letters == (1, 3, 2)
+        assert left_divisible_by(other, 2) is None
+
 
 def words_strategy(diagram, max_len=6):
     return st.lists(

@@ -1,6 +1,8 @@
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistlab.braid import build_diagram
 from twistlab.complexes import (
@@ -126,6 +128,120 @@ class TestCone:
         # the square with x's differential does not commute
         f = ChainMap(x, y, {0: ((algebra.identity(2),),), -1: ()})
         assert not f.is_valid()
+        with pytest.raises(ValueError):
+            cone(f)
+
+
+def _block(f, d):
+    """f's block at degree d, with zeros where f has none."""
+    mat = f.blocks.get(d)
+    if mat is not None:
+        return mat
+    rows, cols = f.tgt.summands.get(d, ()), f.src.summands.get(d, ())
+    return tuple(tuple(f.src.algebra.zero(c, r) for c in cols) for r in rows)
+
+
+def _square_commutes(f, d):
+    """f_{d+1} o d_X = d_Y o f_d at degree d, summed cell by cell over dense blocks."""
+    alg = f.src.algebra
+    src_cols = f.src.summands.get(d, ())
+    tgt_rows = f.tgt.summands.get(d + 1, ())
+    mid_src = f.src.summands.get(d + 1, ())
+    mid_tgt = f.tgt.summands.get(d, ())
+    for r, rlab in enumerate(tgt_rows):
+        for c, clab in enumerate(src_cols):
+            total = alg.zero(clab, rlab)
+            for k in range(len(mid_src)):
+                total = total + _block(f, d + 1)[r][k].compose(f.src.diff(d)[k][c])
+            for k in range(len(mid_tgt)):
+                total = total - f.tgt.diff(d)[r][k].compose(_block(f, d)[k][c])
+            if not total.is_zero():
+                return False
+    return True
+
+
+def reference_is_valid(f):
+    """A dense, cell-by-cell ChainMap.is_valid."""
+    for d, mat in f.blocks.items():
+        rows = f.tgt.summands.get(d, ())
+        cols = f.src.summands.get(d, ())
+        if len(mat) != len(rows) or any(len(row) != len(cols) for row in mat):
+            return False
+        for r, row in enumerate(mat):
+            for c, m in enumerate(row):
+                if (m.src, m.tgt) != (cols[c], rows[r]):
+                    return False
+    degrees = set(f.src.summands) | set(f.tgt.summands)
+    return all(_square_commutes(f, d) for d in degrees)
+
+
+def _coefs(algebra):
+    return st.sampled_from([0, 1]) if algebra.field == GF2 else st.integers(-2, 2).map(Fraction)
+
+
+def _random_morph(data, algebra, src, tgt):
+    return algebra.morph(src, tgt, {b: data.draw(_coefs(algebra)) for b in algebra.hom_basis(src, tgt)})
+
+
+def _random_two_term(data, algebra):
+    """A complex in degrees -1 and 0 with a random differential (d^2 = 0 trivially)."""
+    labels = st.lists(st.sampled_from(list(algebra.diagram.vertices)), min_size=1, max_size=2)
+    left, right = tuple(data.draw(labels)), tuple(data.draw(labels))
+    diff = tuple(tuple(_random_morph(data, algebra, c, r) for c in left) for r in right)
+    return make_complex(algebra, {-1: left, 0: right}, {-1: diff})
+
+
+def _perturbed(data, f):
+    """f with one entry replaced by a random morphism of the same type."""
+    cells = [(d, r, c) for d, mat in f.blocks.items() for r, row in enumerate(mat) for c in range(len(row))]
+    if not cells:
+        return f
+    d, r, c = data.draw(st.sampled_from(cells))
+    old = f.blocks[d][r][c]
+    new = _random_morph(data, f.src.algebra, old.src, old.tgt)
+    mat = [list(row) for row in f.blocks[d]]
+    mat[r][c] = new
+    return ChainMap(f.src, f.tgt, {**f.blocks, d: tuple(tuple(row) for row in mat)})
+
+
+class TestChainMapDifferential:
+    """ChainMap.is_valid against the dense reference on random small maps."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_agrees_with_dense_reference(self, data):
+        algebra = ZigzagAlgebra(data.draw(st.sampled_from([A2, A3])), data.draw(st.sampled_from([GF2, QQ])))
+        x = _random_two_term(data, algebra)
+        # a * id + b * loop on every summand commutes with any differential
+        a, b = data.draw(_coefs(algebra)), data.draw(_coefs(algebra))
+        blocks = {
+            d: tuple(
+                tuple(
+                    algebra.add(algebra.identity(lab).scaled(a), algebra.loop(lab).scaled(b))
+                    if r == c
+                    else algebra.zero(labels[c], lab)
+                    for c in range(len(labels))
+                )
+                for r, lab in enumerate(labels)
+            )
+            for d, labels in x.summands.items()
+        }
+        f = ChainMap(x, x, blocks)
+        _, inclusion, projection = cone_triangle(f)
+        for g in (f, inclusion, projection):
+            assert g.is_valid() and reference_is_valid(g)
+            h = _perturbed(data, g)
+            assert h.is_valid() == reference_is_valid(h)
+
+    def test_only_the_second_square_fails(self, alg):
+        # P_1 --loop--> P_1 --arrow--> P_2 in degrees -2, -1, 0
+        x = make_complex(alg, {-2: (1,), -1: (1,), 0: (2,)}, {-2: ((alg.loop(1),),), -1: ((alg.arrow(1, 2),),)})
+        blocks = {-2: ((alg.identity(1),),), -1: ((alg.identity(1),),), 0: ((alg.loop(2),),)}
+        f = ChainMap(x, x, blocks)
+        assert _square_commutes(f, -2)
+        assert not _square_commutes(f, -1)
+        assert not f.is_valid()
+        assert not reference_is_valid(f)
         with pytest.raises(ValueError):
             cone(f)
 

@@ -1,0 +1,145 @@
+"""Golden digests of the CLI's JSON output: the README's bit-reproducibility promise.
+
+Each case runs one command through ``twistlab.cli.main`` and compares the exit
+code and the sha256 of its standard output with a pinned value.  The words
+cover A2, A4, D4, D5 and E6 over GF(2), QQ and GF(3); each word is twisted,
+recovered from its image (``recover --word``) and compared with a second word
+by ``braid-eq --mode category``.  A change to the engine that alters a single
+byte of any output fails here.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from twistlab.cli import main
+
+# (diagram, field, word, second word for braid-eq)
+WORDS = [
+    ("A2", "f2", "1,2,1", "2,1,2"),
+    ("A2", "q", "2,1,2,1", "1,2,1,1"),
+    ("A2", "f3", "1,1,2", "2,1,1"),
+    ("A4", "f2", "1,3,2,4,3,1", "3,1,2,4,3,1"),
+    ("A4", "q", "2,1,3,2,4,3,2", "2,3,1,2,4,3,2"),
+    ("A4", "f3", "4,3,2,1,2,3", "4,3,1,2,1,3"),
+    ("A4", "q", "1,2,3,4,4,3,2,1", "1,2,3,4,3,4,2,1"),
+    ("D4", "f2", "2,1,3,4,2", "2,3,1,4,2"),
+    ("D4", "q", "1,2,3,2,4,2,1", "1,3,2,3,4,2,1"),
+    ("D4", "f3", "3,2,4,2", "3,4,2,4"),
+    ("D4", "f2", "1,3,4,2,1,3,4,2", "1,3,4,2,1,4,3,2"),
+    ("D5", "f2", "1,2,3,4,5,3", "1,2,3,4,3,5"),
+    ("D5", "q", "5,3,2,1,3,4", "5,3,2,3,1,4"),
+    ("D5", "f3", "2,3,5,4,3,2,1", "2,5,3,4,3,2,1"),
+    ("D5", "f2", "4,5,4,2,1,2", "5,4,5,1,2,1"),
+    ("E6", "f2", "1,3,4,2,5,4", "1,3,4,5,2,4"),
+    ("E6", "q", "4,2,3,5,4,6", "4,2,5,3,4,6"),
+    ("E6", "f3", "6,5,4,3,1", "6,5,4,1,3"),
+    ("E6", "f2", "2,4,3,5,4,2,6", "2,4,5,3,4,2,6"),
+    ("E6", "q", "1,3,1,4,2", "3,1,3,4,2"),
+    ("A4", "q", "1,2,3,4,3,2,1,2,3,1,4", "1,2,3,4,3,2,1,2,3,4,1"),
+    ("E6", "f3", "1,3,4,5,6,2,4,3,5", "1,3,4,5,2,6,4,3,5"),
+]
+
+COMMANDS = {
+    "twist": lambda w, w2: ["twist", w],
+    "recover": lambda w, w2: ["recover", "--word", w],
+    "braid-eq": lambda w, w2: ["braid-eq", w, w2, "--mode", "category"],
+}
+
+# "<command> <diagram> <field> <word>" -> (exit code, sha256 of stdout)
+GOLDEN = {
+    'twist A2 f2 1,2,1': (0, 'ea3d1592788c7f4da33fb474a3a7f1ae7de394694f52f2fed33ad785de5fee86'),
+    'recover A2 f2 1,2,1': (0, 'a960200cf9fae3225cf757b8fd0c562de5ef3bd666dce3ce855f632507656bd2'),
+    'braid-eq A2 f2 1,2,1': (0, '9ebddb67f6dcdda091b6ead9a710950603410c24aea795761d994bb56b3f1a06'),
+    'twist A2 q 2,1,2,1': (0, 'eac17a2489c881b9a713a6965cc4c0b060e79defeb464954a467bd478833e30d'),
+    'recover A2 q 2,1,2,1': (0, '38896205694d517559ee1934b3627a05e756858f4a620591fcf6dfa216870c81'),
+    'braid-eq A2 q 2,1,2,1': (0, '9ebddb67f6dcdda091b6ead9a710950603410c24aea795761d994bb56b3f1a06'),
+    'twist A2 f3 1,1,2': (0, '0b3c00d30720fd2f7756795eccd4c42d5091ee3e84f94378662e4c85790cc901'),
+    'recover A2 f3 1,1,2': (0, '4c1955e485ca3ce21f795b90800420d20eb166fcfe5d76a33dc1b1cc2a39405e'),
+    'braid-eq A2 f3 1,1,2': (1, 'bf0f26a021864299faa60d1330b901ff93d6be26702e43f779d8debb7b6d0b7c'),
+    'twist A4 f2 1,3,2,4,3,1': (0, '256c316be016f6d4c490e0c01820069693f1caf183bf189b26a57828cbfe89ff'),
+    'recover A4 f2 1,3,2,4,3,1': (0, 'fe96253056771b73c51c1731bb64f82184165f28cfc53c6c17503c75d8590025'),
+    'braid-eq A4 f2 1,3,2,4,3,1': (0, '9ebddb67f6dcdda091b6ead9a710950603410c24aea795761d994bb56b3f1a06'),
+    'twist A4 q 2,1,3,2,4,3,2': (0, '77f19b465814493b9e311b7bc6cc6a6ea6827aa0d0bd98d01765fe247311d5f5'),
+    'recover A4 q 2,1,3,2,4,3,2': (0, '681b9b425e1a92d91031692b43d161d92b69f841059012ee5cf0e3d5748737ce'),
+    'braid-eq A4 q 2,1,3,2,4,3,2': (0, '9ebddb67f6dcdda091b6ead9a710950603410c24aea795761d994bb56b3f1a06'),
+    'twist A4 f3 4,3,2,1,2,3': (0, '046ef5dae1615720875331e32e0d2fe75d33496dbe009f554b21410059de4d90'),
+    'recover A4 f3 4,3,2,1,2,3': (0, '10586378a62af1fecaf328f8d1a3e3394fb6c164e5f4dd9fbcdb82e29ea20c8a'),
+    'braid-eq A4 f3 4,3,2,1,2,3': (0, '9ebddb67f6dcdda091b6ead9a710950603410c24aea795761d994bb56b3f1a06'),
+    'twist A4 q 1,2,3,4,4,3,2,1': (0, 'ed31d790a0a4c7621a6e9cb78edacbc61c47ff1853b8bbc62e8d038d8a8bc182'),
+    'recover A4 q 1,2,3,4,4,3,2,1': (0, 'b3d0169348930bc6863b0c5344d77029fb8a1fd47c7ceaccef5483794bf3ca94'),
+    'braid-eq A4 q 1,2,3,4,4,3,2,1': (1, 'bf0f26a021864299faa60d1330b901ff93d6be26702e43f779d8debb7b6d0b7c'),
+    'twist D4 f2 2,1,3,4,2': (0, 'a29955b9d4121e4e27e31faa9b9f1d735669b1f23aeab7861546868e4d11ae68'),
+    'recover D4 f2 2,1,3,4,2': (0, '50c141222d0f35cdf2bc89005a15e3a4e89aca0a929417cdba610b59eadaeb73'),
+    'braid-eq D4 f2 2,1,3,4,2': (0, '9ebddb67f6dcdda091b6ead9a710950603410c24aea795761d994bb56b3f1a06'),
+    'twist D4 q 1,2,3,2,4,2,1': (0, 'e9b191af5e02476b174f1e73f3c74e626cd969f14e6a15fb9da2b2024be6ef84'),
+    'recover D4 q 1,2,3,2,4,2,1': (0, '51344181627f59d71a38bc06af9dc2cb3911a798a91ca317969af4e8009782e8'),
+    'braid-eq D4 q 1,2,3,2,4,2,1': (0, '9ebddb67f6dcdda091b6ead9a710950603410c24aea795761d994bb56b3f1a06'),
+    'twist D4 f3 3,2,4,2': (0, '883cf876ea56f3086870395ad50ed7a006f18ef376a02baf0b01f5b70b6ffed7'),
+    'recover D4 f3 3,2,4,2': (0, '218f0dfce03d3a82473b7b3436f70ed4dfa395041bc901ba5cdeb079c20a8fbd'),
+    'braid-eq D4 f3 3,2,4,2': (0, '9ebddb67f6dcdda091b6ead9a710950603410c24aea795761d994bb56b3f1a06'),
+    'twist D4 f2 1,3,4,2,1,3,4,2': (0, '38f3f90cf0a55fc21f5656d9ff59a4aa4be27bcb816d01d651ef8213b1e2616a'),
+    'recover D4 f2 1,3,4,2,1,3,4,2': (0, 'c2fa3ba2fc7432b56fa82200080c62f2f0ed7c88d1c65cab0b79e807e99c79e2'),
+    'braid-eq D4 f2 1,3,4,2,1,3,4,2': (0, '9ebddb67f6dcdda091b6ead9a710950603410c24aea795761d994bb56b3f1a06'),
+    'twist D5 f2 1,2,3,4,5,3': (0, '875c75fdc3e4493043e859d1583b063faa2a7f99626d5b52f636e4e2f9689562'),
+    'recover D5 f2 1,2,3,4,5,3': (0, 'dd6fe467c99c5f5958d253901348ccb8b23c32cf684daff6881d4d6cb869df10'),
+    'braid-eq D5 f2 1,2,3,4,5,3': (0, '9ebddb67f6dcdda091b6ead9a710950603410c24aea795761d994bb56b3f1a06'),
+    'twist D5 q 5,3,2,1,3,4': (0, '1ee084d859a97e85d2b83fccc8083f65c8503f91c0c90534de4445908f4900ab'),
+    'recover D5 q 5,3,2,1,3,4': (0, 'a342fe2152199a78fd85fee57b5144ee9708c57c6fa49b5dc9c92a9af6afea09'),
+    'braid-eq D5 q 5,3,2,1,3,4': (0, '9ebddb67f6dcdda091b6ead9a710950603410c24aea795761d994bb56b3f1a06'),
+    'twist D5 f3 2,3,5,4,3,2,1': (0, 'de61cc5e766820b38030dd856ef020f5627db9a2366499cdb3674624c6bb11ec'),
+    'recover D5 f3 2,3,5,4,3,2,1': (0, 'c2a8a7b66fd219b8994f4923ff967848eeb1ac6c812f848e955f310ed6614e47'),
+    'braid-eq D5 f3 2,3,5,4,3,2,1': (0, '9ebddb67f6dcdda091b6ead9a710950603410c24aea795761d994bb56b3f1a06'),
+    'twist D5 f2 4,5,4,2,1,2': (0, '1fa897a3bd64ab3dbd137b3dd9f289161934d3b9e85930b4c4d35bf505910f59'),
+    'recover D5 f2 4,5,4,2,1,2': (0, '5105c2601340b8842f80579b15ea9891c6c0dd21b83e49e030af106d5f818651'),
+    'braid-eq D5 f2 4,5,4,2,1,2': (0, '9ebddb67f6dcdda091b6ead9a710950603410c24aea795761d994bb56b3f1a06'),
+    'twist E6 f2 1,3,4,2,5,4': (0, '93f28a06d701bd2387dcae9766f54bbaa2f3f44779887a275ac9b906c20d8d05'),
+    'recover E6 f2 1,3,4,2,5,4': (0, '6ac9c1203f3eba94933d6e519b179e9370914ce8687eebc7e01ff2e39b8a8c0c'),
+    'braid-eq E6 f2 1,3,4,2,5,4': (0, '9ebddb67f6dcdda091b6ead9a710950603410c24aea795761d994bb56b3f1a06'),
+    'twist E6 q 4,2,3,5,4,6': (0, '4498fa4222e4589352d9ecbd1265075d05fa474f4e4d6f5a1b2d8466233c4f68'),
+    'recover E6 q 4,2,3,5,4,6': (0, '6070fdac3cccf5ec766b1f6713e0258a4fd6e20fffa31701d793a0b85fcad616'),
+    'braid-eq E6 q 4,2,3,5,4,6': (0, '9ebddb67f6dcdda091b6ead9a710950603410c24aea795761d994bb56b3f1a06'),
+    'twist E6 f3 6,5,4,3,1': (0, 'a5f48db524ab68cfd80294bde88754ded690167fa8feb081c5d02e9ece24e78d'),
+    'recover E6 f3 6,5,4,3,1': (0, '64e6c0204aee95bf38ebf59c778532e0c340c362c4e2a7d20ad655c9ca2c397a'),
+    'braid-eq E6 f3 6,5,4,3,1': (1, 'bf0f26a021864299faa60d1330b901ff93d6be26702e43f779d8debb7b6d0b7c'),
+    'twist E6 f2 2,4,3,5,4,2,6': (0, '2644b98a1be95bd0bf3a0d825301adb58449fd8be3fb6e5e457dcf513c86ce2d'),
+    'recover E6 f2 2,4,3,5,4,2,6': (0, 'edb4c859c758d5dfdf82916d88ac7480cbcf51e438c297600b4826548da9a024'),
+    'braid-eq E6 f2 2,4,3,5,4,2,6': (0, '9ebddb67f6dcdda091b6ead9a710950603410c24aea795761d994bb56b3f1a06'),
+    'twist E6 q 1,3,1,4,2': (0, '1f82a11f6066d1f05bb477d8de9d038c8d8d68987795b33d5f76b833fe2b1773'),
+    'recover E6 q 1,3,1,4,2': (0, 'a1bf312c48c84b4adfb8a84988638a7a9ae39b2d6d7b202ed6fb6f4ebff05cc4'),
+    'braid-eq E6 q 1,3,1,4,2': (0, '9ebddb67f6dcdda091b6ead9a710950603410c24aea795761d994bb56b3f1a06'),
+    'twist A4 q 1,2,3,4,3,2,1,2,3,1,4': (0, 'ae7433df3fdadf7aca34dd93fe3699e68c2dbd12df5a8e2f39c07f55a6d409a6'),
+    'recover A4 q 1,2,3,4,3,2,1,2,3,1,4': (0, 'a4b14fcac5546f0862229c22c8fb81fd655156b9f150145497e019661b706fbb'),
+    'braid-eq A4 q 1,2,3,4,3,2,1,2,3,1,4': (0, '9ebddb67f6dcdda091b6ead9a710950603410c24aea795761d994bb56b3f1a06'),
+    'twist E6 f3 1,3,4,5,6,2,4,3,5': (0, '8012e2dfd8a7ed2f2ee4be034fc88d04125347d61759674e8ef047038b59f4a0'),
+    'recover E6 f3 1,3,4,5,6,2,4,3,5': (0, '3cc6f5c83dac8f95d999ffb1eb4642284f53aff1afbf0ac4ad2d0f9887e0d946'),
+    'braid-eq E6 f3 1,3,4,5,6,2,4,3,5': (0, '9ebddb67f6dcdda091b6ead9a710950603410c24aea795761d994bb56b3f1a06'),
+}
+
+
+def _cases():
+    for diagram, field, w, w2 in WORDS:
+        for name, argv in COMMANDS.items():
+            yield f"{name} {diagram} {field} {w}", ["--diagram", diagram, "--field", field, *argv(w, w2)]
+
+
+CASES = list(_cases())
+
+
+def run_case(argv):
+    """(exit code, sha256 of standard output) of one CLI invocation."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+def test_every_case_is_pinned():
+    assert sorted(GOLDEN) == sorted(case for case, _ in CASES)
+
+
+@pytest.mark.parametrize("case,argv", CASES, ids=[c for c, _ in CASES])
+def test_golden_digest(case, argv):
+    assert run_case(argv) == GOLDEN[case]
