@@ -35,8 +35,6 @@ from .complexes import (
     sum_of_projectives,
 )
 from .twists import (
-    SphericalParameters,
-    TwistMemo,
     TwoTermObject,
     TwoTermPrediction,
     is_left_proper,

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Tuple
 
@@ -129,32 +128,10 @@ def twist_corpus(algebra: ZigzagAlgebra, max_len: int) -> Dict[Tuple[int, ...], 
     return corpus
 
 
-def _profile_key_of_word(args: Tuple[str, str, Tuple[int, ...]]):
-    # worker for --jobs parallelism: independent recomputation per word
-    diagram_name, field_name, letters = args
-    from .fields import field_from_name
-
-    d = diagram_from_name(diagram_name)
-    alg = ZigzagAlgebra(d, field_from_name(field_name))
-    t = twist_word(BraidWord(d, letters), sum_of_projectives(alg))
-    return letters, profile_key(t)
-
-
-def profile_partition(
-    algebra: ZigzagAlgebra, max_len: int, jobs: int = 1
-) -> Dict[Tuple[int, ...], tuple]:
+def profile_partition(algebra: ZigzagAlgebra, max_len: int) -> Dict[Tuple[int, ...], tuple]:
     """word -> profile key, over all words of length <= max_len."""
-    if jobs <= 1:
-        corpus = twist_corpus(algebra, max_len)
-        return {w: profile_key(t) for w, t in corpus.items()}
-    field_name = "q" if algebra.field == QQ else f"f{algebra.field.p}"
-    words = all_words(algebra.diagram, max_len)
-    tasks = [(algebra.diagram.name(), field_name, w) for w in words]
-    out: Dict[Tuple[int, ...], tuple] = {}
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for letters, key in pool.map(_profile_key_of_word, tasks, chunksize=16):
-            out[letters] = key
-    return out
+    corpus = twist_corpus(algebra, max_len)
+    return {w: profile_key(t) for w, t in corpus.items()}
 
 
 def oracle_partition(diagram: DynkinDiagram, words: Iterable[Tuple[int, ...]]) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
@@ -285,13 +262,13 @@ def criterion_braid_relations(field: Field = GF2, scale: Scale = Scale(), corrup
     return _timed(run, 3, "braid relations")
 
 
-def criterion_faithfulness(field: Field = GF2, scale: Scale = Scale(), jobs: int = 1, corrupt: bool = False) -> CriterionResult:
+def criterion_faithfulness(field: Field = GF2, scale: Scale = Scale(), corrupt: bool = False) -> CriterionResult:
     def run():
         total = 0
         for name, max_len in scale.faithfulness_corpora:
             d = diagram_from_name(name)
             alg = ZigzagAlgebra(d, field, corrupt_compose=corrupt)
-            profiles = profile_partition(alg, max_len, jobs=jobs)
+            profiles = profile_partition(alg, max_len)
             oracle = oracle_partition(d, profiles.keys())
             if _groups(profiles) != _groups(oracle):
                 mism = next(
@@ -679,14 +656,13 @@ def criterion_characteristic_independence(scale: Scale = Scale(), corrupt: bool 
 def run_all(
     field: Field = GF2,
     scale: Scale = Scale(),
-    jobs: int = 1,
     corrupt: bool = False,
 ) -> List[CriterionResult]:
     return [
         criterion_configuration_sanity(field, scale, corrupt),
         criterion_twist_axioms(field, scale, corrupt),
         criterion_braid_relations(field, scale, corrupt),
-        criterion_faithfulness(field, scale, jobs=jobs, corrupt=corrupt),
+        criterion_faithfulness(field, scale, corrupt),
         criterion_reconstruction(field, scale, corrupt),
         criterion_degree_bounds(field, scale, corrupt),
         criterion_two_term(field, scale, corrupt),

@@ -10,7 +10,6 @@ Garside machinery is used.  Practical up to word length ~10 on rank <= 8.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -303,7 +302,3 @@ def parse_letters(text: str) -> tuple[int, ...]:
         return tuple(int(p.lstrip("s")) for p in parts if p)
     except ValueError as exc:
         raise ValueError(f"cannot parse word {text!r}") from exc
-
-
-def dumps_word(w: BraidWord) -> str:
-    return json.dumps(w.to_json_obj(), sort_keys=True)

@@ -61,7 +61,6 @@ class RunConfig:
     diagram: DynkinDiagram
     field: Field
     max_len: int
-    jobs: int
     fmt: str
 
 
@@ -75,11 +74,9 @@ def _config(args) -> RunConfig:
         field = field_from_name(args.field)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    if args.jobs < 1:
-        raise InputError("--jobs must be at least 1")
     if args.max_len < 0:
         raise InputError("--max-len must be non-negative")
-    return RunConfig(diagram, field, args.max_len, args.jobs, args.format)
+    return RunConfig(diagram, field, args.max_len, args.format)
 
 
 def _parse_word(config: RunConfig, text: str) -> BraidWord:
@@ -245,9 +242,7 @@ def cmd_selftest(args) -> int:
     seed = int(os.environ.get("TWISTLAB_SEED", "0"))
     scale = acceptance.selftest_scale(config.diagram.name(), config.max_len)
     scale = replace(scale, seed=seed, sample_longer=args.sample_longer)
-    results = acceptance.run_all(
-        config.field, scale, jobs=config.jobs, corrupt=args.debug_corrupt_compose
-    )
+    results = acceptance.run_all(config.field, scale, corrupt=args.debug_corrupt_compose)
     for r in results:
         print(r.line())
     if all(r.passed for r in results):
@@ -263,7 +258,6 @@ def main(argv=None) -> int:
     parser.add_argument("--diagram", default="A3", help="A<n>, D<n> or E<n> (default A3)")
     parser.add_argument("--field", default="f2", help="f<p> or q (default f2)")
     parser.add_argument("--max-len", type=int, default=5, help="corpus length bound")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
     parser.add_argument("--format", choices=("json", "text", "dot"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -273,8 +267,7 @@ def main(argv=None) -> int:
     p_twist.set_defaults(fn=cmd_twist)
 
     p_rec = sub.add_parser("recover", help="recover a braid word from a twist image")
-    p_rec.add_argument("--word", default=None, help="round-trip mode: twist this word first")
-    p_rec.add_argument("--complex", action="store_true", help="read a JSON complex from stdin")
+    p_rec.add_argument("--word", default=None, help="round-trip mode: twist this word first; else read a JSON complex from stdin")
     p_rec.set_defaults(fn=cmd_recover)
 
     p_eq = sub.add_parser("braid-eq", help="decide monoid equality of two words")

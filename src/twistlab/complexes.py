@@ -16,10 +16,18 @@ entry P_i -> P_i whose identity coefficient is a unit can be split off, the
 parallel block picking up the correction delta - gamma phi^{-1} beta.  Pivot
 order is deterministic (lowest degree, then lowest row, then lowest column)
 so outputs are reproducible.
+
+Memoized, for the life of the object that holds it (nothing outlives it):
+- minimize() marks its output minimal and returns a minimal input unchanged;
+- a complex keeps its profile(), and hands out a fresh copy on each call;
+- a HomComplex keeps the rank of each differential it has ranked.
+Hom complexes themselves are not kept on their complex: a caller that needs
+them more than once (a recovery step) holds them in a HomComplexes map.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
@@ -42,12 +50,15 @@ class ProjComplex:
     summands maps degree -> the ordered vertex labels of the summands in that
     degree; diffs maps degree d -> the matrix of the differential d -> d+1.
     Degrees without summands and all-zero matrices are dropped on
-    normalization (see make_complex).
+    normalization (see make_complex).  _minimal and _profile are the
+    memos of minimize() and profile().
     """
 
     algebra: ZigzagAlgebra
     summands: Dict[int, Tuple[int, ...]]
     diffs: Dict[int, Matrix]
+    _minimal: bool = dataclasses.field(default=False, init=False, repr=False)
+    _profile: Optional[HomProfile] = dataclasses.field(default=None, init=False, repr=False)
 
     @property
     def diagram(self) -> DynkinDiagram:
@@ -314,7 +325,10 @@ def minimize(x: ProjComplex) -> ProjComplex:
     keyed by (degree, row, col) pops pivots in the order of the module
     docstring.  Stale heap items (entries since removed or changed) are
     skipped when popped; every entry that becomes a unit is pushed again.
+    The output is marked minimal, and a minimal input is returned as is.
     """
+    if x._minimal:
+        return x
     alg = x.algebra
     is_unit = alg.is_unit
     entries: Dict[int, Dict[Tuple[int, int], MorphElement]] = {}
@@ -400,7 +414,9 @@ def minimize(x: ProjComplex) -> ProjComplex:
         for (r, c), m in block.items():
             mat[rpos[r]][cpos[c]] = m
         diffs[d] = tuple(tuple(row) for row in mat)
-    return make_complex(alg, summands, diffs)
+    out = make_complex(alg, summands, diffs)
+    out._minimal = True
+    return out
 
 
 # -- Hom complexes and profiles -----------------------------------------------
@@ -412,13 +428,14 @@ class HomComplex:
 
     basis[d] lists (summand index, basis morphism) pairs; mats[d] is the
     matrix of postcomposition with the differential from degree d to d+1
-    (rows indexed by basis[d+1]).
+    (rows indexed by basis[d+1]).  _ranks memoizes rank_at.
     """
 
     field: Field
     vertex: int
     basis: Dict[int, Tuple[Tuple[int, MorphBasisElement], ...]]
     mats: Dict[int, List[List[Scalar]]]
+    _ranks: Dict[int, int] = dataclasses.field(default_factory=dict, init=False, repr=False)
 
     def dim(self, d: int) -> int:
         return len(self.basis.get(d, ()))
@@ -427,10 +444,14 @@ class HomComplex:
         return sorted(self.basis)
 
     def rank_at(self, d: int) -> int:
+        """Rank of the differential from degree d, computed once."""
         mat = self.mats.get(d)
         if mat is None or not mat or not mat[0]:
             return 0
-        return linalg.rank(self.field, mat, len(mat[0]))
+        r = self._ranks.get(d)
+        if r is None:
+            r = self._ranks[d] = linalg.rank(self.field, mat, len(mat[0]))
+        return r
 
     def homology_dims(self) -> Dict[int, int]:
         out = {}
@@ -488,16 +509,34 @@ def hom_dims(j: int, x: ProjComplex) -> Dict[int, int]:
     return hom_complex(j, x).homology_dims()
 
 
+class HomComplexes(dict):
+    """vertex j -> hom_complex(j, x), each built on first use, kept while the map lives."""
+
+    def __init__(self, x: ProjComplex) -> None:
+        super().__init__()
+        self.complex = x
+
+    def __missing__(self, j: int) -> HomComplex:
+        hc = self[j] = hom_complex(j, self.complex)
+        return hc
+
+
 HomProfile = Dict[Tuple[int, int], int]
 
 
-def profile(x: ProjComplex) -> HomProfile:
-    """(vertex, degree) -> dim Hom^degree(P_vertex, X); the comparison invariant."""
-    out: HomProfile = {}
-    for j in x.diagram.vertices:
-        for d, h in hom_dims(j, x).items():
-            out[(j, d)] = h
-    return out
+def profile(x: ProjComplex, homs: Optional[HomComplexes] = None) -> HomProfile:
+    """(vertex, degree) -> dim Hom^degree(P_vertex, X); the comparison invariant.
+
+    Computed once per complex, from homs if the caller holds them; every
+    call returns a fresh dict, so callers cannot alter the memo.
+    """
+    if x._profile is None:
+        if homs is None:
+            homs = HomComplexes(x)
+        x._profile = {
+            (j, d): h for j in x.diagram.vertices for d, h in homs[j].homology_dims().items()
+        }
+    return dict(x._profile)
 
 
 def profile_key(x: ProjComplex) -> tuple:
@@ -513,11 +552,6 @@ def profiles_equal(x: ProjComplex, y: ProjComplex) -> bool:
     if x.algebra != y.algebra:
         raise ValueError("comparing complexes over different algebras")
     return profile_key(x) == profile_key(y)
-
-
-def euler_characteristic(j: int, x: ProjComplex) -> int:
-    hc = hom_complex(j, x)
-    return sum(hc.dim(d) if d % 2 == 0 else -hc.dim(d) for d in hc.degrees())
 
 
 # -- serialization -------------------------------------------------------------

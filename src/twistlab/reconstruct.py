@@ -9,6 +9,14 @@ word equal to the original in the braid monoid, of the same length.
 
 Inputs that are not twist images fail with NotTwistImage instead of
 returning garbage, so this module doubles as a validator.
+
+One recovery step builds Hom(P_j, T) once for each vertex j, in a
+HomComplexes map, and reads everything from it: the profile (and with it
+the minimal degree and the termination potential) and the long-morphism
+spaces of peel, for j and its neighbours alike.  The map is dropped when
+the step ends; only the small profile stays memoized on T.  The test for
+the end of the word, profile_key(T) == profile_key(Lambda), needs no Hom
+complex at all (see _is_projective_sum).
 """
 
 from __future__ import annotations
@@ -19,14 +27,15 @@ from typing import List, Optional, Tuple
 from . import linalg
 from .braid import BraidWord
 from .complexes import (
+    HomComplexes,
+    HomProfile,
     ProjComplex,
-    hom_complex,
     minimize,
     profile,
     profile_key,
     sum_of_projectives,
 )
-from .twists import MODEL_PARAMETERS, SphericalParameters, twist_inv, twist_word
+from .twists import twist_inv, twist_word
 from .zigzag import MorphElement
 
 
@@ -34,35 +43,20 @@ class NotTwistImage(Exception):
     """The complex is not (recognizably) the twist image of a positive word."""
 
 
-def min_degree(t: ProjComplex) -> int:
-    """Smallest k with Hom^k(Lambda, T) nonzero."""
-    prof = profile(t)
+def _extremal_degree(prof: HomProfile, pick) -> int:
     if not prof:
         raise NotTwistImage("zero object has no extremal degree")
-    return min(d for (_, d) in prof)
+    return pick(d for (_, d) in prof)
+
+
+def min_degree(t: ProjComplex) -> int:
+    """Smallest k with Hom^k(Lambda, T) nonzero."""
+    return _extremal_degree(profile(t), min)
 
 
 def max_degree(t: ProjComplex) -> int:
     """Largest k with Hom^k(Lambda, T) nonzero."""
-    prof = profile(t)
-    if not prof:
-        raise NotTwistImage("zero object has no extremal degree")
-    return max(d for (_, d) in prof)
-
-
-def peel_interval(t: ProjComplex, u: int, params: SphericalParameters = MODEL_PARAMETERS) -> Tuple[int, int]:
-    """The degree window that can hold peelable summands of color u.
-
-    For omega <= 0 this is [min, min - omega_{u+1}]; the omega >= 2 branch
-    ([max - omega_{u+1} + 1, max]) is present for reference but the shipped
-    model always takes the first one with a zero-width window.
-    """
-    w_next = params.omega_u(u + 1)
-    if params.omega <= 0:
-        m = min_degree(t)
-        return (m, m - w_next)
-    h = max_degree(t)
-    return (h - w_next + 1, h)
+    return _extremal_degree(profile(t), max)
 
 
 @dataclass(frozen=True)
@@ -74,11 +68,13 @@ class SummandWitness:
     column: Tuple[MorphElement, ...]  # one entry per summand of T in that degree
 
 
-def _long_space(j: int, t: ProjComplex, r: int):
+def _long_space(j: int, t: ProjComplex, r: int, homs: Optional[HomComplexes]):
     """Constraint data for {[f] in Hom^r(P_j, T) : [f g_{k,j}] = 0 for all k}."""
     alg = t.algebra
     k_field = alg.field
-    vj = hom_complex(j, t)
+    if homs is None:
+        homs = HomComplexes(t)
+    vj = homs[j]
     dim_r = vj.dim(r)
     if dim_r == 0:
         return vj, [], 0
@@ -87,7 +83,7 @@ def _long_space(j: int, t: ProjComplex, r: int):
     if cocycle is not None:
         rows.extend(cocycle)
     for nb in alg.diagram.neighbors(j):
-        vk = hom_complex(nb, t)
+        vk = homs[nb]
         if vk.dim(r) == 0:
             continue
         gamma = alg.arrow(nb, j)
@@ -114,9 +110,12 @@ def _long_space(j: int, t: ProjComplex, r: int):
     return vj, rows, boundary_rank
 
 
-def long_morphism_dim(j: int, t: ProjComplex, r: int) -> int:
-    """Dimension of the space of long-morphism classes P_j -> T[r]."""
-    vj, rows, boundary_rank = _long_space(j, t, r)
+def long_morphism_dim(j: int, t: ProjComplex, r: int, homs: Optional[HomComplexes] = None) -> int:
+    """Dimension of the space of long-morphism classes P_j -> T[r].
+
+    homs, if given, holds the Hom complexes of t to read (and fill).
+    """
+    vj, rows, boundary_rank = _long_space(j, t, r, homs)
     dim_r = vj.dim(r)
     if dim_r == 0:
         return 0
@@ -128,7 +127,7 @@ def long_morphism_witness(j: int, t: ProjComplex, r: int) -> Optional[SummandWit
     """A representing cocycle for some nonzero long class, if any."""
     alg = t.algebra
     k_field = alg.field
-    vj, rows, boundary_rank = _long_space(j, t, r)
+    vj, rows, boundary_rank = _long_space(j, t, r, None)
     dim_r = vj.dim(r)
     if dim_r == 0:
         return None
@@ -154,19 +153,21 @@ def long_morphism_witness(j: int, t: ProjComplex, r: int) -> Optional[SummandWit
     return SummandWitness(j, r, tuple(column))
 
 
-def peel(t: ProjComplex) -> Tuple[int, ProjComplex]:
+def peel(t: ProjComplex, homs: Optional[HomComplexes] = None) -> Tuple[int, ProjComplex]:
     """One reconstruction step: find a peelable letter at the minimal degree.
 
     Ties break to the smallest vertex; the stripped complex is minimized.
     The image of a nonempty word has strictly negative minimal degree, so
     anything else is rejected outright (the empty word is the caller's base
-    case).
+    case).  homs holds the Hom complexes of t if the caller has them.
     """
-    m = min_degree(t)
+    if homs is None:
+        homs = HomComplexes(t)
+    m = _extremal_degree(profile(t, homs), min)
     if m >= 0:
         raise NotTwistImage("minimal degree is non-negative: nothing to peel")
     for j in t.diagram.vertices:
-        if long_morphism_dim(j, t, m) > 0:
+        if long_morphism_dim(j, t, m, homs) > 0:
             return j, minimize(twist_inv(j, t))
     raise NotTwistImage(f"no long morphism at the minimal degree {m}")
 
@@ -177,10 +178,15 @@ class PeelStep:
     min_degree: int
 
 
-def _peel_potential(t: ProjComplex) -> Tuple[int, int]:
-    m = min_degree(t)
-    dim_at_min = sum(h for (_, k), h in profile(t).items() if k == m)
-    return (-m, dim_at_min)
+def _is_projective_sum(m: ProjComplex) -> bool:
+    """profile_key(m) == profile_key(Lambda), for a minimal complex m.
+
+    The summand parts of the keys agree exactly when m holds each P_i once,
+    all in degree 0.  Such an m has no differential (a differential needs
+    two degrees), so it is Lambda with its summands permuted, and the
+    profile parts agree as well.
+    """
+    return len(m.summands) == 1 and sorted(m.summands.get(0, ())) == list(m.diagram.vertices)
 
 
 def recover_trace(t: ProjComplex) -> Tuple[BraidWord, Tuple[PeelStep, ...]]:
@@ -192,20 +198,25 @@ def recover_trace(t: ProjComplex) -> Tuple[BraidWord, Tuple[PeelStep, ...]]:
     first component staying positive.  Any violation marks the input as not
     a twist image, so the loop is finite on arbitrary complexes.
     """
-    lam_key = profile_key(sum_of_projectives(t.algebra))
     letters: List[int] = []
     steps: List[PeelStep] = []
     current = minimize(t)
-    while profile_key(current) != lam_key:
-        m = min_degree(current)
+    previous: Optional[Tuple[int, int]] = None
+    while not _is_projective_sum(current):
+        homs = HomComplexes(current)
+        prof = profile(current, homs)
+        m = _extremal_degree(prof, min)
+        potential = (-m, sum(h for (_, k), h in prof.items() if k == m))
+        if previous is not None and potential >= previous:
+            raise NotTwistImage("peeling failed to make progress")
         if m >= 0:
             raise NotTwistImage("minimal degree is non-negative but the object is not the projective sum")
-        potential = _peel_potential(current)
-        j, current = peel(current)
+        j, current = peel(current, homs)
         letters.append(j)
         steps.append(PeelStep(j, m))
-        if not current.summands or _peel_potential(current) >= potential:
+        if not current.summands:
             raise NotTwistImage("peeling failed to make progress")
+        previous = potential
     return BraidWord(t.diagram, tuple(letters)), tuple(steps)
 
 

@@ -8,14 +8,12 @@ degree higher, and X maps into them by the trace-pairing dual basis
 (coevaluation).  Both functors minimize their output, so repeated twisting
 stays small.
 
-The concrete model is the omega = 0 one (all Hom spaces concentrated in
-degree 0); the SphericalParameters record exists so callers can see which
-shifts would apply in general.
+The concrete model is the omega = 0 one: all Hom spaces between
+projectives are concentrated in degree 0, so no twist carries a shift.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,27 +32,6 @@ from .complexes import (
     shift,
 )
 from .zigzag import ZigzagAlgebra
-
-
-@dataclass(frozen=True)
-class SphericalParameters:
-    """The degree data (omega, omega_0, omega_1); the shipped model is (0, 0, 0)."""
-
-    omega: int = 0
-    omega0: int = 0
-    omega1: int = 0
-
-    def __post_init__(self) -> None:
-        if self.omega0 + self.omega1 != self.omega:
-            raise ValueError("omega0 + omega1 must equal omega")
-        if self.omega == 1:
-            raise ValueError("omega = 1 is excluded (the action need not be faithful)")
-
-    def omega_u(self, u: int) -> int:
-        return self.omega0 if u % 2 == 0 else self.omega1
-
-
-MODEL_PARAMETERS = SphericalParameters(0, 0, 0)
 
 
 def twist(i: int, x: ProjComplex) -> ProjComplex:
@@ -136,38 +113,6 @@ def twist_inv_word(w: BraidWord, x: ProjComplex) -> ProjComplex:
     for letter in w.letters:
         out = twist_inv(letter, out)
     return out
-
-
-class TwistMemo:
-    """Optional cache of minimized twists keyed by (letter, complex key).
-
-    Hits return exactly what recomputation would; safe for concurrent use.
-    """
-
-    def __init__(self) -> None:
-        self._store: dict = {}
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def twist(self, i: int, x: ProjComplex) -> ProjComplex:
-        key = (i, x.key())
-        with self._lock:
-            cached = self._store.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        out = twist(i, x)
-        with self._lock:
-            self._store[key] = out
-        self.misses += 1
-        return out
-
-    def twist_word(self, w: BraidWord, x: ProjComplex) -> ProjComplex:
-        out = x
-        for letter in reversed(w.letters):
-            out = self.twist(letter, out)
-        return out
 
 
 # -- two-term objects --------------------------------------------------------

@@ -194,13 +194,6 @@ class TestSelftest:
         assert "FAIL" in out
         assert "trace pairing" in out  # criterion 1 names the broken invariant
 
-    def test_jobs_flag_parallel_sweep(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "--diagram", "A2", "--max-len", "2", "--jobs", "2", "selftest"
-        )
-        assert code == 0
-        assert all("PASS" in l for l in out.splitlines() if l.startswith("ACCEPTANCE"))
-
     def test_seeded_sampling(self, capsys, monkeypatch):
         monkeypatch.setenv("TWISTLAB_SEED", "7")
         code, out, _ = run_cli(

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistlab.braid import build_diagram
+from twistlab import linalg
+from twistlab.braid import build_diagram, word
 from twistlab.complexes import (
     ChainMap,
     complex_from_json_obj,
@@ -12,7 +13,6 @@ from twistlab.complexes import (
     cone,
     cone_triangle,
     direct_sum,
-    euler_characteristic,
     hom_complex,
     hom_dims,
     make_complex,
@@ -25,6 +25,7 @@ from twistlab.complexes import (
     sum_of_projectives,
 )
 from twistlab.fields import GF2, QQ
+from twistlab.twists import twist_word
 from twistlab.zigzag import ZigzagAlgebra
 
 A2 = build_diagram("A", 2)
@@ -43,6 +44,11 @@ def arrow_cone(algebra, i, j):
         {-1: (i,), 0: (j,)},
         {-1: ((algebra.arrow(i, j),),)},
     )
+
+
+def euler(hc):
+    """Euler characteristic of a Hom complex, from the dimensions of its chain groups."""
+    return sum(-hc.dim(d) if d % 2 else hc.dim(d) for d in hc.degrees())
 
 
 class TestConstructors:
@@ -299,11 +305,17 @@ class TestMinimize:
         assert m.key() == minimize(m).key()
         assert profile(c) == profile(m)
         for j in alg.diagram.vertices:
-            assert euler_characteristic(j, c) == euler_characteristic(j, m)
+            assert euler(hom_complex(j, c)) == euler(hom_complex(j, m))
 
     def test_d_squared_after_minimize(self, alg):
         c = direct_sum(arrow_cone(alg, 1, 2), shift(arrow_cone(alg, 2, 1), 1))
         minimize(c).check()
+
+    def test_minimal_input_returned_unchanged(self, alg):
+        c = direct_sum(arrow_cone(alg, 1, 2), shift(arrow_cone(alg, 2, 1), 1))
+        m = minimize(c)
+        assert m is not c
+        assert minimize(m) is m
 
 
 class TestHomComplex:
@@ -328,6 +340,18 @@ class TestHomComplex:
         assert hom_dims(1, c) == {-1: 1}
         assert hom_dims(2, c) == {0: 1}
 
+    def test_memoized_rank_equals_fresh_rank(self):
+        for fld in (GF2, QQ):
+            algebra = ZigzagAlgebra(A3, fld)
+            t = twist_word(word(A3, (1, 2, 3, 2, 1, 3)), sum_of_projectives(algebra))
+            for j in A3.vertices:
+                hc = hom_complex(j, t)
+                assert hc.mats
+                for d, mat in hc.mats.items():
+                    fresh = linalg.rank(fld, mat, len(mat[0]))
+                    assert hc.rank_at(d) == fresh
+                    assert hc.rank_at(d) == fresh  # the second read comes from the memo
+
     def test_shift_compatibility(self, alg):
         c = arrow_cone(alg, 1, 2)
         shifted = shift(c, 1)
@@ -348,6 +372,16 @@ class TestProfiles:
     def test_mismatched_algebras_rejected(self):
         with pytest.raises(ValueError):
             profiles_equal(projective(ZigzagAlgebra(A2), 1), projective(ZigzagAlgebra(A3), 1))
+
+    def test_profile_memo_cannot_be_mutated_by_callers(self, alg):
+        c = arrow_cone(alg, 1, 2)
+        first = profile(c)
+        expected = dict(first)
+        first[(1, -1)] = 99
+        first[(7, 7)] = 1
+        del first[(2, 0)]
+        assert profile(c) == expected
+        assert profile(c) is not profile(c)
 
     def test_profile_key_ignores_summand_order(self, alg):
         a = direct_sum(projective(alg, 1), projective(alg, 2))

@@ -4,8 +4,10 @@ Each case runs one command through ``twistlab.cli.main`` and compares the exit
 code and the sha256 of its standard output with a pinned value.  The words
 cover A2, A4, D4, D5 and E6 over GF(2), QQ and GF(3); each word is twisted,
 recovered from its image (``recover --word``) and compared with a second word
-by ``braid-eq --mode category``.  A change to the engine that alters a single
-byte of any output fails here.
+by ``braid-eq --mode category``.  ``mesh-solve`` runs on its own words, on
+which the mesh hypotheses hold (plus two on which they fail, exit 2), in all
+three output formats.  A change to the engine that alters a single byte of
+any output fails here.
 """
 
 import contextlib
@@ -48,7 +50,32 @@ COMMANDS = {
     "braid-eq": lambda w, w2: ["braid-eq", w, w2, "--mode", "category"],
 }
 
-# "<command> <diagram> <field> <word>" -> (exit code, sha256 of stdout)
+# (diagram, mesh-solve arguments); the field plays no part in mesh braiding
+MESH_WORDS = [
+    ("A2", ["1,2,1"]),
+    ("A2", ["1,1"]),
+    ("A3", ["2,1,3,2,3"]),
+    ("A3", ["1,2,1,3", "--seed-vertex", "1"]),
+    ("A4", ["4,3,2,4"]),
+    ("A4", ["2,3,4,1,3,2"]),
+    ("A4", ["2,3,2,1,4,2,3"]),
+    ("D4", ["3,2,1,2"]),
+    ("D4", ["2,3,2,1,4,2"]),
+    ("D4", ["2,3,4,2,3,1,2,3"]),
+    ("D4", ["2,1,3,4,2,1,3,4,2,4"]),
+    ("D5", ["5,4,5,2"]),
+    ("D5", ["4,2,5,3,4,5"]),
+    ("D5", ["3,2,4,1,5,2,4,3,1"]),
+    ("D5", ["1,2,3,4,5,3"]),
+    ("E6", ["4,3,4,5"]),
+    ("E6", ["6,5,4,3,6,2"]),
+    ("E6", ["4,3,2,1,3,5,4"]),
+    ("E6", ["1,3,1,4,2"]),
+]
+MESH_FORMATS = {"D5": "text", "E6": "dot"}  # the first word of each also runs in this format
+
+# "<command> <diagram> <field> <word>" and "mesh-solve <diagram> [<format>] <args>"
+# -> (exit code, sha256 of stdout)
 GOLDEN = {
     'twist A2 f2 1,2,1': (0, 'ea3d1592788c7f4da33fb474a3a7f1ae7de394694f52f2fed33ad785de5fee86'),
     'recover A2 f2 1,2,1': (0, 'a960200cf9fae3225cf757b8fd0c562de5ef3bd666dce3ce855f632507656bd2'),
@@ -116,6 +143,27 @@ GOLDEN = {
     'twist E6 f3 1,3,4,5,6,2,4,3,5': (0, '8012e2dfd8a7ed2f2ee4be034fc88d04125347d61759674e8ef047038b59f4a0'),
     'recover E6 f3 1,3,4,5,6,2,4,3,5': (0, '3cc6f5c83dac8f95d999ffb1eb4642284f53aff1afbf0ac4ad2d0f9887e0d946'),
     'braid-eq E6 f3 1,3,4,5,6,2,4,3,5': (0, '9ebddb67f6dcdda091b6ead9a710950603410c24aea795761d994bb56b3f1a06'),
+    'mesh-solve A2 1,2,1': (0, '48013d81ae5b88d3f6c6e42f5700b5a7ac7483b863d86086127e95bbb21918f1'),
+    'mesh-solve A2 1,1': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'mesh-solve A3 2,1,3,2,3': (0, '0635df2f1b593ae13f45f5ec4c82967f5e2443f09c60c536f15295bca16f1109'),
+    'mesh-solve A3 1,2,1,3 --seed-vertex 1': (0, '5389fce70ac1aad0dd351799b87d4b7ad903a18e589480015e0ef7db1bd0d290'),
+    'mesh-solve A4 4,3,2,4': (0, 'd77951bc4d32044c24b8eb0d6df1a6d73aa0561e011bc49d95df0df3ce2c901b'),
+    'mesh-solve A4 2,3,4,1,3,2': (0, 'a5d3d2562a12d41d2725af4c85298d307ab0d9e49b02f16ae6cb872c9e8d1311'),
+    'mesh-solve A4 2,3,2,1,4,2,3': (0, 'c91fd43efbe649ba96168b0e8b0bdd11140a0cc87f8be63509706dd68b76d163'),
+    'mesh-solve D4 3,2,1,2': (0, 'b9c22264d87dbcfab14d3ea2cb22940784c1f727d5591ca1819294b85ed20e50'),
+    'mesh-solve D4 2,3,2,1,4,2': (0, '5380a720d70f07d90406902bb993a4a54aa3ba63b51a941e6a60c4efca591247'),
+    'mesh-solve D4 2,3,4,2,3,1,2,3': (0, 'fe58207d7262845a49816b1b7b83505f96d17ed0251289fa1f83d25e7b4c4209'),
+    'mesh-solve D4 2,1,3,4,2,1,3,4,2,4': (0, '6b5faf0f3d09a638b5585318f7f6a3596f6e4e4a8673b836f44f2ba23ac69a55'),
+    'mesh-solve D5 5,4,5,2': (0, '3edb7d5ba0204d36b6c4a6b1c9c7bada188b35b663ecc3d5a3545fdbd364db96'),
+    'mesh-solve D5 4,2,5,3,4,5': (0, '8ebd78e61847ebd7ccb25db01d326b6c748772bff8c17bb35ad3483abdb41df1'),
+    'mesh-solve D5 3,2,4,1,5,2,4,3,1': (0, '7a3bcc6a6a92069ed43c5b79bb6525d24adfa6808fa9d9830a1a3ece87d5c865'),
+    'mesh-solve D5 1,2,3,4,5,3': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'mesh-solve E6 4,3,4,5': (0, 'f99b2a9bf1d5b93f1cba9c13ed7f9aa1cce04fb3d823fbd7a02de776934915b9'),
+    'mesh-solve E6 6,5,4,3,6,2': (0, '77b34cc04d8784a4e224e55c2ee64c88193b23246b008c7d42af3eab4b3e4975'),
+    'mesh-solve E6 4,3,2,1,3,5,4': (0, '3b3da3918a787aef5475972a4edcce5997c7338f70c41701ebecefa482eea457'),
+    'mesh-solve E6 1,3,1,4,2': (0, '6cd85b2a123f15d28a7db3897482c3924bb625e5b28b94eff03a07b20c2bea82'),
+    'mesh-solve D5 text 5,4,5,2': (0, 'b0bfc10679a8eed3e4cb0557726da951d72c5d1398c04aab07ca6b779a3bd63b'),
+    'mesh-solve E6 dot 4,3,4,5': (0, '00165ffbb7c2005f64f9ec374760fc7745742fb17203249a103ce048464a9d7e'),
 }
 
 
@@ -123,6 +171,14 @@ def _cases():
     for diagram, field, w, w2 in WORDS:
         for name, argv in COMMANDS.items():
             yield f"{name} {diagram} {field} {w}", ["--diagram", diagram, "--field", field, *argv(w, w2)]
+    for diagram, args in MESH_WORDS:
+        yield f"mesh-solve {diagram} {' '.join(args)}", ["--diagram", diagram, "mesh-solve", *args]
+    for diagram, fmt in MESH_FORMATS.items():
+        args = next(a for d, a in MESH_WORDS if d == diagram)
+        yield (
+            f"mesh-solve {diagram} {fmt} {' '.join(args)}",
+            ["--diagram", diagram, "--format", fmt, "mesh-solve", *args],
+        )
 
 
 CASES = list(_cases())

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import twistlab
+from twistlab import complexes
 from twistlab.braid import build_diagram, equivalent, word
 from twistlab.complexes import (
     make_complex,
@@ -7,7 +10,7 @@ from twistlab.complexes import (
     projective,
     sum_of_projectives,
 )
-from twistlab.fields import GF2, QQ
+from twistlab.fields import GF2, QQ, PrimeField
 from twistlab.reconstruct import (
     NotTwistImage,
     long_morphism_dim,
@@ -24,7 +27,10 @@ from twistlab.zigzag import ZigzagAlgebra
 
 A2 = build_diagram("A", 2)
 A3 = build_diagram("A", 3)
+A4 = build_diagram("A", 4)
 D4 = build_diagram("D", 4)
+D5 = build_diagram("D", 5)
+GF3 = PrimeField(3)
 
 
 @pytest.fixture(params=[GF2, QQ], ids=["gf2", "qq"])
@@ -180,6 +186,47 @@ class TestRecover:
         bad = make_complex(alg, {-1: (1,), 0: (1,)}, {-1: ((alg.loop(1),),)})
         with pytest.raises(NotTwistImage):
             recover_word(bad)
+
+
+class TestOneHomComplexPerVertexAndPeel:
+    """A recovery step builds Hom(P_j, T) once per vertex j; the inverse twist adds one."""
+
+    @pytest.mark.parametrize(
+        "diagram,letters",
+        [(A4, (1, 3, 2, 4, 3, 1, 2, 4)), (D5, (2, 3, 5, 4, 3, 2, 1, 3))],
+        ids=["A4", "D5"],
+    )
+    def test_builds_per_peel(self, monkeypatch, diagram, letters):
+        t = twist_word(word(diagram, letters), sum_of_projectives(ZigzagAlgebra(diagram)))
+        original = complexes.hom_complex
+        builds = []
+
+        def counting(j, x):
+            builds.append(j)
+            return original(j, x)
+
+        # every module that imported hom_complex by name calls it through its own reference
+        for module in vars(twistlab).values():
+            if getattr(module, "hom_complex", None) is original:
+                monkeypatch.setattr(module, "hom_complex", counting)
+        rec, steps = recover_trace(t)
+        assert equivalent(rec, word(diagram, letters))
+        assert len(steps) == len(letters)
+        assert len(builds) <= (diagram.rank + 1) * len(steps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([A4, D5]).flatmap(
+        lambda d: st.tuples(st.just(d), st.lists(st.sampled_from(list(d.vertices)), max_size=10))
+    ),
+    st.sampled_from([GF2, QQ, GF3]),
+)
+def test_recover_inverts_twist(case, field):
+    diagram, letters = case
+    w = word(diagram, letters)
+    t = twist_word(w, sum_of_projectives(ZigzagAlgebra(diagram, field)))
+    assert equivalent(recover_word(t), w)
 
 
 class TestWordsEqual:

@@ -12,8 +12,6 @@ from twistlab.complexes import (
 )
 from twistlab.fields import GF2, QQ
 from twistlab.twists import (
-    SphericalParameters,
-    TwistMemo,
     TwoTermObject,
     is_left_proper,
     is_right_proper,
@@ -36,21 +34,6 @@ D4 = build_diagram("D", 4)
 @pytest.fixture(params=[GF2, QQ], ids=["gf2", "qq"])
 def alg(request):
     return ZigzagAlgebra(A2, request.param)
-
-
-class TestParameters:
-    def test_model_is_zero(self):
-        p = SphericalParameters()
-        assert (p.omega, p.omega0, p.omega1) == (0, 0, 0)
-        assert p.omega_u(5) == 0
-
-    def test_mismatched_split_rejected(self):
-        with pytest.raises(ValueError):
-            SphericalParameters(0, 1, 1)
-
-    def test_omega_one_rejected(self):
-        with pytest.raises(ValueError):
-            SphericalParameters(1, 1, 0)
 
 
 class TestTwist:
@@ -121,40 +104,6 @@ class TestTwistInverse:
         lam = sum_of_projectives(alg)
         w = word(A2, (1, 2, 2, 1))
         assert profiles_equal(twist_inv_word(w, twist_word(w, lam)), lam)
-
-
-class TestMemo:
-    def test_hits_equal_recomputation(self):
-        algebra = ZigzagAlgebra(A2)
-        memo = TwistMemo()
-        lam = sum_of_projectives(algebra)
-        w = word(A2, (1, 2, 1))
-        first = memo.twist_word(w, lam)
-        second = memo.twist_word(w, lam)
-        assert first.key() == second.key() == twist_word(w, lam).key()
-        assert memo.hits > 0
-
-    def test_concurrent_use(self):
-        import threading
-
-        algebra = ZigzagAlgebra(A3)
-        memo = TwistMemo()
-        lam = sum_of_projectives(algebra)
-        words = [word(A3, (1, 2, 3)), word(A3, (2, 1, 2)), word(A3, (3, 2, 1))]
-        results = {}
-
-        def work(idx, w):
-            results[idx] = memo.twist_word(w, lam).key()
-
-        threads = [
-            threading.Thread(target=work, args=(i, words[i % 3])) for i in range(9)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        for i in range(9):
-            assert results[i] == twist_word(words[i % 3], lam).key()
 
 
 def two_term(algebra, side, left, right, arrows):
