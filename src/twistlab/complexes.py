@@ -22,7 +22,8 @@ Memoized, for the life of the object that holds it (nothing outlives it):
 - a complex keeps its profile(), and hands out a fresh copy on each call;
 - a HomComplex keeps the rank of each differential it has ranked.
 Hom complexes themselves are not kept on their complex: a caller that needs
-them more than once (a recovery step) holds them in a HomComplexes map.
+them more than once (a recovery step) holds them in a HomComplexes map, and
+passes the map to profile() in place of the complex.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import dataclasses
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from . import linalg
 from .braid import DynkinDiagram
@@ -509,6 +510,9 @@ def hom_dims(j: int, x: ProjComplex) -> Dict[int, int]:
     return hom_complex(j, x).homology_dims()
 
 
+HomProfile = Dict[Tuple[int, int], int]
+
+
 class HomComplexes(dict):
     """vertex j -> hom_complex(j, x), each built on first use, kept while the map lives."""
 
@@ -520,23 +524,26 @@ class HomComplexes(dict):
         hc = self[j] = hom_complex(j, self.complex)
         return hc
 
+    @classmethod
+    def of(cls, x: Union[ProjComplex, HomComplexes]) -> HomComplexes:
+        """x itself if it is already a map, else a new, empty map of the complex x."""
+        return x if isinstance(x, HomComplexes) else cls(x)
 
-HomProfile = Dict[Tuple[int, int], int]
 
-
-def profile(x: ProjComplex, homs: Optional[HomComplexes] = None) -> HomProfile:
+def profile(x: Union[ProjComplex, HomComplexes]) -> HomProfile:
     """(vertex, degree) -> dim Hom^degree(P_vertex, X); the comparison invariant.
 
-    Computed once per complex, from homs if the caller holds them; every
-    call returns a fresh dict, so callers cannot alter the memo.
+    x is a complex, or the HomComplexes map of one, whose Hom complexes are
+    then read instead of built.  Computed once per complex; every call
+    returns a fresh dict, so callers cannot alter the memo.
     """
-    if x._profile is None:
-        if homs is None:
-            homs = HomComplexes(x)
-        x._profile = {
-            (j, d): h for j in x.diagram.vertices for d, h in homs[j].homology_dims().items()
+    homs = HomComplexes.of(x)
+    t = homs.complex
+    if t._profile is None:
+        t._profile = {
+            (j, d): h for j in t.diagram.vertices for d, h in homs[j].homology_dims().items()
         }
-    return dict(x._profile)
+    return dict(t._profile)
 
 
 def profile_key(x: ProjComplex) -> tuple:

@@ -13,16 +13,17 @@ returning garbage, so this module doubles as a validator.
 One recovery step builds Hom(P_j, T) once for each vertex j, in a
 HomComplexes map, and reads everything from it: the profile (and with it
 the minimal degree and the termination potential) and the long-morphism
-spaces of peel, for j and its neighbours alike.  The map is dropped when
-the step ends; only the small profile stays memoized on T.  The test for
-the end of the word, profile_key(T) == profile_key(Lambda), needs no Hom
-complex at all (see _is_projective_sum).
+spaces of peel, for j and its neighbours alike.  profile, peel and
+long_morphism_dim take the map wherever they take T, and read T from it.
+The map is dropped when the step ends; only the small profile stays
+memoized on T.  The test for the end of the word, profile_key(T) ==
+profile_key(Lambda), needs no Hom complex at all (see _is_projective_sum).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from . import linalg
 from .braid import BraidWord
@@ -41,6 +42,10 @@ from .zigzag import MorphElement
 
 class NotTwistImage(Exception):
     """The complex is not (recognizably) the twist image of a positive word."""
+
+
+# a complex T, or the HomComplexes map of T that a recovery step holds
+Subject = Union["ProjComplex", "HomComplexes"]
 
 
 def _extremal_degree(prof: HomProfile, pick) -> int:
@@ -68,12 +73,10 @@ class SummandWitness:
     column: Tuple[MorphElement, ...]  # one entry per summand of T in that degree
 
 
-def _long_space(j: int, t: ProjComplex, r: int, homs: Optional[HomComplexes]):
+def _long_space(j: int, homs: HomComplexes, r: int):
     """Constraint data for {[f] in Hom^r(P_j, T) : [f g_{k,j}] = 0 for all k}."""
-    alg = t.algebra
+    alg = homs.complex.algebra
     k_field = alg.field
-    if homs is None:
-        homs = HomComplexes(t)
     vj = homs[j]
     dim_r = vj.dim(r)
     if dim_r == 0:
@@ -110,16 +113,14 @@ def _long_space(j: int, t: ProjComplex, r: int, homs: Optional[HomComplexes]):
     return vj, rows, boundary_rank
 
 
-def long_morphism_dim(j: int, t: ProjComplex, r: int, homs: Optional[HomComplexes] = None) -> int:
-    """Dimension of the space of long-morphism classes P_j -> T[r].
-
-    homs, if given, holds the Hom complexes of t to read (and fill).
-    """
-    vj, rows, boundary_rank = _long_space(j, t, r, homs)
+def long_morphism_dim(j: int, t: Subject, r: int) -> int:
+    """Dimension of the space of long-morphism classes P_j -> T[r]."""
+    homs = HomComplexes.of(t)
+    vj, rows, boundary_rank = _long_space(j, homs, r)
     dim_r = vj.dim(r)
     if dim_r == 0:
         return 0
-    solutions = linalg.kernel_basis(t.algebra.field, rows, dim_r)
+    solutions = linalg.kernel_basis(homs.complex.algebra.field, rows, dim_r)
     return len(solutions) - boundary_rank
 
 
@@ -127,7 +128,7 @@ def long_morphism_witness(j: int, t: ProjComplex, r: int) -> Optional[SummandWit
     """A representing cocycle for some nonzero long class, if any."""
     alg = t.algebra
     k_field = alg.field
-    vj, rows, boundary_rank = _long_space(j, t, r, None)
+    vj, rows, boundary_rank = _long_space(j, HomComplexes(t), r)
     dim_r = vj.dim(r)
     if dim_r == 0:
         return None
@@ -153,21 +154,21 @@ def long_morphism_witness(j: int, t: ProjComplex, r: int) -> Optional[SummandWit
     return SummandWitness(j, r, tuple(column))
 
 
-def peel(t: ProjComplex, homs: Optional[HomComplexes] = None) -> Tuple[int, ProjComplex]:
+def peel(t: Subject) -> Tuple[int, ProjComplex]:
     """One reconstruction step: find a peelable letter at the minimal degree.
 
     Ties break to the smallest vertex; the stripped complex is minimized.
     The image of a nonempty word has strictly negative minimal degree, so
     anything else is rejected outright (the empty word is the caller's base
-    case).  homs holds the Hom complexes of t if the caller has them.
+    case).
     """
-    if homs is None:
-        homs = HomComplexes(t)
-    m = _extremal_degree(profile(t, homs), min)
+    homs = HomComplexes.of(t)
+    t = homs.complex
+    m = _extremal_degree(profile(homs), min)
     if m >= 0:
         raise NotTwistImage("minimal degree is non-negative: nothing to peel")
     for j in t.diagram.vertices:
-        if long_morphism_dim(j, t, m, homs) > 0:
+        if long_morphism_dim(j, homs, m) > 0:
             return j, minimize(twist_inv(j, t))
     raise NotTwistImage(f"no long morphism at the minimal degree {m}")
 
@@ -204,14 +205,14 @@ def recover_trace(t: ProjComplex) -> Tuple[BraidWord, Tuple[PeelStep, ...]]:
     previous: Optional[Tuple[int, int]] = None
     while not _is_projective_sum(current):
         homs = HomComplexes(current)
-        prof = profile(current, homs)
+        prof = profile(homs)
         m = _extremal_degree(prof, min)
         potential = (-m, sum(h for (_, k), h in prof.items() if k == m))
         if previous is not None and potential >= previous:
             raise NotTwistImage("peeling failed to make progress")
         if m >= 0:
             raise NotTwistImage("minimal degree is non-negative but the object is not the projective sum")
-        j, current = peel(current, homs)
+        j, current = peel(homs)
         letters.append(j)
         steps.append(PeelStep(j, m))
         if not current.summands:

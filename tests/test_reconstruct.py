@@ -100,6 +100,18 @@ class TestPeel:
         assert j == 2
         assert profiles_equal(rest, twist_word(word(A2, (1,)), lam))
 
+    def test_peel_reads_a_filled_map(self, alg):
+        lam = sum_of_projectives(alg)
+        t = twist_word(word(A2, (2, 1, 2)), lam)
+        homs = complexes.HomComplexes(t)
+        for j in A2.vertices:
+            homs[j]
+        filled = dict(homs)
+        j, rest = peel(homs)
+        assert dict(homs) == filled  # read, none rebuilt
+        assert j == peel(t)[0] and rest.key() == peel(t)[1].key()
+        assert complexes.profile(homs) == complexes.profile(t)
+
     def test_peel_lambda_fails(self, alg):
         with pytest.raises(NotTwistImage):
             peel(sum_of_projectives(alg))
