@@ -50,9 +50,7 @@ from .twists import (
 )
 from .reconstruct import (
     NotTwistImage,
-    SummandWitness,
     long_morphism_dim,
-    long_morphism_witness,
     max_degree,
     min_degree,
     peel,

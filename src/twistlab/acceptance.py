@@ -362,51 +362,37 @@ def _two_term_candidates(alg: ZigzagAlgebra, max_mult: int = 2, max_total: int =
                 if len(slots) > 6:
                     continue
                 for bits in itertools.product((0, 1), repeat=len(slots)):
-                    phi = [
-                        [alg.zero(jc, jr) for jc in left_order] for jr in right_order
-                    ]
-                    for (r, c), bit in zip(slots, bits):
-                        if bit:
-                            phi[r][c] = alg.arrow(left_order[c], right_order[r])
-                    yield TwoTermObject(alg, u, left_order, right_order, tuple(tuple(row) for row in phi))
+                    phi = {
+                        (r, c): alg.arrow(left_order[c], right_order[r])
+                        for (r, c), bit in zip(slots, bits)
+                        if bit
+                    }
+                    yield TwoTermObject(alg, u, left_order, right_order, phi)
+
+
+def _independent_at(tt: TwoTermObject, labels: Tuple[int, ...], width: int, key) -> bool:
+    """For each vertex l, phi's coefficient vectors at the positions n with labels[n] == l
+    are linearly independent; key maps an entry's (row, col) to (n, position in the vector)."""
+    k = tt.algebra.field
+    for l in set(labels):
+        vectors = {n: [k.zero] * width for n, lab in enumerate(labels) if lab == l}
+        for rc, m in tt.phi.items():
+            n, pos = key(rc)
+            if n in vectors:
+                vectors[n][pos] = m.terms[0][1]
+        if rank(k, list(vectors.values()), width) < len(vectors):
+            return False
+    return True
 
 
 def _right_proper_direct(tt: TwoTermObject) -> bool:
     # Definition-level check: the rows of phi landing in the copies of each
     # P_l must be linearly independent (no split epi annihilates phi).
-    alg = tt.algebra
-    k = alg.field
-    for l in set(tt.right_order):
-        rows = []
-        for r, jr in enumerate(tt.right_order):
-            if jr != l:
-                continue
-            row = []
-            for c in range(len(tt.left_order)):
-                m = tt.phi[r][c]
-                row.append(m.terms[0][1] if m.terms else k.zero)
-            rows.append(row)
-        if rows and rank(k, rows, len(tt.left_order)) < len(rows):
-            return False
-    return True
+    return _independent_at(tt, tt.right_order, len(tt.left_order), lambda rc: rc)
 
 
 def _left_proper_direct(tt: TwoTermObject) -> bool:
-    alg = tt.algebra
-    k = alg.field
-    for l in set(tt.left_order):
-        cols = []
-        for c, jc in enumerate(tt.left_order):
-            if jc != l:
-                continue
-            col = []
-            for r in range(len(tt.right_order)):
-                m = tt.phi[r][c]
-                col.append(m.terms[0][1] if m.terms else k.zero)
-            cols.append(col)
-        if cols and rank(k, cols, len(tt.right_order)) < len(cols):
-            return False
-    return True
+    return _independent_at(tt, tt.left_order, len(tt.right_order), lambda rc: (rc[1], rc[0]))
 
 
 def _enumerate_chains(d: DynkinDiagram, depth: int):

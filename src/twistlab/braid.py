@@ -168,6 +168,8 @@ class LayeredWord:
 
 
 def layered_from_json_obj(obj: Mapping) -> LayeredWord:
+    if not isinstance(obj, Mapping):
+        raise ValueError("a layered word must be a JSON object")
     d = diagram_from_json_obj(obj["diagram"])
     return LayeredWord(d, tuple(frozenset(int(v) for v in sl) for sl in obj["slices"]))
 

@@ -6,6 +6,13 @@ c-th summand in degree d to the r-th summand in degree d+1.  The cone of a
 chain map f: X -> Y carries X^{d+1} (+) Y^d in degree d with differential
 [[-D_X, 0], [F, D_Y]]; a shift by n multiplies the differential by (-1)^n.
 
+Matrices are sparse: a Matrix maps (row, col) to a nonzero entry, and an
+absent key is a zero entry.  Its shape is that of the summand tuples it sits
+between, which the complex (or chain map) already holds.  Differentials,
+chain-map blocks and two-term connecting maps all use this one format; the
+JSON view (complex_to_json_obj) is the only dense form, and
+complex_from_json_obj reads dense rows and keeps their nonzero entries.
+
 cone() checks that f is a chain map on every call.  The check composes
 nonzero entries only, so it costs in proportion to the nonzero entries of
 the blocks and differentials, not to their cells.  cone() builds the cone
@@ -31,8 +38,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import linalg
 from .braid import DynkinDiagram
@@ -41,7 +47,7 @@ from .zigzag import MorphBasisElement, MorphElement, ZigzagAlgebra
 
 # Aliases name twistlab classes as strings: typing caches every subscription
 # it evaluates, and a class held there outlives a reload of its module.
-Matrix = Tuple[Tuple["MorphElement", ...], ...]
+Matrix = Dict[Tuple[int, int], "MorphElement"]
 
 
 @dataclass(eq=False)
@@ -49,9 +55,9 @@ class ProjComplex:
     """A bounded complex; treat instances as immutable.
 
     summands maps degree -> the ordered vertex labels of the summands in that
-    degree; diffs maps degree d -> the matrix of the differential d -> d+1.
-    Degrees without summands and all-zero matrices are dropped on
-    normalization (see make_complex).  _minimal and _profile are the
+    degree; diffs maps degree d -> the nonzero entries of the differential
+    d -> d+1.  Degrees without summands, zero entries and empty matrices are
+    dropped on normalization (see make_complex).  _minimal and _profile are the
     memos of minimize() and profile().
     """
 
@@ -74,67 +80,64 @@ class ProjComplex:
     def total_summands(self) -> int:
         return sum(len(t) for t in self.summands.values())
 
-    def diff(self, d: int) -> Matrix:
-        mat = self.diffs.get(d)
-        if mat is not None:
-            return mat
-        rows = self.summands.get(d + 1, ())
-        cols = self.summands.get(d, ())
-        return tuple(tuple(self.algebra.zero(c, r) for c in cols) for r in rows)
-
     def key(self) -> tuple:
         """Canonical hashable encoding (used for caching and comparisons)."""
         fmt = self.algebra.field.format
         deg_part = tuple((d, self.summands[d]) for d in self.degrees())
-        diff_part = []
-        for d in sorted(self.diffs):
-            entries = []
-            for r, row in enumerate(self.diffs[d]):
-                for c, m in enumerate(row):
-                    if not m.is_zero():
-                        entries.append((r, c, tuple((b.kind, fmt(s)) for b, s in m.terms)))
-            if entries:
-                diff_part.append((d, tuple(entries)))
-        return (deg_part, tuple(diff_part))
+        diff_part = tuple(
+            (d, tuple((r, c, tuple((b.kind, fmt(s)) for b, s in m.terms)) for (r, c), m in sorted(mat.items())))
+            for d, mat in sorted(self.diffs.items())
+        )
+        return (deg_part, diff_part)
 
     def check(self) -> None:
-        """Validate shapes, entry typing and d^2 = 0.  Test helper."""
+        """Validate entry positions and typing, and d^2 = 0 (JSON input).
+
+        Raises AssertionError explicitly, so the check also runs under -O.
+        """
         for d, mat in self.diffs.items():
-            rows = self.summands.get(d + 1, ())
-            cols = self.summands.get(d, ())
-            assert len(mat) == len(rows), f"bad row count at degree {d}"
-            for r, row in enumerate(mat):
-                assert len(row) == len(cols), f"bad col count at degree {d}"
-                for c, m in enumerate(row):
-                    assert m.src == cols[c] and m.tgt == rows[r], f"entry typing at {d}[{r}][{c}]"
+            if not _well_typed(mat, self.summands.get(d + 1, ()), self.summands.get(d, ())):
+                raise AssertionError(f"entry out of range or mistyped at degree {d}")
         for d in self.diffs:
             prod: Dict[Tuple[int, int], MorphElement] = {}
             _add_products(self.algebra, prod, self.diffs.get(d + 1), self.diffs[d])
-            assert not any(m.terms for m in prod.values()), f"d^2 != 0 between degrees {d} and {d+2}"
+            if any(m.terms for m in prod.values()):
+                raise AssertionError(f"d^2 != 0 between degrees {d} and {d+2}")
 
 
 def make_complex(
     algebra: ZigzagAlgebra,
     summands: Mapping[int, Iterable[int]],
-    diffs: Mapping[int, Iterable[Iterable[MorphElement]]],
+    diffs: Mapping[int, Matrix],
 ) -> ProjComplex:
     sm = {d: tuple(labels) for d, labels in summands.items() if tuple(labels)}
     dd: Dict[int, Matrix] = {}
     for d, mat in diffs.items():
-        mat = tuple(tuple(row) for row in mat)
-        if d in sm and d + 1 in sm and any(m.terms for row in mat for m in row):
+        mat = {rc: m for rc, m in mat.items() if m.terms}
+        if mat and d in sm and d + 1 in sm:
             dd[d] = mat
     return ProjComplex(algebra, sm, dd)
 
 
-def _nonzero_by_col(a: Matrix) -> Dict[int, List[Tuple[int, MorphElement]]]:
-    """col -> [(row, entry)] over the nonzero entries of a, rows ascending."""
+def _well_typed(mat: Matrix, rows: Sequence[int], cols: Sequence[int]) -> bool:
+    """Every entry of mat sits inside the rows x cols shape and maps cols[c] -> rows[r]."""
+    return all(
+        0 <= r < len(rows) and 0 <= c < len(cols) and (m.src, m.tgt) == (cols[c], rows[r])
+        for (r, c), m in mat.items()
+    )
+
+
+def _by_col(a: Matrix) -> Dict[int, List[Tuple[int, MorphElement]]]:
+    """col -> [(row, entry)] over the entries of a."""
     out: Dict[int, List[Tuple[int, MorphElement]]] = {}
-    for r, row in enumerate(a):
-        for c, m in enumerate(row):
-            if m.terms:
-                out.setdefault(c, []).append((r, m))
+    for (r, c), m in a.items():
+        out.setdefault(c, []).append((r, m))
     return out
+
+
+def _placed(mat: Optional[Matrix], r0: int, c0: int) -> Matrix:
+    """mat with its entries moved down r0 rows and right c0 columns."""
+    return {(r + r0, c + c0): m for (r, c), m in mat.items()} if mat else {}
 
 
 def _add_products(
@@ -147,22 +150,16 @@ def _add_products(
     """acc[(r, c)] += sign * (a o b)[r][c], composing nonzero entries only."""
     if not a or not b:
         return
-    a_cols = _nonzero_by_col(a)
-    for k, row in enumerate(b):
-        lefts = a_cols.get(k)
-        if not lefts:
-            continue
-        for c, m in enumerate(row):
-            if not m.terms:
+    a_cols = _by_col(a)
+    for (k, c), m in b.items():
+        for r, g in a_cols.get(k, ()):
+            term = algebra.compose(g, m)
+            if not term.terms:
                 continue
-            for r, g in lefts:
-                term = algebra.compose(g, m)
-                if not term.terms:
-                    continue
-                if sign is not None:
-                    term = algebra.scale(sign, term)
-                cur = acc.get((r, c))
-                acc[(r, c)] = term if cur is None else algebra.add(cur, term)
+            if sign is not None:
+                term = algebra.scale(sign, term)
+            cur = acc.get((r, c))
+            acc[(r, c)] = term if cur is None else algebra.add(cur, term)
 
 
 @dataclass(eq=False)
@@ -178,16 +175,8 @@ class ChainMap:
         if alg != self.tgt.algebra:
             return False
         for d, mat in self.blocks.items():
-            rows = self.tgt.summands.get(d, ())
-            cols = self.src.summands.get(d, ())
-            if len(mat) != len(rows):
+            if not _well_typed(mat, self.tgt.summands.get(d, ()), self.src.summands.get(d, ())):
                 return False
-            for r, row in enumerate(mat):
-                if len(row) != len(cols):
-                    return False
-                for c, m in enumerate(row):
-                    if m.src != cols[c] or m.tgt != rows[r]:
-                        return False
         # f_{d+1} o d_X - d_Y o f_d, summed from the nonzero entries only
         neg_one = alg.field.neg(alg.field.one)
         for d in set(self.src.diffs) | set(self.blocks):
@@ -221,9 +210,7 @@ def shift(x: ProjComplex, n: int) -> ProjComplex:
     alg = x.algebra
     sm = {d - n: labels for d, labels in x.summands.items()}
     sign = alg.field.one if n % 2 == 0 else alg.field.neg(alg.field.one)
-    dd = {}
-    for d, mat in x.diffs.items():
-        dd[d - n] = tuple(tuple(m.scaled(sign) for m in row) for row in mat)
+    dd = {d - n: {rc: m.scaled(sign) for rc, m in mat.items()} for d, mat in x.diffs.items()}
     return make_complex(alg, sm, dd)
 
 
@@ -234,20 +221,13 @@ def direct_sum(x: ProjComplex, y: ProjComplex) -> ProjComplex:
     sm: Dict[int, Tuple[int, ...]] = {}
     for d in set(x.summands) | set(y.summands):
         sm[d] = x.summands.get(d, ()) + y.summands.get(d, ())
-    dd: Dict[int, Matrix] = {}
-    for d in set(list(x.diffs) + list(y.diffs)):
-        xr = x.summands.get(d + 1, ())
-        xc = x.summands.get(d, ())
-        yr = y.summands.get(d + 1, ())
-        yc = y.summands.get(d, ())
-        dx = x.diff(d)
-        dy = y.diff(d)
-        mat = []
-        for r, lab in enumerate(xr):
-            mat.append(tuple(dx[r]) + tuple(alg.zero(c, lab) for c in yc))
-        for r, lab in enumerate(yr):
-            mat.append(tuple(alg.zero(c, lab) for c in xc) + tuple(dy[r]))
-        dd[d] = tuple(mat)
+    dd = {
+        d: {
+            **x.diffs.get(d, {}),
+            **_placed(y.diffs.get(d), len(x.summands.get(d + 1, ())), len(x.summands.get(d, ()))),
+        }
+        for d in set(x.diffs) | set(y.diffs)
+    }
     return make_complex(alg, sm, dd)
 
 
@@ -259,7 +239,6 @@ def cone(f: ChainMap) -> ProjComplex:
     alg = x.algebra
     k = alg.field
     neg_one = k.neg(k.one)
-    zero = lru_cache(maxsize=None)(alg.zero)
     sm: Dict[int, Tuple[int, ...]] = {}
     degs = set()
     for d in x.summands:
@@ -269,23 +248,12 @@ def cone(f: ChainMap) -> ProjComplex:
         sm[d] = x.summands.get(d + 1, ()) + y.summands.get(d, ())
     dd: Dict[int, Matrix] = {}
     for d in sm:
-        if d + 1 not in sm:
-            continue
-        xc = x.summands.get(d + 1, ())
-        yc = y.summands.get(d, ())
-        xr = x.summands.get(d + 2, ())
-        yr = y.summands.get(d + 1, ())
-        dx = x.diffs.get(d + 1)
-        dy = y.diffs.get(d)
-        fb = f.blocks.get(d + 1)
-        mat = []
-        for r, lab in enumerate(xr):
-            left = tuple(m.scaled(neg_one) for m in dx[r]) if dx else tuple(zero(c, lab) for c in xc)
-            mat.append(left + tuple(zero(c, lab) for c in yc))
-        for r, lab in enumerate(yr):
-            left = tuple(fb[r]) if fb else tuple(zero(c, lab) for c in xc)
-            mat.append(left + (tuple(dy[r]) if dy else tuple(zero(c, lab) for c in yc)))
-        dd[d] = tuple(mat)
+        # rows: X^{d+2} then Y^{d+1}; columns: X^{d+1} then Y^d
+        xr, xc = len(x.summands.get(d + 2, ())), len(x.summands.get(d + 1, ()))
+        mat = {rc: m.scaled(neg_one) for rc, m in x.diffs.get(d + 1, {}).items()}
+        mat.update(_placed(f.blocks.get(d + 1), xr, 0))
+        mat.update(_placed(y.diffs.get(d), xr, xc))
+        dd[d] = mat
     return make_complex(alg, sm, dd)
 
 
@@ -298,18 +266,8 @@ def cone_triangle(f: ChainMap) -> tuple[ProjComplex, ChainMap, ChainMap]:
     proj_blocks: Dict[int, Matrix] = {}
     for d in cone_complex.summands:
         xc = x.summands.get(d + 1, ())
-        yc = y.summands.get(d, ())
-        inc_rows = []
-        for lab in xc:
-            inc_rows.append(tuple(alg.zero(c, lab) for c in yc))
-        for r, lab in enumerate(yc):
-            inc_rows.append(tuple(alg.identity(lab) if r == c else alg.zero(yc[c], lab) for c in range(len(yc))))
-        inc_blocks[d] = tuple(inc_rows)
-        proj_blocks[d] = tuple(
-            tuple(alg.identity(lab) if r == c else alg.zero(xc[c], lab) for c in range(len(xc)))
-            + tuple(alg.zero(c, lab) for c in yc)
-            for r, lab in enumerate(xc)
-        )
+        inc_blocks[d] = {(len(xc) + r, r): alg.identity(lab) for r, lab in enumerate(y.summands.get(d, ()))}
+        proj_blocks[d] = {(r, r): alg.identity(lab) for r, lab in enumerate(xc)}
     inclusion = ChainMap(y, cone_complex, inc_blocks)
     projection = ChainMap(cone_complex, shift(x, 1), proj_blocks)
     return cone_complex, inclusion, projection
@@ -337,17 +295,14 @@ def minimize(x: ProjComplex) -> ProjComplex:
     col_rows: Dict[int, Dict[int, set]] = {}  # degree -> col -> rows with an entry
     queue: List[Tuple[int, int, int]] = []
     for d, mat in x.diffs.items():
-        ent = entries[d] = {}
+        entries[d] = dict(mat)
         rc = row_cols[d] = {}
         cr = col_rows[d] = {}
-        for r, row in enumerate(mat):
-            for c, m in enumerate(row):
-                if m.terms:
-                    ent[(r, c)] = m
-                    rc.setdefault(r, set()).add(c)
-                    cr.setdefault(c, set()).add(r)
-                    if is_unit(m):
-                        queue.append((d, r, c))
+        for (r, c), m in mat.items():
+            rc.setdefault(r, set()).add(c)
+            cr.setdefault(c, set()).add(r)
+            if is_unit(m):
+                queue.append((d, r, c))
     heapq.heapify(queue)
 
     def drop_row(d: int, r: int) -> None:
@@ -405,16 +360,11 @@ def minimize(x: ProjComplex) -> ProjComplex:
         if keep:
             summands[d] = tuple(labels[s] for s in keep)
             position[d] = {s: n for n, s in enumerate(keep)}
-    zero = lru_cache(maxsize=None)(alg.zero)
-    diffs: Dict[int, Matrix] = {}
-    for d, block in entries.items():
-        if not block:
-            continue
-        cols, rpos, cpos = summands[d], position[d + 1], position[d]
-        mat = [[zero(c, lab) for c in cols] for lab in summands[d + 1]]
-        for (r, c), m in block.items():
-            mat[rpos[r]][cpos[c]] = m
-        diffs[d] = tuple(tuple(row) for row in mat)
+    diffs = {
+        d: {(position[d + 1][r], position[d][c]): m for (r, c), m in block.items()}
+        for d, block in entries.items()
+        if block
+    }
     out = make_complex(alg, summands, diffs)
     out._minimal = True
     return out
@@ -489,7 +439,7 @@ def hom_complex(j: int, x: ProjComplex) -> HomComplex:
         row_index = index[d + 1]
         mat = [[k.zero] * len(cols) for _ in rows]
         nonzero = False
-        diff_cols = _nonzero_by_col(x.diffs[d])
+        diff_cols = _by_col(x.diffs[d])
         for cidx, (s, b) in enumerate(cols):
             bm = basis_maps.get(b)
             if bm is None:
@@ -564,34 +514,57 @@ def profiles_equal(x: ProjComplex, y: ProjComplex) -> bool:
 # -- serialization -------------------------------------------------------------
 
 
+def matrix_to_json_obj(mat: Matrix, rows: Sequence[int], cols: Sequence[int]) -> List[list]:
+    """The JSON view of a matrix: one cell per (row, col), an absent one as a zero morphism."""
+    return [
+        [
+            mat[(r, c)].to_json_obj() if (r, c) in mat else {"src": src, "tgt": tgt, "terms": []}
+            for c, src in enumerate(cols)
+        ]
+        for r, tgt in enumerate(rows)
+    ]
+
+
 def complex_to_json_obj(x: ProjComplex) -> dict:
     return {
         "degrees": {str(d): list(x.summands[d]) for d in x.degrees()},
         "diffs": {
-            str(d): [[m.to_json_obj() for m in row] for row in x.diffs[d]]
-            for d in sorted(x.diffs)
+            str(d): matrix_to_json_obj(x.diffs[d], x.summands[d + 1], x.summands[d]) for d in sorted(x.diffs)
         },
     }
 
 
+def _json_dict(obj, what: str) -> Mapping:
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"{what} must be a JSON object")
+    return obj
+
+
 def complex_from_json_obj(algebra: ZigzagAlgebra, obj: Mapping) -> ProjComplex:
-    sm = {int(d): tuple(int(v) for v in labels) for d, labels in obj.get("degrees", {}).items()}
+    """Read the dense JSON view back: check every cell, keep the nonzero ones."""
+    rank = algebra.diagram.rank
+    sm: Dict[int, Tuple[int, ...]] = {}
+    for d, labels in _json_dict(_json_dict(obj, "a complex").get("degrees", {}), "degrees").items():
+        labels = sm[int(d)] = tuple(int(v) for v in labels)
+        if not all(1 <= v <= rank for v in labels):
+            raise ValueError(f"degree {d}: vertex labels must lie in 1..{rank}")
     dd: Dict[int, Matrix] = {}
-    for d, mat in obj.get("diffs", {}).items():
+    for d, rows in _json_dict(obj.get("diffs", {}), "diffs").items():
         d = int(d)
-        rows = []
-        for r, row in enumerate(mat):
-            entries = []
+        row_labels, col_labels = sm.get(d + 1, ()), sm.get(d, ())
+        if len(rows) != len(row_labels):
+            raise ValueError(f"degree {d}: {len(rows)} rows for {len(row_labels)} summands in degree {d + 1}")
+        mat = dd[d] = {}
+        for r, row in enumerate(rows):
+            if len(row) != len(col_labels):
+                raise ValueError(f"degree {d}, row {r}: {len(row)} cells for {len(col_labels)} summands")
             for c, cell in enumerate(row):
                 if cell is None:
-                    entries.append(algebra.zero(sm[d][c], sm[d + 1][r]))
-                else:
-                    m = algebra.morph_from_json_obj(cell)
-                    if (m.src, m.tgt) != (sm[d][c], sm[d + 1][r]):
-                        raise ValueError(f"entry typing mismatch at {d}[{r}][{c}]")
-                    entries.append(m)
-            rows.append(tuple(entries))
-        dd[d] = tuple(rows)
+                    continue
+                m = algebra.morph_from_json_obj(cell)
+                if (m.src, m.tgt) != (col_labels[c], row_labels[r]):
+                    raise ValueError(f"entry typing mismatch at {d}[{r}][{c}]")
+                mat[(r, c)] = m
     out = make_complex(algebra, sm, dd)
     out.check()
     return out

@@ -157,9 +157,3 @@ def left_kernel_basis(field: Field, rows: Sequence[Sequence[Scalar]], ncols: int
     nrows = len(rows)
     transposed = [[rows[i][j] for i in range(nrows)] for j in range(ncols)]
     return kernel_basis(field, transposed, nrows)
-
-
-def in_row_span(field: Field, rows: Sequence[Sequence[Scalar]], vec: Sequence[Scalar], ncols: int) -> bool:
-    """Whether vec lies in the row span of the given rows."""
-    base = rank(field, rows, ncols)
-    return rank(field, list(rows) + [list(vec)], ncols) == base

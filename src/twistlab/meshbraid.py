@@ -93,6 +93,8 @@ class DecoratedSet:
 def decorated_from_json_obj(obj: Mapping) -> DecoratedSet:
     from .braid import diagram_from_json_obj
 
+    if not isinstance(obj, Mapping):
+        raise MeshError("a decorated set must be a JSON object")
     d = diagram_from_json_obj(obj["diagram"])
     vertices = frozenset((int(n), int(j)) for n, j in obj["vertices"])
     theta: Dict[ZVert, int] = {}

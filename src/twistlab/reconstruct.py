@@ -13,8 +13,9 @@ returning garbage, so this module doubles as a validator.
 One recovery step builds Hom(P_j, T) once for each vertex j, in a
 HomComplexes map, and reads everything from it: the profile (and with it
 the minimal degree and the termination potential) and the long-morphism
-spaces of peel, for j and its neighbours alike.  profile, peel and
-long_morphism_dim take the map wherever they take T, and read T from it.
+spaces of peel, for j and its neighbours alike, and the inverse twist that
+strips the peeled letter.  profile, peel, long_morphism_dim and twist_inv
+take the map wherever they take T, and read T from it.
 The map is dropped when the step ends; only the small profile stays
 memoized on T.  The test for the end of the word, profile_key(T) ==
 profile_key(Lambda), needs no Hom complex at all (see _is_projective_sum).
@@ -37,7 +38,6 @@ from .complexes import (
     sum_of_projectives,
 )
 from .twists import twist_inv, twist_word
-from .zigzag import MorphElement
 
 
 class NotTwistImage(Exception):
@@ -62,15 +62,6 @@ def min_degree(t: ProjComplex) -> int:
 def max_degree(t: ProjComplex) -> int:
     """Largest k with Hom^k(Lambda, T) nonzero."""
     return _extremal_degree(profile(t), max)
-
-
-@dataclass(frozen=True)
-class SummandWitness:
-    """A cocycle representative of a long morphism P_j -> T[degree]."""
-
-    vertex: int
-    degree: int
-    column: Tuple[MorphElement, ...]  # one entry per summand of T in that degree
 
 
 def _long_space(j: int, homs: HomComplexes, r: int):
@@ -124,36 +115,6 @@ def long_morphism_dim(j: int, t: Subject, r: int) -> int:
     return len(solutions) - boundary_rank
 
 
-def long_morphism_witness(j: int, t: ProjComplex, r: int) -> Optional[SummandWitness]:
-    """A representing cocycle for some nonzero long class, if any."""
-    alg = t.algebra
-    k_field = alg.field
-    vj, rows, boundary_rank = _long_space(j, HomComplexes(t), r)
-    dim_r = vj.dim(r)
-    if dim_r == 0:
-        return None
-    solutions = linalg.kernel_basis(k_field, rows, dim_r)
-    if len(solutions) <= boundary_rank:
-        return None
-    bmat = vj.mats.get(r - 1)
-    boundary_rows = []
-    if bmat is not None and vj.dim(r - 1) > 0:
-        boundary_rows = [[bmat[rr][cc] for rr in range(dim_r)] for cc in range(vj.dim(r - 1))]
-    witness_vec = None
-    for v in solutions:
-        if not linalg.in_row_span(k_field, boundary_rows, v, dim_r):
-            witness_vec = v
-            break
-    if witness_vec is None:
-        return None
-    labels = t.summands.get(r, ())
-    column = [alg.zero(j, lab) for lab in labels]
-    for cidx, (s, b) in enumerate(vj.basis[r]):
-        if not k_field.is_zero(witness_vec[cidx]):
-            column[s] = alg.add(column[s], alg.basis_morph(b, witness_vec[cidx]))
-    return SummandWitness(j, r, tuple(column))
-
-
 def peel(t: Subject) -> Tuple[int, ProjComplex]:
     """One reconstruction step: find a peelable letter at the minimal degree.
 
@@ -169,7 +130,7 @@ def peel(t: Subject) -> Tuple[int, ProjComplex]:
         raise NotTwistImage("minimal degree is non-negative: nothing to peel")
     for j in t.diagram.vertices:
         if long_morphism_dim(j, homs, m) > 0:
-            return j, minimize(twist_inv(j, t))
+            return j, twist_inv(j, homs)
     raise NotTwistImage(f"no long morphism at the minimal degree {m}")
 
 

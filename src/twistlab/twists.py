@@ -6,7 +6,10 @@ Hom complex Hom(P_i, X), map it to X by evaluation, take the cone, minimize.
 The inverse twist dualizes: copies of P_i indexed by the same basis land one
 degree higher, and X maps into them by the trace-pairing dual basis
 (coevaluation).  Both functors minimize their output, so repeated twisting
-stays small.
+stays small.  The complexes, chain maps and two-term connecting maps built
+here hold nonzero entries only, in the sparse Matrix format of complexes;
+their JSON views are the only dense form.  twist_inv takes a HomComplexes
+map in place of X, as profile and peel do, and reads Hom(P_i, X) from it.
 
 The concrete model is the omega = 0 one: all Hom spaces between
 projectives are concentrated in degree 0, so no twist carries a shift.
@@ -17,81 +20,70 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 from .braid import BraidWord
 from .complexes import (
     ChainMap,
+    HomComplexes,
     Matrix,
     ProjComplex,
     cone,
     hom_complex,
     hom_dims,
     make_complex,
+    matrix_to_json_obj,
     minimize,
     shift,
 )
 from .zigzag import ZigzagAlgebra
 
 
+def _scalar_block(times_id, mat, r0: int, c0: int) -> Matrix:
+    """times_id(a) for each nonzero scalar a of mat, moved down r0 rows and right c0 columns."""
+    return {(r + r0, c + c0): times_id(a) for r, row in enumerate(mat) for c, a in enumerate(row) if a}
+
+
 def twist(i: int, x: ProjComplex) -> ProjComplex:
     """t_i(X) = minimize(cone(P_i (x) Hom(P_i, X) -> X))."""
     alg = x.algebra
     hc = hom_complex(i, x)
-    zero = lru_cache(maxsize=None)(alg.zero)
     times_id = lru_cache(maxsize=None)(alg.identity(i).scaled)
     evaluation = lru_cache(maxsize=None)(alg.basis_morph)
     src_summands = {d: (i,) * hc.dim(d) for d in hc.degrees()}
-    src_diffs: Dict[int, Matrix] = {}
-    for d, mat in hc.mats.items():
-        src_diffs[d] = tuple(tuple(times_id(a) for a in row) for row in mat)
+    src_diffs = {d: _scalar_block(times_id, mat, 0, 0) for d, mat in hc.mats.items()}
     source = make_complex(alg, src_summands, src_diffs)
-    ev_blocks: Dict[int, Matrix] = {}
-    for d in hc.degrees():
-        cols = hc.basis[d]
-        block = [[zero(i, lab)] * len(cols) for lab in x.summands.get(d, ())]
-        for n, (s, b) in enumerate(cols):
-            block[s][n] = evaluation(b)
-        ev_blocks[d] = tuple(tuple(row) for row in block)
+    ev_blocks = {d: {(s, n): evaluation(b) for n, (s, b) in enumerate(hc.basis[d])} for d in hc.degrees()}
     ev = ChainMap(source, x, ev_blocks)
     return minimize(cone(ev))
 
 
-def twist_inv(i: int, x: ProjComplex) -> ProjComplex:
-    """Quasi-inverse twist, built from the trace-pairing dual basis."""
+def twist_inv(i: int, x: Union[ProjComplex, HomComplexes]) -> ProjComplex:
+    """Quasi-inverse twist, built from the trace-pairing dual basis.
+
+    x is a complex, or the HomComplexes map of one, whose Hom(P_i, X) is then
+    read instead of built.
+    """
+    homs = HomComplexes.of(x)
+    x = homs.complex
+    hc = homs[i]
     alg = x.algebra
-    neg = alg.field.neg
-    hc = hom_complex(i, x)
-    zero = lru_cache(maxsize=None)(alg.zero)
-    times_id = lru_cache(maxsize=None)(alg.identity(i).scaled)
+    times_neg_id = lru_cache(maxsize=None)((-alg.identity(i)).scaled)
     coevaluation = lru_cache(maxsize=None)(lambda b: alg.basis_morph(alg.dual_basis_element(b)))
     summands: Dict[int, Tuple[int, ...]] = {}
     degs = set(x.summands) | {d + 1 for d in hc.degrees()}
     for d in degs:
         summands[d] = x.summands.get(d, ()) + (i,) * hc.dim(d - 1)
+    # rows: X^{d+1} then the copies of P_i for basis[d]; columns: X^d then
+    # the copies for basis[d-1]
     diffs: Dict[int, Matrix] = {}
     for d in degs:
-        if d + 1 not in degs:
-            continue
-        x_cols = x.summands.get(d, ())
-        w_cols = hc.basis.get(d - 1, ())
-        x_rows = x.summands.get(d + 1, ())
-        w_rows = hc.basis.get(d, ())
-        dx = x.diffs.get(d)
-        wmat = hc.mats.get(d - 1)
-        rows = []
-        for r, lab in enumerate(x_rows):
-            left = tuple(dx[r]) if dx else tuple(zero(c, lab) for c in x_cols)
-            rows.append(left + (zero(i, lab),) * len(w_cols))
-        for ridx, (s, b) in enumerate(w_rows):
-            coev = [zero(c, i) for c in x_cols]
-            coev[s] = coevaluation(b)
-            if wmat is None:
-                wpart = (zero(i, i),) * len(w_cols)
-            else:
-                wpart = tuple(times_id(neg(a)) for a in wmat[ridx])
-            rows.append(tuple(coev) + wpart)
-        diffs[d] = tuple(rows)
+        x_rows, x_cols = len(x.summands.get(d + 1, ())), len(x.summands.get(d, ()))
+        mat = dict(x.diffs.get(d, {}))
+        for ridx, (s, b) in enumerate(hc.basis.get(d, ())):
+            mat[(x_rows + ridx, s)] = coevaluation(b)
+        mat.update(_scalar_block(times_neg_id, hc.mats.get(d - 1, ()), x_rows, x_cols))
+        diffs[d] = mat
     return minimize(make_complex(alg, summands, diffs))
 
 
@@ -155,18 +147,14 @@ class TwoTermObject:
 
     def assemble(self) -> ProjComplex:
         """The underlying complex: left summands in degree -1, right in degree 0."""
-        return make_complex(
-            self.algebra,
-            {-1: self.left_order, 0: self.right_order},
-            {-1: self.phi} if self.left_order and self.right_order else {},
-        )
+        return make_complex(self.algebra, {-1: self.left_order, 0: self.right_order}, {-1: self.phi})
 
     def to_json_obj(self) -> dict:
         return {
             "side": self.side,
             "left": {str(j): m for j, m in sorted(self.left.items())},
             "right": {str(j): m for j, m in sorted(self.right.items())},
-            "phi": [[m.to_json_obj() for m in row] for row in self.phi],
+            "phi": matrix_to_json_obj(self.phi, self.right_order, self.left_order),
         }
 
 
@@ -215,10 +203,10 @@ def two_term_of(x: ProjComplex) -> Optional[TwoTermObject]:
         u = 0
     left_perm = sorted(range(len(lefts)), key=lambda c: (lefts[c], c))
     right_perm = sorted(range(len(rights)), key=lambda r: (rights[r], r))
-    mat = x.diff(-1)
-    phi = tuple(
-        tuple(mat[r][c] for c in left_perm) for r in right_perm
-    ) if lefts and rights else tuple(() for _ in right_perm)
+    # phi's row n is the differential's row right_perm[n], and so on for columns
+    row_at = {r: n for n, r in enumerate(right_perm)}
+    col_at = {c: n for n, c in enumerate(left_perm)}
+    phi = {(row_at[r], col_at[c]): m for (r, c), m in x.diffs.get(-1, {}).items()}
     return TwoTermObject(
         alg,
         u,

@@ -144,9 +144,6 @@ class ZigzagAlgebra:
             terms.sort(key=_term_key)
         return MorphElement(self, src, tgt, tuple(terms))
 
-    def zero(self, src: int, tgt: int) -> MorphElement:
-        return MorphElement(self, src, tgt, ())
-
     def basis_morph(self, b: MorphBasisElement, c: Optional[Scalar] = None) -> MorphElement:
         c = self.field.one if c is None else c
         return self.morph(b.src, b.tgt, {b: c})

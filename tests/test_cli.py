@@ -62,6 +62,35 @@ class TestTwist:
         assert code == 2
 
 
+# Malformed JSON on stdin, for each command that reads it: exit 2, no traceback
+MALFORMED_COMPLEXES = {
+    "row-too-long": {"degrees": {"0": [1], "1": [2]}, "diffs": {"0": [[None, None]]}},
+    "too-many-rows": {"degrees": {"0": [1], "1": [2]}, "diffs": {"0": [[None], [None]]}},
+    "row-too-short": {"degrees": {"0": [1, 1], "1": [2]}, "diffs": {"0": [[None]]}},
+    "label-out-of-range": {"degrees": {"0": [1], "1": [9]}, "diffs": {}},
+    "top-level-array": [1],
+}
+MALFORMED_CASES = [
+    (f"{command[0]}-{name}", command, payload)
+    for command in (["twist", "1", "--object", "-"], ["recover"])
+    for name, payload in MALFORMED_COMPLEXES.items()
+] + [
+    ("mesh-solve-decorated-array", ["mesh-solve", "--decorated"], [1]),
+    ("mesh-solve-layered-array", ["mesh-solve", "--layered"], [1]),
+]
+
+
+@pytest.mark.parametrize("argv,payload", [c[1:] for c in MALFORMED_CASES], ids=[c[0] for c in MALFORMED_CASES])
+def test_malformed_stdin_exits_2(capsys, monkeypatch, argv, payload):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    code, out, err = run_cli(capsys, "--diagram", "A2", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: bad ")
+
+
 class TestRecover:
     def test_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, "--diagram", "A2", "recover", "--word", "1,2,1")

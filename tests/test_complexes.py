@@ -42,7 +42,7 @@ def arrow_cone(algebra, i, j):
     return make_complex(
         algebra,
         {-1: (i,), 0: (j,)},
-        {-1: ((algebra.arrow(i, j),),)},
+        {-1: {(0, 0): algebra.arrow(i, j)}},
     )
 
 
@@ -97,14 +97,14 @@ class TestConstructors:
 class TestCone:
     def test_cone_of_identity_minimizes_to_zero(self, alg):
         p = projective(alg, 1)
-        f = ChainMap(p, p, {0: ((alg.identity(1),),)})
+        f = ChainMap(p, p, {0: {(0, 0): alg.identity(1)}})
         c = cone(f)
         c.check()
         assert minimize(c).is_zero()
 
     def test_cone_of_arrow(self, alg):
         p1, p2 = projective(alg, 1), projective(alg, 2)
-        f = ChainMap(p1, p2, {0: ((alg.arrow(1, 2),),)})
+        f = ChainMap(p1, p2, {0: {(0, 0): alg.arrow(1, 2)}})
         c = cone(f)
         c.check()
         assert c.summands == {-1: (1,), 0: (2,)}
@@ -113,7 +113,7 @@ class TestCone:
 
     def test_cone_triangle_maps_are_chain_maps(self, alg):
         p1, p2 = projective(alg, 1), projective(alg, 2)
-        f = ChainMap(p1, p2, {0: ((alg.arrow(1, 2),),)})
+        f = ChainMap(p1, p2, {0: {(0, 0): alg.arrow(1, 2)}})
         c, inc, proj = cone_triangle(f)
         assert inc.is_valid()
         assert proj.is_valid()
@@ -121,10 +121,17 @@ class TestCone:
     def test_invalid_chain_map_rejected(self, alg):
         x = arrow_cone(alg, 1, 2)
         p2 = projective(alg, 2)
-        bad = ChainMap(p2, x, {0: ((alg.identity(2),), (alg.zero(2, 2),))})
+        bad = ChainMap(p2, x, {0: {(0, 0): alg.identity(2), (1, 0): alg.morph(2, 2, {})}})
         # wrong shape: rows must follow the target's summands
         with pytest.raises((ValueError, IndexError)):
             cone(bad)
+
+    def test_entries_outside_the_shape_rejected(self, alg):
+        x = arrow_cone(alg, 1, 2)
+        p2 = projective(alg, 2)
+        # a negative key must not wrap around to the last row or column
+        for key in ((-1, 0), (0, -1), (1, 0), (0, 1)):
+            assert not ChainMap(p2, x, {0: {key: alg.identity(2)}}).is_valid()
 
     def test_non_commuting_square_rejected(self):
         algebra = ZigzagAlgebra(A2, QQ)
@@ -132,19 +139,16 @@ class TestCone:
         y = projective(algebra, 2)
         # the only degree-0 block sends P_2 -> P_2 by the identity, but then
         # the square with x's differential does not commute
-        f = ChainMap(x, y, {0: ((algebra.identity(2),),), -1: ()})
+        f = ChainMap(x, y, {0: {(0, 0): algebra.identity(2)}, -1: {}})
         assert not f.is_valid()
         with pytest.raises(ValueError):
             cone(f)
 
 
-def _block(f, d):
-    """f's block at degree d, with zeros where f has none."""
-    mat = f.blocks.get(d)
-    if mat is not None:
-        return mat
-    rows, cols = f.tgt.summands.get(d, ()), f.src.summands.get(d, ())
-    return tuple(tuple(f.src.algebra.zero(c, r) for c in cols) for r in rows)
+def _dense(alg, mat, rows, cols):
+    """The sparse matrix mat as rows of cells, with a zero morphism in every absent cell."""
+    mat = mat or {}
+    return [[mat.get((r, c), alg.morph(src, tgt, {})) for c, src in enumerate(cols)] for r, tgt in enumerate(rows)]
 
 
 def _square_commutes(f, d):
@@ -154,13 +158,17 @@ def _square_commutes(f, d):
     tgt_rows = f.tgt.summands.get(d + 1, ())
     mid_src = f.src.summands.get(d + 1, ())
     mid_tgt = f.tgt.summands.get(d, ())
+    f_next = _dense(alg, f.blocks.get(d + 1), tgt_rows, mid_src)
+    f_here = _dense(alg, f.blocks.get(d), mid_tgt, src_cols)
+    d_src = _dense(alg, f.src.diffs.get(d), mid_src, src_cols)
+    d_tgt = _dense(alg, f.tgt.diffs.get(d), tgt_rows, mid_tgt)
     for r, rlab in enumerate(tgt_rows):
         for c, clab in enumerate(src_cols):
-            total = alg.zero(clab, rlab)
+            total = alg.morph(clab, rlab, {})
             for k in range(len(mid_src)):
-                total = total + _block(f, d + 1)[r][k].compose(f.src.diff(d)[k][c])
+                total = total + f_next[r][k].compose(d_src[k][c])
             for k in range(len(mid_tgt)):
-                total = total - f.tgt.diff(d)[r][k].compose(_block(f, d)[k][c])
+                total = total - d_tgt[r][k].compose(f_here[k][c])
             if not total.is_zero():
                 return False
     return True
@@ -171,9 +179,9 @@ def reference_is_valid(f):
     for d, mat in f.blocks.items():
         rows = f.tgt.summands.get(d, ())
         cols = f.src.summands.get(d, ())
-        if len(mat) != len(rows) or any(len(row) != len(cols) for row in mat):
+        if any(not (0 <= r < len(rows) and 0 <= c < len(cols)) for r, c in mat):
             return False
-        for r, row in enumerate(mat):
+        for r, row in enumerate(_dense(f.src.algebra, mat, rows, cols)):
             for c, m in enumerate(row):
                 if (m.src, m.tgt) != (cols[c], rows[r]):
                     return False
@@ -193,21 +201,23 @@ def _random_two_term(data, algebra):
     """A complex in degrees -1 and 0 with a random differential (d^2 = 0 trivially)."""
     labels = st.lists(st.sampled_from(list(algebra.diagram.vertices)), min_size=1, max_size=2)
     left, right = tuple(data.draw(labels)), tuple(data.draw(labels))
-    diff = tuple(tuple(_random_morph(data, algebra, c, r) for c in left) for r in right)
+    diff = {(r, c): _random_morph(data, algebra, jc, jr) for r, jr in enumerate(right) for c, jc in enumerate(left)}
     return make_complex(algebra, {-1: left, 0: right}, {-1: diff})
 
 
 def _perturbed(data, f):
-    """f with one entry replaced by a random morphism of the same type."""
-    cells = [(d, r, c) for d, mat in f.blocks.items() for r, row in enumerate(mat) for c in range(len(row))]
+    """f with one entry, zero or not, replaced by a random morphism of the same type."""
+    cells = [
+        (d, r, c)
+        for d in f.blocks
+        for r in range(len(f.tgt.summands.get(d, ())))
+        for c in range(len(f.src.summands.get(d, ())))
+    ]
     if not cells:
         return f
     d, r, c = data.draw(st.sampled_from(cells))
-    old = f.blocks[d][r][c]
-    new = _random_morph(data, f.src.algebra, old.src, old.tgt)
-    mat = [list(row) for row in f.blocks[d]]
-    mat[r][c] = new
-    return ChainMap(f.src, f.tgt, {**f.blocks, d: tuple(tuple(row) for row in mat)})
+    new = _random_morph(data, f.src.algebra, f.src.summands[d][c], f.tgt.summands[d][r])
+    return ChainMap(f.src, f.tgt, {**f.blocks, d: {**f.blocks[d], (r, c): new}})
 
 
 class TestChainMapDifferential:
@@ -221,15 +231,10 @@ class TestChainMapDifferential:
         # a * id + b * loop on every summand commutes with any differential
         a, b = data.draw(_coefs(algebra)), data.draw(_coefs(algebra))
         blocks = {
-            d: tuple(
-                tuple(
-                    algebra.add(algebra.identity(lab).scaled(a), algebra.loop(lab).scaled(b))
-                    if r == c
-                    else algebra.zero(labels[c], lab)
-                    for c in range(len(labels))
-                )
+            d: {
+                (r, r): algebra.add(algebra.identity(lab).scaled(a), algebra.loop(lab).scaled(b))
                 for r, lab in enumerate(labels)
-            )
+            }
             for d, labels in x.summands.items()
         }
         f = ChainMap(x, x, blocks)
@@ -241,8 +246,8 @@ class TestChainMapDifferential:
 
     def test_only_the_second_square_fails(self, alg):
         # P_1 --loop--> P_1 --arrow--> P_2 in degrees -2, -1, 0
-        x = make_complex(alg, {-2: (1,), -1: (1,), 0: (2,)}, {-2: ((alg.loop(1),),), -1: ((alg.arrow(1, 2),),)})
-        blocks = {-2: ((alg.identity(1),),), -1: ((alg.identity(1),),), 0: ((alg.loop(2),),)}
+        x = make_complex(alg, {-2: (1,), -1: (1,), 0: (2,)}, {-2: {(0, 0): alg.loop(1)}, -1: {(0, 0): alg.arrow(1, 2)}})
+        blocks = {-2: {(0, 0): alg.identity(1)}, -1: {(0, 0): alg.identity(1)}, 0: {(0, 0): alg.loop(2)}}
         f = ChainMap(x, x, blocks)
         assert _square_commutes(f, -2)
         assert not _square_commutes(f, -1)
@@ -257,50 +262,54 @@ class TestMinimize:
         c = make_complex(
             alg,
             {-1: (1,), 0: (1,)},
-            {-1: ((alg.identity(1),),)},
+            {-1: {(0, 0): alg.identity(1)}},
         )
         assert minimize(c).is_zero()
 
     def test_loop_differential_stays(self, alg):
-        c = make_complex(alg, {-1: (1,), 0: (1,)}, {-1: ((alg.loop(1),),)})
+        c = make_complex(alg, {-1: (1,), 0: (1,)}, {-1: {(0, 0): alg.loop(1)}})
         m = minimize(c)
         assert m.summands == c.summands
 
     def test_unit_plus_loop_is_still_removable(self, alg):
         one = alg.field.one
         entry = alg.add(alg.identity(1), alg.loop(1))
-        c = make_complex(alg, {-1: (1,), 0: (1,)}, {-1: ((entry,),)})
+        c = make_complex(alg, {-1: (1,), 0: (1,)}, {-1: {(0, 0): entry}})
         assert minimize(c).is_zero()
 
     def test_correction_term(self):
         # 2x2 block with one unit pivot leaves the Gaussian complement behind
         algebra = ZigzagAlgebra(A2, QQ)
-        mat = (
-            (algebra.identity(1), algebra.identity(1)),
-            (algebra.identity(1), algebra.identity(1).scaled(QQ.from_int(2))),
-        )
+        mat = {
+            (0, 0): algebra.identity(1),
+            (0, 1): algebra.identity(1),
+            (1, 0): algebra.identity(1),
+            (1, 1): algebra.identity(1).scaled(QQ.from_int(2)),
+        }
         c = make_complex(algebra, {-1: (1, 1), 0: (1, 1)}, {-1: mat})
         m = minimize(c)
         assert m.is_zero()  # determinant 1: both pairs cancel
 
     def test_correction_leaves_loop(self):
         algebra = ZigzagAlgebra(A2, QQ)
-        mat = (
-            (algebra.identity(1), algebra.identity(1)),
-            (algebra.identity(1), algebra.add(algebra.identity(1), algebra.loop(1))),
-        )
+        mat = {
+            (0, 0): algebra.identity(1),
+            (0, 1): algebra.identity(1),
+            (1, 0): algebra.identity(1),
+            (1, 1): algebra.add(algebra.identity(1), algebra.loop(1)),
+        }
         c = make_complex(algebra, {-1: (1, 1), 0: (1, 1)}, {-1: mat})
         m = minimize(c)
         # delta - gamma phi^-1 beta = (id + loop) - id = loop
         assert m.summands == {-1: (1,), 0: (1,)}
-        assert m.diffs[-1][0][0].terms == algebra.loop(1).terms
+        assert m.diffs[-1][(0, 0)].terms == algebra.loop(1).terms
 
     def test_idempotent_and_profile_preserving(self, alg):
         one = alg.identity(1)
         for c in (
-            direct_sum(arrow_cone(alg, 1, 2), make_complex(alg, {-1: (1,), 0: (1,)}, {-1: ((one,),)})),
+            direct_sum(arrow_cone(alg, 1, 2), make_complex(alg, {-1: (1,), 0: (1,)}, {-1: {(0, 0): one}})),
             # the first pivot's correction 0 - id turns a zero entry into a unit
-            make_complex(alg, {-1: (1, 1), 0: (1, 1)}, {-1: ((one, one), (one, alg.zero(1, 1)))}),
+            make_complex(alg, {-1: (1, 1), 0: (1, 1)}, {-1: {(0, 0): one, (0, 1): one, (1, 0): one}}),
         ):
             m = minimize(c)
             # minimize(m) returns m as is, so rebuild m unmarked: one pass leaves no unit entry

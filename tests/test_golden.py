@@ -13,10 +13,15 @@ any output fails here.
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
+from twistlab.braid import diagram_from_name
 from twistlab.cli import main
+from twistlab.complexes import complex_from_json_obj, complex_to_json_obj
+from twistlab.fields import field_from_name
+from twistlab.zigzag import ZigzagAlgebra
 
 # (diagram, field, word, second word for braid-eq)
 WORDS = [
@@ -184,12 +189,23 @@ def _cases():
 CASES = list(_cases())
 
 
-def run_case(argv):
+def run_case(argv, stdin=""):
     """(exit code, sha256 of standard output) of one CLI invocation."""
     buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+    with contextlib.redirect_stdout(buf), _stdin(stdin):
         code = main(argv)
     return code, hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+@contextlib.contextmanager
+def _stdin(text):
+    import sys
+
+    saved, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        yield
+    finally:
+        sys.stdin = saved
 
 
 def test_every_case_is_pinned():
@@ -199,3 +215,138 @@ def test_every_case_is_pinned():
 @pytest.mark.parametrize("case,argv", CASES, ids=[c for c, _ in CASES])
 def test_golden_digest(case, argv):
     assert run_case(argv) == GOLDEN[case]
+
+
+# -- complexes read from stdin ------------------------------------------------
+
+# Twist images fed back in: (diagram, field, word whose image is read, word
+# that `twist --object -` then applies).  Each image is `twist`'s own JSON
+# output, pinned above, so these cases pin the JSON decoder on complexes
+# with nonzero differentials in several degrees.
+FEEDS = [
+    ("A2", "f2", "1,2,1", "2"),
+    ("A2", "q", "2,1,2,1", "1,1"),
+    ("A4", "f3", "4,3,2,1,2,3", "2,4"),
+    ("A4", "q", "2,1,3,2,4,3,2", "3"),
+    ("D4", "f2", "2,1,3,4,2", "4,2"),
+    ("D5", "f3", "2,3,5,4,3,2,1", "5"),
+    ("E6", "q", "1,3,1,4,2", "3,6"),
+]
+
+# Hand-written complexes in the dense JSON form: null and zero-term cells,
+# non-minimal differentials, a three-term complex, and coefficients that
+# differ over QQ and GF(3).  (name, diagram, field, complex)
+HAND = [
+    (
+        "arrow-cone-with-nulls",
+        "A2",
+        "f3",
+        {
+            "degrees": {"-1": [1, 1], "0": [2]},
+            "diffs": {"-1": [[None, {"src": 1, "tgt": 2, "terms": [{"kind": "arrow", "coef": "2"}]}]]},
+        },
+    ),
+    (
+        "unit-and-zero-term-cells",
+        "A3",
+        "q",
+        {
+            "degrees": {"-1": [1, 2], "0": [1, 3]},
+            "diffs": {
+                "-1": [
+                    [
+                        {"src": 1, "tgt": 1, "terms": [{"kind": "id", "coef": "-1/2"}, {"kind": "loop", "coef": "3"}]},
+                        {"src": 2, "tgt": 1, "terms": [{"kind": "arrow", "coef": "1"}]},
+                    ],
+                    [{"src": 1, "tgt": 3, "terms": []}, {"src": 2, "tgt": 3, "terms": [{"kind": "arrow", "coef": "-1"}]}],
+                ]
+            },
+        },
+    ),
+    (
+        "three-term-loops",
+        "A2",
+        "f2",
+        {
+            "degrees": {"-1": [2], "0": [2], "1": [2, 1]},
+            "diffs": {
+                "-1": [[{"src": 2, "tgt": 2, "terms": [{"kind": "loop", "coef": "1"}]}]],
+                "0": [[{"src": 2, "tgt": 2, "terms": [{"kind": "loop", "coef": "1"}]}], [None]],
+            },
+        },
+    ),
+]
+
+
+def _image(diagram, field, w):
+    """The complex that `twist w` prints, as a JSON object."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["--diagram", diagram, "--field", field, "twist", w]) == 0
+    return json.loads(buf.getvalue())["complex"]
+
+
+def _stdin_cases():
+    for diagram, field, w, w2 in FEEDS:
+        head = ["--diagram", diagram, "--field", field]
+        yield f"twist - {diagram} {field} {w} | {w2}", head + ["twist", w2, "--object", "-"], (diagram, field, w)
+        yield f"recover - {diagram} {field} {w}", head + ["recover"], (diagram, field, w)
+    for name, diagram, field, _ in HAND:
+        head = ["--diagram", diagram, "--field", field]
+        yield f"twist - {name} | 1", head + ["twist", "1", "--object", "-"], name
+        yield f"twist - {name} | empty", head + ["twist", "", "--object", "-"], name
+        yield f"recover - {name}", head + ["recover"], name
+
+
+STDIN_CASES = list(_stdin_cases())
+
+
+def _stdin_text(source):
+    if isinstance(source, str):
+        return json.dumps(next(obj for name, _, _, obj in HAND if name == source))
+    return json.dumps(_image(*source))
+
+
+# "<command> - <input>" -> (exit code, sha256 of stdout), generated before the
+# differentials were stored sparsely
+GOLDEN_STDIN = {
+    'twist - A2 f2 1,2,1 | 2': (0, 'eac17a2489c881b9a713a6965cc4c0b060e79defeb464954a467bd478833e30d'),
+    'recover - A2 f2 1,2,1': (0, 'a960200cf9fae3225cf757b8fd0c562de5ef3bd666dce3ce855f632507656bd2'),
+    'twist - A2 q 2,1,2,1 | 1,1': (0, '9087c3596c71cc08a545d627dd28dfa565f4bea22ed3ebbbbcf9a24c15caeaf5'),
+    'recover - A2 q 2,1,2,1': (0, '38896205694d517559ee1934b3627a05e756858f4a620591fcf6dfa216870c81'),
+    'twist - A4 f3 4,3,2,1,2,3 | 2,4': (0, '563f157be8faa48aa7950c768c8a5c2f8f20378382ec112e8beaa507ef9f3db2'),
+    'recover - A4 f3 4,3,2,1,2,3': (0, '10586378a62af1fecaf328f8d1a3e3394fb6c164e5f4dd9fbcdb82e29ea20c8a'),
+    'twist - A4 q 2,1,3,2,4,3,2 | 3': (0, 'f96d18ae4a7820ffc06067ea27a066d078e3c8f6ac66b02feab12c62b74096b6'),
+    'recover - A4 q 2,1,3,2,4,3,2': (0, '681b9b425e1a92d91031692b43d161d92b69f841059012ee5cf0e3d5748737ce'),
+    'twist - D4 f2 2,1,3,4,2 | 4,2': (0, 'b557ede2a33f348ea5cb9f416574a7dfd164310b7b537419d96e093ae2022372'),
+    'recover - D4 f2 2,1,3,4,2': (0, '50c141222d0f35cdf2bc89005a15e3a4e89aca0a929417cdba610b59eadaeb73'),
+    'twist - D5 f3 2,3,5,4,3,2,1 | 5': (0, '1e4bc76b8fa5fb9f0224e6de23627688035fc28ddbef0617ec324d5714e9f499'),
+    'recover - D5 f3 2,3,5,4,3,2,1': (0, 'c2a8a7b66fd219b8994f4923ff967848eeb1ac6c812f848e955f310ed6614e47'),
+    'twist - E6 q 1,3,1,4,2 | 3,6': (0, '4f93dbdfe2847d4ca64782bc4ea755d5af9861449ed0cfa830e61ff642d1f0bd'),
+    'recover - E6 q 1,3,1,4,2': (0, 'a1bf312c48c84b4adfb8a84988638a7a9ae39b2d6d7b202ed6fb6f4ebff05cc4'),
+    'twist - arrow-cone-with-nulls | 1': (0, '40f884e98a6526e56793957befed23776f8985aba2b0af987fddc583920e0d59'),
+    'twist - arrow-cone-with-nulls | empty': (0, '16fe9d75e4d602db146469d03b7f628083c7e7f7400ac282e8613cf6ca82366d'),
+    'recover - arrow-cone-with-nulls': (0, 'c1416929065d250ad9c928538c8c36ce0b2fa437d26de69856f6446e36c699fb'),
+    'twist - unit-and-zero-term-cells | 1': (0, 'dec5088180fb2a60520dd8997ddd4914e76df935838c261b10991f62273dbf61'),
+    'twist - unit-and-zero-term-cells | empty': (0, '908d36b068b7d7cb5087c28407b203952916f10be91113b3f86eb877ac5f902b'),
+    'recover - unit-and-zero-term-cells': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'twist - three-term-loops | 1': (0, '9757baf37981cfae8fd195ac5052c6eb2fa384517f254ad6cdd35facfca83af5'),
+    'twist - three-term-loops | empty': (0, '3c426b80c33e8665f6e858d7ba792ca2c8c1ed77755bc49d4e8682e415b16a11'),
+    'recover - three-term-loops': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+}
+
+
+def test_every_stdin_case_is_pinned():
+    assert sorted(GOLDEN_STDIN) == sorted(case for case, _, _ in STDIN_CASES)
+
+
+@pytest.mark.parametrize("case,argv,source", STDIN_CASES, ids=[c for c, _, _ in STDIN_CASES])
+def test_golden_stdin_digest(case, argv, source):
+    assert run_case(argv, _stdin_text(source)) == GOLDEN_STDIN[case]
+
+
+@pytest.mark.parametrize("diagram,field,w,_w2", FEEDS, ids=[f"{d} {f} {w}" for d, f, w, _ in FEEDS])
+def test_json_round_trip_of_twist_images(diagram, field, w, _w2):
+    obj = _image(diagram, field, w)
+    alg = ZigzagAlgebra(diagram_from_name(diagram), field_from_name(field))
+    assert complex_to_json_obj(complex_from_json_obj(alg, obj)) == obj

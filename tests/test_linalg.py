@@ -5,7 +5,6 @@ import pytest
 
 from twistlab.fields import GF2, QQ, PrimeField
 from twistlab.linalg import (
-    in_row_span,
     kernel_basis,
     left_kernel_basis,
     rank,
@@ -75,14 +74,6 @@ def test_left_kernel_annihilates_from_the_left():
                 for r in range(nrows):
                     acc = QQ.add(acc, QQ.mul(y[r], m[r][c]))
                 assert QQ.is_zero(acc)
-
-
-def test_in_row_span():
-    m = [[1, 0, 1], [0, 1, 1]]
-    assert in_row_span(GF2, m, [1, 1, 0], 3)
-    assert not in_row_span(GF2, m, [1, 1, 1], 3)
-    assert in_row_span(GF2, [], [0, 0, 0], 3)
-    assert not in_row_span(GF2, [], [1, 0, 0], 3)
 
 
 def test_empty_matrix_kernel_is_full():

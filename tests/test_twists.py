@@ -2,6 +2,7 @@ import pytest
 
 from twistlab.braid import build_diagram, word
 from twistlab.complexes import (
+    HomComplexes,
     make_complex,
     minimize,
     profile_key,
@@ -50,7 +51,7 @@ class TestTwist:
     def test_twist_of_adjacent_is_arrow_cone(self, alg):
         t = twist(1, projective(alg, 2))
         assert t.summands == {-1: (1,), 0: (2,)}
-        assert t.diffs[-1][0][0].terms == alg.arrow(1, 2).terms
+        assert t.diffs[-1][(0, 0)].terms == alg.arrow(1, 2).terms
 
     def test_twist_word_identity(self, alg):
         lam = sum_of_projectives(alg)
@@ -89,7 +90,7 @@ class TestTwistInverse:
     def test_inverse_of_adjacent(self, alg):
         t = twist_inv(1, projective(alg, 2))
         assert t.summands == {0: (2,), 1: (1,)}
-        assert t.diffs[0][0][0].terms == alg.arrow(2, 1).terms
+        assert t.diffs[0][(0, 0)].terms == alg.arrow(2, 1).terms
 
     def test_roundtrips_on_small_corpus(self, alg):
         lam = sum_of_projectives(alg)
@@ -100,6 +101,14 @@ class TestTwistInverse:
                 assert profiles_equal(twist_inv(i, twist(i, x)), x)
                 assert profiles_equal(twist(i, twist_inv(i, x)), x)
 
+    def test_reads_a_hom_complexes_map(self, alg):
+        t = twist_word(word(A2, (2, 1, 2)), sum_of_projectives(alg))
+        homs = HomComplexes(t)
+        homs[1]
+        filled = dict(homs)
+        assert twist_inv(1, homs).key() == twist_inv(1, t).key()
+        assert dict(homs) == filled  # Hom(P_1, T) read, nothing built
+
     def test_word_inverse(self, alg):
         lam = sum_of_projectives(alg)
         w = word(A2, (1, 2, 2, 1))
@@ -108,13 +117,7 @@ class TestTwistInverse:
 
 def two_term(algebra, side, left, right, arrows):
     """Build a TwoTermObject with given summand tuples and 0/1 arrow pattern."""
-    phi = tuple(
-        tuple(
-            algebra.arrow(jc, jr) if (r, c) in arrows else algebra.zero(jc, jr)
-            for c, jc in enumerate(left)
-        )
-        for r, jr in enumerate(right)
-    )
+    phi = {(r, c): algebra.arrow(left[c], right[r]) for r, c in arrows}
     return TwoTermObject(algebra, side, left, right, phi)
 
 
@@ -125,10 +128,23 @@ class TestTwoTerm:
         assert tt.side == 0 and tt.lsupp() == frozenset() and tt.rsupp() == {2}
 
     def test_arrow_cone_reading(self, alg):
-        c = make_complex(alg, {-1: (1,), 0: (2,)}, {-1: ((alg.arrow(1, 2),),)})
+        c = make_complex(alg, {-1: (1,), 0: (2,)}, {-1: {(0, 0): alg.arrow(1, 2)}})
         tt = two_term_of(c)
         assert tt is not None
         assert tt.left == {1: 1} and tt.right == {2: 1}
+
+    def test_reading_sorts_summands_and_moves_phi_with_them(self):
+        algebra = ZigzagAlgebra(A3, QQ)
+        two = QQ.from_int(2)
+        c = make_complex(
+            algebra,
+            {-1: (3, 1), 0: (2,)},
+            {-1: {(0, 0): algebra.arrow(3, 2).scaled(two), (0, 1): algebra.arrow(1, 2)}},
+        )
+        tt = two_term_of(c)
+        assert tt.left_order == (1, 3)
+        assert tt.phi[(0, 0)].terms == algebra.arrow(1, 2).terms
+        assert tt.phi[(0, 1)].terms == algebra.arrow(3, 2).scaled(two).terms
 
     def test_wide_complex_is_not_two_term(self, alg):
         lam = sum_of_projectives(alg)
@@ -144,7 +160,7 @@ class TestTwoTerm:
         assert not is_right_proper(tt)
 
     def test_arrow_cone_is_proper_both_ways(self, alg):
-        c = make_complex(alg, {-1: (1,), 0: (2,)}, {-1: ((alg.arrow(1, 2),),)})
+        c = make_complex(alg, {-1: (1,), 0: (2,)}, {-1: {(0, 0): alg.arrow(1, 2)}})
         tt = two_term_of(c)
         assert is_right_proper(tt)
         assert is_left_proper(tt)
@@ -161,6 +177,16 @@ class TestTwoTerm:
         assert obj["side"] == 0
         assert obj["left"] == {"1": 1} and obj["right"] == {"2": 1}
         assert obj["phi"][0][0]["terms"][0]["kind"] == "arrow"
+
+    def test_json_export_writes_absent_cells_as_zero_morphisms(self):
+        algebra = ZigzagAlgebra(A3)
+        tt = two_term(algebra, 0, (1, 3), (2,), arrows={(0, 0)})
+        assert tt.to_json_obj()["phi"] == [
+            [
+                {"src": 1, "tgt": 2, "terms": [{"kind": "arrow", "coef": "1"}]},
+                {"src": 3, "tgt": 2, "terms": []},
+            ]
+        ]
 
     def test_assemble_round_trip(self, alg):
         tt = two_term(alg, 0, (1,), (2,), arrows={(0, 0)})
