@@ -84,11 +84,13 @@ class ProjComplex:
         """Canonical hashable encoding (used for caching and comparisons)."""
         fmt = self.algebra.field.format
         deg_part = tuple((d, self.summands[d]) for d in self.degrees())
-        diff_part = tuple(
-            (d, tuple((r, c, tuple((b.kind, fmt(s)) for b, s in m.terms)) for (r, c), m in sorted(mat.items())))
-            for d, mat in sorted(self.diffs.items())
-        )
-        return (deg_part, diff_part)
+        diff_part = []
+        for d, mat in sorted(self.diffs.items()):
+            entries = tuple(
+                (r, c, tuple((b.kind, fmt(s)) for b, s in m.terms)) for (r, c), m in sorted(mat.items())
+            )
+            diff_part.append((d, entries))
+        return (deg_part, tuple(diff_part))
 
     def check(self) -> None:
         """Validate entry positions and typing, and d^2 = 0 (JSON input).
@@ -544,7 +546,8 @@ def complex_from_json_obj(algebra: ZigzagAlgebra, obj: Mapping) -> ProjComplex:
     """Read the dense JSON view back: check every cell, keep the nonzero ones."""
     rank = algebra.diagram.rank
     sm: Dict[int, Tuple[int, ...]] = {}
-    for d, labels in _json_dict(_json_dict(obj, "a complex").get("degrees", {}), "degrees").items():
+    obj = _json_dict(obj, "a complex")
+    for d, labels in _json_dict(obj.get("degrees", {}), "degrees").items():
         labels = sm[int(d)] = tuple(int(v) for v in labels)
         if not all(1 <= v <= rank for v in labels):
             raise ValueError(f"degree {d}: vertex labels must lie in 1..{rank}")
