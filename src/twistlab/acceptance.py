@@ -181,11 +181,12 @@ def criterion_configuration_sanity(field: Field = GF2, scale: Scale = Scale(), c
                     basis_ji = alg.hom_basis(j, i)
                     if not basis_ij:
                         continue
-                    mat = [
-                        [alg.pairing(alg.basis_morph(f), alg.basis_morph(g)) for f in basis_ij]
-                        for g in basis_ji
-                    ]
-                    if rank(field, mat, len(basis_ij)) != len(basis_ij):
+                    mat = {
+                        (r, c): alg.pairing(alg.basis_morph(f), alg.basis_morph(g))
+                        for c, f in enumerate(basis_ij)
+                        for r, g in enumerate(basis_ji)
+                    }
+                    if rank(field, mat) != len(basis_ij):
                         failures.append(f"{name}: trace pairing not perfect on Hom(P_{i},P_{j})")
         if failures:
             return False, "; ".join(failures[:4])
@@ -370,17 +371,12 @@ def _two_term_candidates(alg: ZigzagAlgebra, max_mult: int = 2, max_total: int =
                     yield TwoTermObject(alg, u, left_order, right_order, phi)
 
 
-def _independent_at(tt: TwoTermObject, labels: Tuple[int, ...], width: int, key) -> bool:
-    """For each vertex l, phi's coefficient vectors at the positions n with labels[n] == l
-    are linearly independent; key maps an entry's (row, col) to (n, position in the vector)."""
-    k = tt.algebra.field
+def _independent_at(field: Field, labels: Tuple[int, ...], phi) -> bool:
+    """For each vertex l, the rows n of phi with labels[n] == l are linearly
+    independent; phi's entries are single arrows, read as their coefficients."""
     for l in set(labels):
-        vectors = {n: [k.zero] * width for n, lab in enumerate(labels) if lab == l}
-        for rc, m in tt.phi.items():
-            n, pos = key(rc)
-            if n in vectors:
-                vectors[n][pos] = m.terms[0][1]
-        if rank(k, list(vectors.values()), width) < len(vectors):
+        rows = {(n, c): m.terms[0][1] for (n, c), m in phi.items() if labels[n] == l}
+        if rank(field, rows) < labels.count(l):
             return False
     return True
 
@@ -388,11 +384,11 @@ def _independent_at(tt: TwoTermObject, labels: Tuple[int, ...], width: int, key)
 def _right_proper_direct(tt: TwoTermObject) -> bool:
     # Definition-level check: the rows of phi landing in the copies of each
     # P_l must be linearly independent (no split epi annihilates phi).
-    return _independent_at(tt, tt.right_order, len(tt.left_order), lambda rc: rc)
+    return _independent_at(tt.algebra.field, tt.right_order, tt.phi)
 
 
 def _left_proper_direct(tt: TwoTermObject) -> bool:
-    return _independent_at(tt, tt.left_order, len(tt.right_order), lambda rc: (rc[1], rc[0]))
+    return _independent_at(tt.algebra.field, tt.left_order, {(c, r): m for (r, c), m in tt.phi.items()})
 
 
 def _enumerate_chains(d: DynkinDiagram, depth: int):

@@ -239,7 +239,12 @@ def cmd_mesh_solve(args) -> int:
 
 def cmd_selftest(args) -> int:
     config = _config(args)
-    seed = int(os.environ.get("TWISTLAB_SEED", "0"))
+    try:
+        seed = int(os.environ.get("TWISTLAB_SEED", "0"))
+    except ValueError as exc:
+        raise InputError(f"TWISTLAB_SEED must be an integer: {exc}") from exc
+    if args.sample_longer < 0:
+        raise InputError("--sample-longer must be non-negative")
     scale = acceptance.selftest_scale(config.diagram.name(), config.max_len)
     scale = replace(scale, seed=seed, sample_longer=args.sample_longer)
     results = acceptance.run_all(config.field, scale, corrupt=args.debug_corrupt_compose)

@@ -12,6 +12,8 @@ between, which the complex (or chain map) already holds.  Differentials,
 chain-map blocks and two-term connecting maps all use this one format; the
 JSON view (complex_to_json_obj) is the only dense form, and
 complex_from_json_obj reads dense rows and keeps their nonzero entries.
+The scalar matrices of Hom complexes are sparse the same way, with nonzero
+scalars as entries, which is the format linalg reduces.
 
 cone() checks that f is a chain map on every call.  The check composes
 nonzero entries only, so it costs in proportion to the nonzero entries of
@@ -76,9 +78,6 @@ class ProjComplex:
 
     def is_zero(self) -> bool:
         return not self.summands
-
-    def total_summands(self) -> int:
-        return sum(len(t) for t in self.summands.values())
 
     def key(self) -> tuple:
         """Canonical hashable encoding (used for caching and comparisons)."""
@@ -377,17 +376,19 @@ def minimize(x: ProjComplex) -> ProjComplex:
 
 @dataclass(eq=False)
 class HomComplex:
-    """The cochain-level Hom(P_j, X): scalar matrices over the base field.
+    """The cochain-level Hom(P_j, X): sparse scalar matrices over the base field.
 
     basis[d] lists (summand index, basis morphism) pairs; mats[d] is the
-    matrix of postcomposition with the differential from degree d to d+1
-    (rows indexed by basis[d+1]).  _ranks memoizes rank_at.
+    matrix of postcomposition with the differential from degree d to d+1,
+    rows indexed by basis[d+1] and columns by basis[d].  It maps (row, col)
+    to a nonzero scalar (the linalg format), and a degree whose differential
+    is zero has no matrix.  _ranks memoizes rank_at.
     """
 
     field: Field
     vertex: int
     basis: Dict[int, Tuple[Tuple[int, MorphBasisElement], ...]]
-    mats: Dict[int, List[List[Scalar]]]
+    mats: Dict[int, Dict[Tuple[int, int], Scalar]]
     _ranks: Dict[int, int] = dataclasses.field(default_factory=dict, init=False, repr=False)
 
     def dim(self, d: int) -> int:
@@ -399,11 +400,11 @@ class HomComplex:
     def rank_at(self, d: int) -> int:
         """Rank of the differential from degree d, computed once."""
         mat = self.mats.get(d)
-        if mat is None or not mat or not mat[0]:
+        if mat is None:
             return 0
         r = self._ranks.get(d)
         if r is None:
-            r = self._ranks[d] = linalg.rank(self.field, mat, len(mat[0]))
+            r = self._ranks[d] = linalg.rank(self.field, mat)
         return r
 
     def homology_dims(self) -> Dict[int, int]:
@@ -417,7 +418,6 @@ class HomComplex:
 
 def hom_complex(j: int, x: ProjComplex) -> HomComplex:
     alg = x.algebra
-    k = alg.field
     bases: Dict[int, Tuple[MorphBasisElement, ...]] = {}  # label -> hom_basis(j, label)
     basis: Dict[int, Tuple[Tuple[int, MorphBasisElement], ...]] = {}
     index: Dict[int, Dict[Tuple[int, str], int]] = {}  # (summand, kind) -> position
@@ -432,17 +432,14 @@ def hom_complex(j: int, x: ProjComplex) -> HomComplex:
             basis[d] = tuple(items)
             index[d] = {(s, b.kind): n for n, (s, b) in enumerate(items)}
     basis_maps: Dict[MorphBasisElement, MorphElement] = {}
-    mats: Dict[int, List[List[Scalar]]] = {}
+    mats: Dict[int, Dict[Tuple[int, int], Scalar]] = {}
     for d in basis:
         if d + 1 not in basis or d not in x.diffs:
             continue
-        rows = basis[d + 1]
-        cols = basis[d]
         row_index = index[d + 1]
-        mat = [[k.zero] * len(cols) for _ in rows]
-        nonzero = False
+        mat = {}
         diff_cols = _by_col(x.diffs[d])
-        for cidx, (s, b) in enumerate(cols):
+        for cidx, (s, b) in enumerate(basis[d]):
             bm = basis_maps.get(b)
             if bm is None:
                 bm = basis_maps[b] = alg.basis_morph(b)
@@ -450,11 +447,10 @@ def hom_complex(j: int, x: ProjComplex) -> HomComplex:
             # cell is written at most once, with a nonzero coefficient
             for r, entry in diff_cols.get(s, ()):
                 for bb, coef in alg.compose(entry, bm).terms:
-                    mat[row_index[(r, bb.kind)]][cidx] = coef
-                    nonzero = True
-        if nonzero:
+                    mat[(row_index[(r, bb.kind)], cidx)] = coef
+        if mat:
             mats[d] = mat
-    return HomComplex(k, j, basis, mats)
+    return HomComplex(alg.field, j, basis, mats)
 
 
 def hom_dims(j: int, x: ProjComplex) -> Dict[int, int]:

@@ -24,7 +24,7 @@ profile_key(Lambda), needs no Hom complex at all (see _is_projective_sum).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from . import linalg
 from .braid import BraidWord
@@ -37,6 +37,7 @@ from .complexes import (
     profile_key,
     sum_of_projectives,
 )
+from .fields import Scalar
 from .twists import twist_inv, twist_word
 
 
@@ -64,55 +65,51 @@ def max_degree(t: ProjComplex) -> int:
     return _extremal_degree(profile(t), max)
 
 
-def _long_space(j: int, homs: HomComplexes, r: int):
-    """Constraint data for {[f] in Hom^r(P_j, T) : [f g_{k,j}] = 0 for all k}."""
+def _long_space(j: int, homs: HomComplexes, r: int) -> Dict[Tuple[int, int], Scalar]:
+    """Constraints cutting {f in Hom^r(P_j, T) : f cocycle, [f g_{k,j}] = 0 for all k} out of Hom^r.
+
+    A sparse matrix with one column per basis element of Hom^r(P_j, T): the
+    cocycle rows, then for each neighbour k the rows that make f g_{k,j} a
+    coboundary.
+    """
     alg = homs.complex.algebra
     k_field = alg.field
     vj = homs[j]
-    dim_r = vj.dim(r)
-    if dim_r == 0:
-        return vj, [], 0
-    rows: List[List] = []
-    cocycle = vj.mats.get(r)
-    if cocycle is not None:
-        rows.extend(cocycle)
+    rows = dict(vj.mats.get(r, {}))
+    n = vj.dim(r + 1)
     for nb in alg.diagram.neighbors(j):
         vk = homs[nb]
         if vk.dim(r) == 0:
             continue
         gamma = alg.arrow(nb, j)
-        index = {item: n for n, item in enumerate(vk.basis[r])}
-        pre = [[k_field.zero] * dim_r for _ in range(vk.dim(r))]
-        for cidx, (s, b) in enumerate(vj.basis[r]):
-            image = alg.compose(alg.basis_morph(b), gamma)
-            for bb, coef in image.terms:
-                pre[index[(s, bb)]][cidx] = k_field.add(pre[index[(s, bb)]][cidx], coef)
+        index = {item: i for i, item in enumerate(vk.basis[r])}
+        pre: Dict[int, Dict[int, Scalar]] = {}  # f g_{k,j} in vk's basis: row -> {col: coefficient}
+        for c, (s, b) in enumerate(vj.basis[r]):
+            for bb, coef in alg.compose(alg.basis_morph(b), gamma).terms:
+                pre.setdefault(index[(s, bb)], {})[c] = coef
         bmat = vk.mats.get(r - 1)
-        if bmat is None or vk.dim(r - 1) == 0:
-            rows.extend(pre)
+        if bmat is None:
+            annihilators = [{i: k_field.one} for i in pre]
         else:
-            # quotient by coboundaries: keep only the left-annihilator rows
-            for y in linalg.left_kernel_basis(k_field, bmat, vk.dim(r - 1)):
-                row = [k_field.zero] * dim_r
-                for c in range(dim_r):
-                    acc = k_field.zero
-                    for rr in range(vk.dim(r)):
-                        acc = k_field.add(acc, k_field.mul(y[rr], pre[rr][c]))
-                    row[c] = acc
-                rows.append(row)
-    boundary_rank = vj.rank_at(r - 1)
-    return vj, rows, boundary_rank
+            # never reached by peel: into a lowest summand a loop is a cocycle, not a coboundary
+            transposed = {(c, i): a for (i, c), a in bmat.items()}
+            annihilators = linalg.kernel_basis(k_field, transposed, vk.dim(r))
+        for y in annihilators:
+            for i, a in y.items():
+                for c, b in pre.get(i, {}).items():
+                    rows[(n, c)] = k_field.add(rows.get((n, c), k_field.zero), k_field.mul(a, b))
+            n += 1
+    return rows
 
 
 def long_morphism_dim(j: int, t: Subject, r: int) -> int:
     """Dimension of the space of long-morphism classes P_j -> T[r]."""
     homs = HomComplexes.of(t)
-    vj, rows, boundary_rank = _long_space(j, homs, r)
+    vj = homs[j]
     dim_r = vj.dim(r)
     if dim_r == 0:
         return 0
-    solutions = linalg.kernel_basis(homs.complex.algebra.field, rows, dim_r)
-    return len(solutions) - boundary_rank
+    return dim_r - linalg.rank(vj.field, _long_space(j, homs, r)) - vj.rank_at(r - 1)
 
 
 def peel(t: Subject) -> Tuple[int, ProjComplex]:

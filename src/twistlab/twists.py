@@ -8,8 +8,11 @@ degree higher, and X maps into them by the trace-pairing dual basis
 (coevaluation).  Both functors minimize their output, so repeated twisting
 stays small.  The complexes, chain maps and two-term connecting maps built
 here hold nonzero entries only, in the sparse Matrix format of complexes;
-their JSON views are the only dense form.  twist_inv takes a HomComplexes
-map in place of X, as profile and peel do, and reads Hom(P_i, X) from it.
+their JSON views are the only dense form.  The Hom complex's scalar matrices
+are sparse too, so the copies of P_i get a differential entry a * id for each
+nonzero scalar a, read straight from its entries.  twist_inv takes a
+HomComplexes map in place of X, as profile and peel do, and reads
+Hom(P_i, X) from it.
 
 The concrete model is the omega = 0 one: all Hom spaces between
 projectives are concentrated in degree 0, so no twist carries a shift.
@@ -40,8 +43,8 @@ from .zigzag import ZigzagAlgebra
 
 
 def _scalar_block(times_id, mat, r0: int, c0: int) -> Matrix:
-    """times_id(a) for each nonzero scalar a of mat, moved down r0 rows and right c0 columns."""
-    return {(r + r0, c + c0): times_id(a) for r, row in enumerate(mat) for c, a in enumerate(row) if a}
+    """times_id(a) for each entry a of a Hom complex matrix, moved down r0 rows and right c0 columns."""
+    return {(r + r0, c + c0): times_id(a) for (r, c), a in mat.items()}
 
 
 def twist(i: int, x: ProjComplex) -> ProjComplex:
@@ -82,7 +85,7 @@ def twist_inv(i: int, x: Union[ProjComplex, HomComplexes]) -> ProjComplex:
         mat = dict(x.diffs.get(d, {}))
         for ridx, (s, b) in enumerate(hc.basis.get(d, ())):
             mat[(x_rows + ridx, s)] = coevaluation(b)
-        mat.update(_scalar_block(times_neg_id, hc.mats.get(d - 1, ()), x_rows, x_cols))
+        mat.update(_scalar_block(times_neg_id, hc.mats.get(d - 1, {}), x_rows, x_cols))
         diffs[d] = mat
     return minimize(make_complex(alg, summands, diffs))
 

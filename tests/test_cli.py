@@ -223,6 +223,17 @@ class TestSelftest:
         assert "FAIL" in out
         assert "trace pairing" in out  # criterion 1 names the broken invariant
 
+    def test_non_integer_seed_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("TWISTLAB_SEED", "abc")
+        code, _, err = run_cli(capsys, "--diagram", "A2", "--max-len", "1", "selftest")
+        assert code == 2
+        assert "TWISTLAB_SEED" in err
+
+    def test_negative_sample_longer_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "--diagram", "A2", "--max-len", "1", "selftest", "--sample-longer", "-3")
+        assert code == 2
+        assert "--sample-longer" in err
+
     def test_seeded_sampling(self, capsys, monkeypatch):
         monkeypatch.setenv("TWISTLAB_SEED", "7")
         code, out, _ = run_cli(

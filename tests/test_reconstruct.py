@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -63,6 +65,70 @@ class TestLongMorphisms:
     def test_peeling_class_exists(self, alg):
         t = twist_word(word(A2, (1,)), sum_of_projectives(alg))
         assert long_morphism_dim(1, t, -1) >= 1
+
+    @pytest.mark.parametrize("diagram, max_len", [(A3, 2), (D4, 1)], ids=["A3", "D4"])
+    def test_coboundary_quotient_matches_brute_force(self, diagram, max_len):
+        # Reach the case where f o g_{k,j} may be a nonzero coboundary
+        # (Hom^{r-1}(P_k, T) -> Hom^r(P_k, T) is nonzero): at a degree above
+        # the minimum, and at the minimum of a twist image plus cone(id_{P_k})
+        # in degrees m-1 and m.  Recovery itself never gets there.
+        algebra = ZigzagAlgebra(diagram, GF2)
+        lam = sum_of_projectives(algebra)
+        cases = []
+        for n in range(1, max_len + 1):
+            for letters in itertools.product(diagram.vertices, repeat=n):
+                t = twist_word(word(diagram, letters), lam)
+                cases.extend((t, r) for r in t.summands)
+                m = min(t.summands)
+                for k in diagram.vertices:
+                    pair = make_complex(algebra, {m - 1: (k,), m: (k,)}, {m - 1: {(0, 0): algebra.identity(k)}})
+                    cases.append((complexes.direct_sum(t, pair), m))
+        reached = 0
+        for t, r in cases:
+            homs = complexes.HomComplexes(t)
+            for j in diagram.vertices:
+                if not any(homs[k].dim(r) and homs[k].mats.get(r - 1) for k in diagram.neighbors(j)):
+                    continue
+                reached += 1
+                assert long_morphism_dim(j, homs, r) == _brute_long_dim_gf2(t, j, r), (t.key(), j, r)
+        assert reached >= 50
+
+
+def _brute_long_dim_gf2(t, j, r):
+    """dim of {[f] in H^r(Hom(P_j, T)) : [f o g_{k,j}] = 0 for every neighbour k}, over GF(2),
+    by enumerating every cochain: no Hom complex, no linear algebra."""
+    alg = t.algebra
+
+    def cochains(i, d):
+        labels = t.summands.get(d, ())
+        coords = [(s, b) for s, lab in enumerate(labels) for b in alg.hom_basis(i, lab)]
+        for bits in itertools.product((0, 1), repeat=len(coords)):
+            f = [alg.morph(i, lab, {}) for lab in labels]
+            for (s, b), bit in zip(coords, bits):
+                if bit:
+                    f[s] = f[s] + alg.basis_morph(b)
+            yield f
+
+    def differential(f, i, d):
+        out = [alg.morph(i, lab, {}) for lab in t.summands.get(d + 1, ())]
+        for (row, col), m in t.diffs.get(d, {}).items():
+            out[row] = out[row] + alg.compose(m, f[col])
+        return out
+
+    def key(f):
+        return tuple(m.terms for m in f)
+
+    def coboundaries(i):
+        return {key(differential(h, i, r - 1)) for h in cochains(i, r - 1)}
+
+    neighbours = {k: (alg.arrow(k, j), coboundaries(k)) for k in alg.diagram.neighbors(j)}
+    long = [
+        f
+        for f in cochains(j, r)
+        if not any(m.terms for m in differential(f, j, r))
+        and all(key([alg.compose(m, g) for m in f]) in cob for g, cob in neighbours.values())
+    ]
+    return len(long).bit_length() - len(coboundaries(j)).bit_length()
 
 
 class TestPeel:

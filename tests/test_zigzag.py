@@ -124,11 +124,12 @@ class TestTrace:
                 bji = algebra.hom_basis(j, i)
                 if not bij:
                     continue
-                mat = [
-                    [algebra.pairing(algebra.basis_morph(f), algebra.basis_morph(g)) for f in bij]
-                    for g in bji
-                ]
-                assert rank(k, mat, len(bij)) == len(bij)
+                mat = {
+                    (r, c): algebra.pairing(algebra.basis_morph(f), algebra.basis_morph(g))
+                    for c, f in enumerate(bij)
+                    for r, g in enumerate(bji)
+                }
+                assert rank(k, mat) == len(bij)
 
 
 class TestElements:
