@@ -1,17 +1,20 @@
-"""ADE Dynkin diagrams, positive braid words and the exhaustive rewriting oracle.
+"""ADE Dynkin diagrams, positive braid words and the word oracle.
 
-Positive braid relations preserve word length, so the set of words equal to a
-given one in the braid monoid is finite: it is the closure under single
-applications of commutation moves (swap two adjacent non-neighbouring letters)
-and braid moves (aba -> bab for neighbouring a, b).  Equality and
-left-divisibility are decided by breadth-first search over that closure; no
-Garside machinery is used.  Practical up to word length ~10 on rank <= 8.
+The oracle decides equality and left divisibility in the positive braid
+monoid B_Gamma^+ by its left-greedy normal form (Deligne 1972; Dehornoy et al.,
+*Foundations of Garside Theory*, 2015).  A simple braid is stored as the Weyl
+group element it maps to, a permutation of the root system; a word's normal
+form is the sequence of simple factors x_1 ... x_k in which every left descent
+of x_{i+1} is a right descent of x_i.  Each letter costs at most one pass over
+the factors, so the queries are polynomial in the word length.  ``braid_class``
+keeps the exhaustive breadth-first closure as a reference for tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
+from functools import lru_cache
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 _FAMILIES = ("A", "D", "E")
 
@@ -41,7 +44,7 @@ class DynkinDiagram:
     def neighbors(self, j: int) -> frozenset[int]:
         if not 1 <= j <= self.rank:
             raise ValueError(f"unknown vertex {j} in {self.family}{self.rank}")
-        return _adjacency(self)[j]
+        return _weyl(self).adjacency[j]
 
     def adjacent(self, i: int, j: int) -> bool:
         a, b = min(i, j), max(i, j)
@@ -108,19 +111,54 @@ def neighbors(diagram: DynkinDiagram, j: int) -> frozenset[int]:
     return diagram.neighbors(j)
 
 
-_ADJ_CACHE: dict[DynkinDiagram, dict[int, frozenset[int]]] = {}
+# Root indices are bytes (E8 has 240 roots), and this is the identity table.
+_ID = bytes(range(256))
 
 
-def _adjacency(diagram: DynkinDiagram) -> dict[int, frozenset[int]]:
-    cached = _ADJ_CACHE.get(diagram)
-    if cached is None:
-        adj: dict[int, set[int]] = {v: set() for v in diagram.vertices}
-        for a, b in diagram.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        cached = {v: frozenset(ws) for v, ws in adj.items()}
-        _ADJ_CACHE[diagram] = cached
-    return cached
+class _Weyl(NamedTuple):
+    """A diagram's adjacency, and its simple reflections acting on the roots.
+
+    Roots r < npos are positive, alpha_i is r = i - 1 and root r + npos is
+    -(root r).  A Weyl group element x is the 256-byte table whose byte r is
+    the index of x(root r), fixing the bytes past the roots: s * x is
+    x.translate(s), and x^-1 is bytes.maketrans(x, _ID).
+    """
+
+    adjacency: dict[int, frozenset[int]]
+    npos: int
+    refl: tuple[bytes, ...]  # refl[i]: the table of s_{i+1}
+    negative: bytes  # negative[r] == 1 exactly when root r is negative
+
+
+@lru_cache(maxsize=32)  # bounded: at most 32 diagrams, each a few kB
+def _weyl(diagram: DynkinDiagram) -> _Weyl:
+    adj = {v: frozenset(a + b - v for a, b in diagram.edges if v in (a, b)) for v in diagram.vertices}
+
+    def reflect(i: int, x: tuple[int, ...]) -> tuple[int, ...]:
+        # s_i(x) = x - <x, alpha_i> alpha_i, and <x, alpha_i> = 2 x_i - sum of x_j over j ~ i
+        return x[: i - 1] + (sum(x[j - 1] for j in adj[i]) - x[i - 1],) + x[i:]
+
+    # s_i permutes the positive roots other than alpha_i, so closing the simple
+    # roots under the simple reflections while staying positive finds them all;
+    # images[r] lists s_1(root r), ..., s_rank(root r)
+    pos = [tuple(int(k == i) for k in diagram.vertices) for i in diagram.vertices]
+    index = {x: r for r, x in enumerate(pos)}
+    images = []
+    for x in pos:
+        images.append([reflect(i, x) for i in diagram.vertices])
+        for y in images[-1]:
+            if min(y) >= 0 and y not in index:
+                index[y] = len(pos)
+                pos.append(y)
+    npos = len(pos)
+    rest = _ID[2 * npos :]
+    refl = []
+    for i in diagram.vertices:
+        # the one image off the positive roots is s_i(alpha_i) = -alpha_i, and
+        # s_i(-x) = -s_i(x) gives the images of the negative roots
+        half = [index.get(row[i - 1], npos + i - 1) for row in images]
+        refl.append(bytes(half) + bytes((r + npos) % (2 * npos) for r in half) + rest)
+    return _Weyl(adj, npos, tuple(refl), bytes(npos) + b"\1" * npos + bytes(len(rest)))
 
 
 @dataclass(frozen=True)
@@ -186,15 +224,11 @@ def _neighbor_moves(diagram: DynkinDiagram, letters: tuple[int, ...]) -> Iterato
             yield letters[:i] + (b, a, b) + letters[i + 3 :]
 
 
-_CLASS_CACHE: dict[tuple[DynkinDiagram, tuple[int, ...]], frozenset[tuple[int, ...]]] = {}
-
-
 def braid_class(w: BraidWord) -> frozenset[tuple[int, ...]]:
-    """The full set of letter sequences monoid-equal to w (BFS closure)."""
-    key = (w.diagram, w.letters)
-    cached = _CLASS_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """The full set of letter sequences monoid-equal to w (BFS closure).
+
+    Exponential in the word length: the reference the normal form is tested against.
+    """
     seen = {w.letters}
     frontier = [w.letters]
     while frontier:
@@ -205,57 +239,119 @@ def braid_class(w: BraidWord) -> frozenset[tuple[int, ...]]:
                     seen.add(v)
                     nxt.append(v)
         frontier = nxt
-    result = frozenset(seen)
-    for u in seen:
-        _CLASS_CACHE[(w.diagram, u)] = result
-    return result
+    return frozenset(seen)
+
+
+def _descents(W: _Weyl, x: bytes) -> int:
+    """The right descents of x, byte i set for s_{i+1}; x^-1's are x's left descents."""
+    return int.from_bytes(x[: len(W.refl)].translate(W.negative), "little")
+
+
+def _lowest(mask: int) -> int:
+    """The index i of the least letter s_{i+1} in a nonzero descent mask."""
+    return ((mask & -mask).bit_length() - 1) >> 3
+
+
+def _weight(W: _Weyl, a: bytes, b: bytes):
+    """Move letters from the left of b to the right of a until (a, b) is left-weighted.
+
+    Returns the new pair, or None when (a, b) already was.  The pair is
+    left-weighted when every left descent of b is a right descent of a.
+    """
+    b_inv = bytes.maketrans(b, _ID)
+    free = _descents(W, b_inv) & ~_descents(W, a)
+    if not free:
+        return None
+    a_inv = bytes.maketrans(a, _ID)
+    while free:
+        s = W.refl[_lowest(free)]
+        a_inv = a_inv.translate(s)  # (a * s)^-1 = s * a^-1
+        a = bytes.maketrans(a_inv, _ID)
+        b = b.translate(s)
+        b_inv = bytes.maketrans(b, _ID)
+        free = _descents(W, b_inv) & ~_descents(W, a)
+    return a, b
+
+
+def _normal_form(w: BraidWord) -> list[bytes]:
+    """The left-greedy normal form of w: its simple factors, none trivial."""
+    W = _weyl(w.diagram)
+    nf: list[bytes] = []
+    for letter in w.letters:
+        s = W.refl[letter - 1]
+        if not nf or nf[-1][letter - 1] >= W.npos:
+            nf.append(s)  # s is a right descent of x_k, so (x_k, s) is left-weighted
+            continue
+        nf[-1] = bytes.maketrans(bytes.maketrans(nf[-1], _ID).translate(s), _ID)
+        # settle the pairs from the right; the domino rule keeps the new tails
+        # left-weighted, so the first pair that needs no move ends the pass.
+        # No tail becomes trivial: a left-weighted (a, b) with b != 1 has no
+        # simple product, so neither has any right multiple of it.
+        for k in range(len(nf) - 1, 0, -1):
+            pair = _weight(W, nf[k - 1], nf[k])
+            if pair is None:
+                break
+            nf[k - 1], nf[k] = pair
+    return nf
+
+
+def _strip(W: _Weyl, nf: list[bytes], i: int) -> None:
+    """Divide the normal form nf on the left by s_{i+1}, a left descent of its head.
+
+    The head of u x_2 ... x_k is the head of u x_2, so one left-to-right pass
+    makes nf normal again.
+    """
+    nf[0] = nf[0].translate(W.refl[i])
+    for k in range(len(nf)):
+        if nf[k] == _ID:
+            del nf[k]  # a trivial factor: the rest is already normal
+            return
+        pair = _weight(W, nf[k], nf[k + 1]) if k + 1 < len(nf) else None
+        if pair is None:
+            return
+        nf[k], nf[k + 1] = pair
+
+
+def _lex_least(W: _Weyl, nf: list[bytes]) -> tuple[int, ...]:
+    """The lexicographically least word of a normal form, which it consumes.
+
+    Its first letter is the least left descent of the head.
+    """
+    letters = []
+    while nf:
+        i = _lowest(_descents(W, bytes.maketrans(nf[0], _ID)))
+        letters.append(i + 1)
+        _strip(W, nf, i)
+    return tuple(letters)
 
 
 def canonical_form(w: BraidWord) -> tuple[int, ...]:
-    """Deterministic class representative (lexicographically smallest)."""
-    return min(braid_class(w))
+    """Deterministic class representative: the lexicographically least word."""
+    return _lex_least(_weyl(w.diagram), _normal_form(w))
 
 
 def equivalent(w1: BraidWord, w2: BraidWord) -> bool:
-    """Monoid equality in B_Gamma^+, decided by exhaustive rewriting."""
+    """Monoid equality in B_Gamma^+: equal lengths and equal normal forms."""
     if w1.diagram != w2.diagram:
         raise ValueError("words over different diagrams")
-    if len(w1.letters) != len(w2.letters):
-        return False
-    return w2.letters in braid_class(w1)
+    return len(w1.letters) == len(w2.letters) and _normal_form(w1) == _normal_form(w2)
 
 
 def left_divisible_by(w: BraidWord, j: int) -> Optional[BraidWord]:
     """A remainder w' with w = s_j w' if one exists, else None.
 
-    BFS with early exit: stops as soon as some representative starts with s_j.
+    s_j divides w on the left exactly when it is a left descent of the head of
+    w's normal form.  The remainder returned spells each factor of its own
+    normal form as that factor's lexicographically least word.
     """
     if not 1 <= j <= w.diagram.rank:
         raise ValueError(f"unknown vertex {j}")
-    if not w.letters:
+    W = _weyl(w.diagram)
+    nf = _normal_form(w)
+    if not nf or bytes.maketrans(nf[0], _ID)[j - 1] < W.npos:
         return None
-    cached = _CLASS_CACHE.get((w.diagram, w.letters))
-    if cached is not None:
-        best = min((u for u in cached if u[0] == j), default=None)
-        return None if best is None else BraidWord(w.diagram, best[1:])
-    if w.letters[0] == j:
-        return BraidWord(w.diagram, w.letters[1:])
-    seen = {w.letters}
-    frontier = [w.letters]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in _neighbor_moves(w.diagram, u):
-                if v not in seen:
-                    if v[0] == j:
-                        return BraidWord(w.diagram, v[1:])
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    result = frozenset(seen)
-    for u in seen:
-        _CLASS_CACHE[(w.diagram, u)] = result
-    return None
+    _strip(W, nf, j - 1)
+    return BraidWord(w.diagram, tuple(c for x in nf for c in _lex_least(W, [x])))
 
 
 def layer(w: BraidWord) -> LayeredWord:

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -91,19 +94,45 @@ class TestOracle:
                 expected = any(u[0] == j for u in cls)
                 assert (left_divisible_by(w, j) is not None) == expected
 
-    def test_no_divisor_query_caches_the_whole_class(self, monkeypatch):
-        from twistlab import braid
-
-        monkeypatch.setattr(braid, "_CLASS_CACHE", {})
+    def test_no_divisor_query_answers(self):
         # in D4, 1, 3 and 4 commute pairwise and are all adjacent to 2
         w = word(D4, (1, 3, 4, 2))
         assert left_divisible_by(w, 2) is None
         other = word(D4, (4, 1, 3, 2))
-        assert (D4, other.letters) in braid._CLASS_CACHE
         assert equivalent(other, w)
         assert not equivalent(other, word(D4, (2, 1, 3, 4)))
         assert left_divisible_by(other, 4).letters == (1, 3, 2)
         assert left_divisible_by(other, 2) is None
+
+    def test_module_state_stays_bounded(self):
+        from twistlab import braid
+
+        def sizes():
+            out = {}
+            for name, obj in vars(braid).items():
+                if hasattr(obj, "cache_info"):
+                    out[name] = obj.cache_info().currsize
+                elif isinstance(obj, (dict, list, set)):
+                    out[name] = len(obj)
+            return out
+
+        rng = random.Random(11)
+        diagrams = [diagram_from_name("A4"), diagram_from_name("E8")]
+
+        def queries(count):
+            for _ in range(count):
+                d = rng.choice(diagrams)
+                w = word(d, [rng.randint(1, d.rank) for _ in range(30)])
+                u = word(d, [rng.randint(1, d.rank) for _ in range(30)])
+                equivalent(w, u)
+                left_divisible_by(w, rng.randint(1, d.rank))
+                canonical_form(u)
+
+        queries(4)  # both diagrams' tables are built by now
+        before = sizes()
+        queries(200)
+        assert sizes() == before
+        assert braid._weyl.cache_info().maxsize is not None
 
 
 def words_strategy(diagram, max_len=6):
@@ -193,3 +222,82 @@ def test_canonical_form_constant_on_classes():
     c = canonical_form(w)
     for u in braid_class(w):
         assert canonical_form(word(A2, u)) == c
+
+
+# Every word of these corpora, checked against the exhaustive BFS class.
+EXHAUSTIVE = [("A2", 7), ("A3", 6), ("D4", 5), ("A4", 5), ("D5", 4), ("E6", 4)]
+
+
+@pytest.mark.parametrize("name,max_len", EXHAUSTIVE)
+def test_normal_form_oracle_matches_class_enumeration(name, max_len):
+    d = diagram_from_name(name)
+    for n in range(max_len + 1):
+        cls_of = {}
+        prev = None
+        for letters in itertools.product(d.vertices, repeat=n):
+            if letters not in cls_of:
+                cls = braid_class(word(d, letters))
+                cls_of.update((u, cls) for u in cls)
+            cls = cls_of[letters]
+            w = word(d, letters)
+            assert canonical_form(w) == min(cls)
+            if prev is not None:
+                assert equivalent(w, word(d, prev)) == (prev in cls)
+            prev = letters
+            for j in d.vertices:
+                rem = left_divisible_by(w, j)
+                assert (rem is not None) == any(u[:1] == (j,) for u in cls)
+                if rem is not None:
+                    assert (j,) + rem.letters in cls
+
+
+def _weyl_image(d, letters):
+    """The reflection action of the word on K_0 = Z^rank, as its images of e_1 .. e_rank.
+
+    s_i sends x to x - (sum_j c_ij x_j) e_i, with c the Cartan matrix.
+    """
+    images = []
+    for k in d.vertices:
+        x = [int(v == k) for v in d.vertices]
+        for i in reversed(letters):
+            x[i - 1] -= 2 * x[i - 1] - sum(x[j - 1] for j in d.vertices if d.adjacent(i, j))
+        images.append(tuple(x))
+    return images
+
+
+def _rewrite(d, letters, rng, moves):
+    """Apply random commutation and braid moves to a letter sequence."""
+    u = list(letters)
+    for _ in range(moves):
+        i = rng.randrange(len(u) - 1)
+        a, b = u[i], u[i + 1]
+        if a != b and not d.adjacent(a, b):
+            u[i], u[i + 1] = b, a
+        elif i + 2 < len(u) and u[i + 2] == a and d.adjacent(a, b):
+            u[i : i + 3] = [b, a, b]
+    return tuple(u)
+
+
+@pytest.mark.parametrize("name", ["A4", "D5", "E8"])
+def test_long_words(name):
+    d = diagram_from_name(name)
+    rng = random.Random(name)
+    changed = 0
+    for _ in range(5):
+        letters = tuple(rng.randint(1, d.rank) for _ in range(40))
+        w = word(d, letters)
+        c = canonical_form(w)
+        assert equivalent(word(d, c), w)
+        assert canonical_form(word(d, c)) == c
+        assert c <= letters
+        u = _rewrite(d, letters, rng, 400)
+        assert equivalent(word(d, u), w)
+        assert canonical_form(word(d, u)) == c
+        for _ in range(5):
+            v = list(u)
+            k = rng.randrange(len(v))
+            v[k] = rng.choice([j for j in d.vertices if j != v[k]])
+            if _weyl_image(d, v) != _weyl_image(d, letters):
+                changed += 1
+                assert not equivalent(word(d, v), w)
+    assert changed > 0

@@ -100,6 +100,14 @@ class TestRecover:
         assert len(payload["word"]) == 3
         assert payload["peels"][0]["min_degree"] < 0
 
+    def test_long_a4_word_is_verified(self, capsys):
+        letters = "1,2,3,4,1,2,3,1,2,1,4,3,2,1,2,3,4,3,2,1"
+        code, out, _ = run_cli(capsys, "--diagram", "A4", "recover", "--word", letters)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["verified"] is True
+        assert len(payload["word"]) == 20
+
     def test_identity(self, capsys):
         code, out, _ = run_cli(capsys, "--diagram", "A2", "recover", "--word", "")
         assert code == 0
