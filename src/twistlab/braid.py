@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 _FAMILIES = ("A", "D", "E")
 
@@ -44,7 +44,7 @@ class DynkinDiagram:
     def neighbors(self, j: int) -> frozenset[int]:
         if not 1 <= j <= self.rank:
             raise ValueError(f"unknown vertex {j} in {self.family}{self.rank}")
-        return _weyl(self).adjacency[j]
+        return _adjacency(self)[j]
 
     def adjacent(self, i: int, j: int) -> bool:
         a, b = min(i, j), max(i, j)
@@ -111,28 +111,37 @@ def neighbors(diagram: DynkinDiagram, j: int) -> frozenset[int]:
     return diagram.neighbors(j)
 
 
-# Root indices are bytes (E8 has 240 roots), and this is the identity table.
+@lru_cache(maxsize=32)  # bounded: at most 32 diagrams, each a few hundred bytes
+def _adjacency(diagram: DynkinDiagram) -> dict[int, frozenset[int]]:
+    return {v: frozenset(a + b - v for a, b in diagram.edges if v in (a, b)) for v in diagram.vertices}
+
+
+# The identity table on byte codes
 _ID = bytes(range(256))
 
 
 class _Weyl(NamedTuple):
-    """A diagram's adjacency, and its simple reflections acting on the roots.
+    """A diagram's simple reflections acting on its roots.
 
-    Roots r < npos are positive, alpha_i is r = i - 1 and root r + npos is
-    -(root r).  A Weyl group element x is the 256-byte table whose byte r is
-    the index of x(root r), fixing the bytes past the roots: s * x is
-    x.translate(s), and x^-1 is bytes.maketrans(x, _ID).
+    With npos positive roots, roots r < npos are positive, alpha_i is
+    r = i - 1 and root r + npos is -(root r).  A Weyl group element x is a
+    table whose entry r codes the index of x(root r): a 256-byte table fixing
+    the bytes past the roots while the roots fit in a byte (up to A15, D11 and
+    E8), a str of length 2 npos past that.  Both spell the group law alike:
+    s * x is x.translate(s), x * s is s.translate(x), and x^-1 is
+    invert(x, ident).
     """
 
-    adjacency: dict[int, frozenset[int]]
-    npos: int
-    refl: tuple[bytes, ...]  # refl[i]: the table of s_{i+1}
-    negative: bytes  # negative[r] == 1 exactly when root r is negative
+    ident: bytes | str
+    neg: int | str  # entry r of a table codes a negative root exactly when it is >= neg
+    refl: tuple  # refl[i]: the table of s_{i+1}
+    digit: bytes | str  # digit[r] codes "1" when root r is negative, else "0"
+    invert: Callable
 
 
-@lru_cache(maxsize=32)  # bounded: at most 32 diagrams, each a few kB
+@lru_cache(maxsize=32)  # bounded: at most 32 diagrams; tables of E8 take 2 kB, of A_n O(n^3) bytes
 def _weyl(diagram: DynkinDiagram) -> _Weyl:
-    adj = {v: frozenset(a + b - v for a, b in diagram.edges if v in (a, b)) for v in diagram.vertices}
+    adj = _adjacency(diagram)
 
     def reflect(i: int, x: tuple[int, ...]) -> tuple[int, ...]:
         # s_i(x) = x - <x, alpha_i> alpha_i, and <x, alpha_i> = 2 x_i - sum of x_j over j ~ i
@@ -151,14 +160,25 @@ def _weyl(diagram: DynkinDiagram) -> _Weyl:
                 index[y] = len(pos)
                 pos.append(y)
     npos = len(pos)
-    rest = _ID[2 * npos :]
+
+    wide = 2 * npos > 256
+
+    def table(entries: list[int]) -> bytes | str:
+        return "".join(map(chr, entries)) if wide else bytes(entries) + _ID[2 * npos :]
+
     refl = []
     for i in diagram.vertices:
         # the one image off the positive roots is s_i(alpha_i) = -alpha_i, and
         # s_i(-x) = -s_i(x) gives the images of the negative roots
         half = [index.get(row[i - 1], npos + i - 1) for row in images]
-        refl.append(bytes(half) + bytes((r + npos) % (2 * npos) for r in half) + rest)
-    return _Weyl(adj, npos, tuple(refl), bytes(npos) + b"\1" * npos + bytes(len(rest)))
+        refl.append(table(half + [(r + npos) % (2 * npos) for r in half]))
+    ident = table(list(range(2 * npos)))
+    digit = table([ord("0")] * npos + [ord("1")] * npos)
+    return _Weyl(ident, ident[npos], tuple(refl), digit, _invert_str if wide else bytes.maketrans)
+
+
+def _invert_str(x: str, ident: str) -> str:
+    return ident.translate(str.maketrans(x, ident))
 
 
 @dataclass(frozen=True)
@@ -242,47 +262,44 @@ def braid_class(w: BraidWord) -> frozenset[tuple[int, ...]]:
     return frozenset(seen)
 
 
-def _descents(W: _Weyl, x: bytes) -> int:
-    """The right descents of x, byte i set for s_{i+1}; x^-1's are x's left descents."""
-    return int.from_bytes(x[: len(W.refl)].translate(W.negative), "little")
+def _descents(W: _Weyl, x) -> int:
+    """The right descents of x, bit rank - 1 - i set for s_{i+1}; x^-1's are x's left descents."""
+    return int(x[: len(W.refl)].translate(W.digit), 2)
 
 
-def _lowest(mask: int) -> int:
+def _lowest(W: _Weyl, mask: int) -> int:
     """The index i of the least letter s_{i+1} in a nonzero descent mask."""
-    return ((mask & -mask).bit_length() - 1) >> 3
+    return len(W.refl) - mask.bit_length()
 
 
-def _weight(W: _Weyl, a: bytes, b: bytes):
+def _weight(W: _Weyl, a, b):
     """Move letters from the left of b to the right of a until (a, b) is left-weighted.
 
     Returns the new pair, or None when (a, b) already was.  The pair is
     left-weighted when every left descent of b is a right descent of a.
     """
-    b_inv = bytes.maketrans(b, _ID)
+    b_inv = W.invert(b, W.ident)
     free = _descents(W, b_inv) & ~_descents(W, a)
     if not free:
         return None
-    a_inv = bytes.maketrans(a, _ID)
     while free:
-        s = W.refl[_lowest(free)]
-        a_inv = a_inv.translate(s)  # (a * s)^-1 = s * a^-1
-        a = bytes.maketrans(a_inv, _ID)
-        b = b.translate(s)
-        b_inv = bytes.maketrans(b, _ID)
+        s = W.refl[_lowest(W, free)]
+        a = s.translate(a)  # a * s
+        b_inv = s.translate(b_inv)  # (s * b)^-1 = b^-1 * s
         free = _descents(W, b_inv) & ~_descents(W, a)
-    return a, b
+    return a, W.invert(b_inv, W.ident)
 
 
-def _normal_form(w: BraidWord) -> list[bytes]:
+def _normal_form(w: BraidWord) -> list:
     """The left-greedy normal form of w: its simple factors, none trivial."""
     W = _weyl(w.diagram)
-    nf: list[bytes] = []
+    nf = []
     for letter in w.letters:
         s = W.refl[letter - 1]
-        if not nf or nf[-1][letter - 1] >= W.npos:
+        if not nf or nf[-1][letter - 1] >= W.neg:
             nf.append(s)  # s is a right descent of x_k, so (x_k, s) is left-weighted
             continue
-        nf[-1] = bytes.maketrans(bytes.maketrans(nf[-1], _ID).translate(s), _ID)
+        nf[-1] = s.translate(nf[-1])
         # settle the pairs from the right; the domino rule keeps the new tails
         # left-weighted, so the first pair that needs no move ends the pass.
         # No tail becomes trivial: a left-weighted (a, b) with b != 1 has no
@@ -295,7 +312,7 @@ def _normal_form(w: BraidWord) -> list[bytes]:
     return nf
 
 
-def _strip(W: _Weyl, nf: list[bytes], i: int) -> None:
+def _strip(W: _Weyl, nf: list, i: int) -> None:
     """Divide the normal form nf on the left by s_{i+1}, a left descent of its head.
 
     The head of u x_2 ... x_k is the head of u x_2, so one left-to-right pass
@@ -303,7 +320,7 @@ def _strip(W: _Weyl, nf: list[bytes], i: int) -> None:
     """
     nf[0] = nf[0].translate(W.refl[i])
     for k in range(len(nf)):
-        if nf[k] == _ID:
+        if nf[k] == W.ident:
             del nf[k]  # a trivial factor: the rest is already normal
             return
         pair = _weight(W, nf[k], nf[k + 1]) if k + 1 < len(nf) else None
@@ -312,14 +329,14 @@ def _strip(W: _Weyl, nf: list[bytes], i: int) -> None:
         nf[k], nf[k + 1] = pair
 
 
-def _lex_least(W: _Weyl, nf: list[bytes]) -> tuple[int, ...]:
+def _lex_least(W: _Weyl, nf: list) -> tuple[int, ...]:
     """The lexicographically least word of a normal form, which it consumes.
 
     Its first letter is the least left descent of the head.
     """
     letters = []
     while nf:
-        i = _lowest(_descents(W, bytes.maketrans(nf[0], _ID)))
+        i = _lowest(W, _descents(W, W.invert(nf[0], W.ident)))
         letters.append(i + 1)
         _strip(W, nf, i)
     return tuple(letters)
@@ -348,7 +365,7 @@ def left_divisible_by(w: BraidWord, j: int) -> Optional[BraidWord]:
         raise ValueError(f"unknown vertex {j}")
     W = _weyl(w.diagram)
     nf = _normal_form(w)
-    if not nf or bytes.maketrans(nf[0], _ID)[j - 1] < W.npos:
+    if not nf or W.invert(nf[0], W.ident)[j - 1] < W.neg:
         return None
     _strip(W, nf, j - 1)
     return BraidWord(w.diagram, tuple(c for x in nf for c in _lex_least(W, [x])))

@@ -301,3 +301,26 @@ def test_long_words(name):
                 changed += 1
                 assert not equivalent(word(d, v), w)
     assert changed > 0
+
+
+# A15 and D11 are the largest root systems that fit byte tables; A16 and D12
+# take the str tables.
+@pytest.mark.parametrize("name", ["A15", "D11", "A16", "D12"])
+def test_high_rank_diagrams(name):
+    d = diagram_from_name(name)
+    assert neighbors(d, d.rank) == {d.rank - 1}
+    rng = random.Random(name)
+    for _ in range(40):
+        base = rng.randint(1, d.rank - 2)
+        pool = [base, base + 1, base + 2, rng.randint(1, d.rank)]
+        letters = tuple(rng.choice(pool) for _ in range(rng.randint(0, 6)))
+        w = word(d, letters)
+        assert equivalent(flatten(layer(w)), w)
+        cls = braid_class(w)
+        assert canonical_form(w) == min(cls)
+        assert all(equivalent(word(d, u), w) for u in cls)
+        for j in set(pool):
+            rem = left_divisible_by(w, j)
+            assert (rem is not None) == any(u[:1] == (j,) for u in cls)
+            if rem is not None:
+                assert (j,) + rem.letters in cls

@@ -108,6 +108,20 @@ class TestRecover:
         assert payload["verified"] is True
         assert len(payload["word"]) == 20
 
+    @pytest.mark.parametrize("name", ["A16", "D12"])
+    def test_root_system_past_a_byte(self, capsys, name):
+        last = name[1:]
+        code, out, _ = run_cli(capsys, "--diagram", name, "twist", last)
+        assert code == 0
+        assert json.loads(out)["min_degree"] == -1
+        code, out, _ = run_cli(capsys, "--diagram", name, "recover", "--word", f"1,2,{last}")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["verified"] is True
+        assert payload["word"] == [1, 2, int(last)]
+        code, out, _ = run_cli(capsys, "--diagram", name, "braid-eq", f"1,{last}", f"{last},1", "--mode", "oracle")
+        assert code == 0
+
     def test_identity(self, capsys):
         code, out, _ = run_cli(capsys, "--diagram", "A2", "recover", "--word", "")
         assert code == 0
