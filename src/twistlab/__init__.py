@@ -16,7 +16,7 @@ from .braid import (
     word,
 )
 from .fields import GF2, QQ, PrimeField, RationalField, field_from_name
-from .zigzag import MorphBasisElement, MorphElement, ZigzagAlgebra, hom_basis
+from .zigzag import ZigzagAlgebra
 from .complexes import (
     ChainMap,
     ProjComplex,

@@ -32,7 +32,7 @@ from .complexes import (
     shift,
     sum_of_projectives,
 )
-from .fields import GF2, QQ, Field
+from .fields import GF2, QQ, Field, Scalar
 from .linalg import rank
 from .meshbraid import (
     MeshError,
@@ -182,7 +182,7 @@ def criterion_configuration_sanity(field: Field = GF2, scale: Scale = Scale(), c
                     if not basis_ij:
                         continue
                     mat = {
-                        (r, c): alg.pairing(alg.basis_morph(f), alg.basis_morph(g))
+                        (r, c): alg.pairing(i, j, f, g)
                         for c, f in enumerate(basis_ij)
                         for r, g in enumerate(basis_ji)
                     }
@@ -364,31 +364,38 @@ def _two_term_candidates(alg: ZigzagAlgebra, max_mult: int = 2, max_total: int =
                     continue
                 for bits in itertools.product((0, 1), repeat=len(slots)):
                     phi = {
-                        (r, c): alg.arrow(left_order[c], right_order[r])
+                        (r, c): alg.hom_basis(left_order[c], right_order[r])[0]
                         for (r, c), bit in zip(slots, bits)
                         if bit
                     }
                     yield TwoTermObject(alg, u, left_order, right_order, phi)
 
 
-def _independent_at(field: Field, labels: Tuple[int, ...], phi) -> bool:
-    """For each vertex l, the rows n of phi with labels[n] == l are linearly
-    independent; phi's entries are single arrows, read as their coefficients."""
+def _independent_at(field: Field, labels: Tuple[int, ...], coefs) -> bool:
+    """For each vertex l, the rows n of the scalar matrix coefs with
+    labels[n] == l are linearly independent."""
     for l in set(labels):
-        rows = {(n, c): m.terms[0][1] for (n, c), m in phi.items() if labels[n] == l}
+        rows = {(n, c): a for (n, c), a in coefs.items() if labels[n] == l}
         if rank(field, rows) < labels.count(l):
             return False
     return True
 
 
+def _arrow_coefficients(tt: TwoTermObject) -> Dict[Tuple[int, int], Scalar]:
+    """phi as a scalar matrix: its entries are single arrows, read as their coefficients."""
+    alg = tt.algebra
+    return {(r, c): alg.coordinates(tt.left_order[c], tt.right_order[r], m)[0] for (r, c), m in tt.phi.items()}
+
+
 def _right_proper_direct(tt: TwoTermObject) -> bool:
     # Definition-level check: the rows of phi landing in the copies of each
     # P_l must be linearly independent (no split epi annihilates phi).
-    return _independent_at(tt.algebra.field, tt.right_order, tt.phi)
+    return _independent_at(tt.algebra.field, tt.right_order, _arrow_coefficients(tt))
 
 
 def _left_proper_direct(tt: TwoTermObject) -> bool:
-    return _independent_at(tt.algebra.field, tt.left_order, {(c, r): m for (r, c), m in tt.phi.items()})
+    coefs = {(c, r): a for (r, c), a in _arrow_coefficients(tt).items()}
+    return _independent_at(tt.algebra.field, tt.left_order, coefs)
 
 
 def _enumerate_chains(d: DynkinDiagram, depth: int):

@@ -102,7 +102,7 @@ def _object_spec(config: RunConfig, algebra: ZigzagAlgebra, spec: str) -> ProjCo
     if spec == "-":
         try:
             return complex_from_json_obj(algebra, json.load(sys.stdin))
-        except (ValueError, KeyError, TypeError, AssertionError) as exc:
+        except (ValueError, KeyError, TypeError, AssertionError, RecursionError) as exc:
             raise InputError(f"bad complex on stdin: {exc}") from exc
     raise InputError(f"unknown object spec {spec!r} (use L, P<i> or - for stdin)")
 
@@ -188,7 +188,7 @@ def cmd_mesh_solve(args) -> int:
     if args.decorated:
         try:
             s = decorated_from_json_obj(json.load(sys.stdin))
-        except (MeshError, ValueError, KeyError, TypeError) as exc:
+        except (MeshError, ValueError, KeyError, TypeError, RecursionError) as exc:
             raise InputError(f"bad decorated set on stdin: {exc}") from exc
     elif args.layered:
         try:
@@ -200,7 +200,7 @@ def cmd_mesh_solve(args) -> int:
                     raise InputError("cannot infer the seed vertex; pass --seed-vertex")
                 seed = next(iter(first))
             s = to_decorated(lw, chi_boundary(lw.diagram, seed))
-        except (MeshError, ValueError, KeyError, TypeError) as exc:
+        except (MeshError, ValueError, KeyError, TypeError, RecursionError) as exc:
             raise InputError(f"bad layered word on stdin: {exc}") from exc
     else:
         if args.word is None:

@@ -7,13 +7,17 @@ chain map f: X -> Y carries X^{d+1} (+) Y^d in degree d with differential
 [[-D_X, 0], [F, D_Y]]; a shift by n multiplies the differential by (-1)^n.
 
 Matrices are sparse: a Matrix maps (row, col) to a nonzero entry, and an
-absent key is a zero entry.  Its shape is that of the summand tuples it sits
-between, which the complex (or chain map) already holds.  Differentials,
-chain-map blocks and two-term connecting maps all use this one format; the
-JSON view (complex_to_json_obj) is the only dense form, and
-complex_from_json_obj reads dense rows and keeps their nonzero entries.
+absent key is a zero entry.  An entry is the zigzag module's pair of scalars
+(see zigzag.py); it does not say which Hom space it lies in, so the summand
+labels of its row and column are passed with it to every method of the
+algebra that composes, inverts or writes it.  A matrix's shape is that of
+the summand tuples it sits between, which the complex (or chain map) already
+holds.  Differentials, chain-map blocks and two-term connecting maps all use
+this one format; the JSON view (complex_to_json_obj) is the only dense form,
+and complex_from_json_obj reads dense rows and keeps their nonzero entries.
 The scalar matrices of Hom complexes are sparse the same way, with nonzero
-scalars as entries, which is the format linalg reduces.
+scalars as entries, which is the format linalg reduces; a Hom complex's basis
+is (summand, slot) pairs, a slot naming a basis morphism of the algebra.
 
 cone() checks that f is a chain map on every call.  The check composes
 nonzero entries only, so it costs in proportion to the nonzero entries of
@@ -45,11 +49,9 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 from . import linalg
 from .braid import DynkinDiagram
 from .fields import Field, Scalar
-from .zigzag import MorphBasisElement, MorphElement, ZigzagAlgebra
+from .zigzag import Entry, ZigzagAlgebra
 
-# Aliases name twistlab classes as strings: typing caches every subscription
-# it evaluates, and a class held there outlives a reload of its module.
-Matrix = Dict[Tuple[int, int], "MorphElement"]
+Matrix = Dict[Tuple[int, int], Entry]
 
 
 @dataclass(eq=False)
@@ -58,9 +60,10 @@ class ProjComplex:
 
     summands maps degree -> the ordered vertex labels of the summands in that
     degree; diffs maps degree d -> the nonzero entries of the differential
-    d -> d+1.  Degrees without summands, zero entries and empty matrices are
-    dropped on normalization (see make_complex).  _minimal and _profile are the
-    memos of minimize() and profile().
+    d -> d+1.  Degrees without summands and empty matrices are dropped on
+    normalization (see make_complex); zero morphisms are no entries at all
+    (see zigzag.py).  _minimal and _profile are the memos of minimize() and
+    profile().
     """
 
     algebra: ZigzagAlgebra
@@ -81,28 +84,24 @@ class ProjComplex:
 
     def key(self) -> tuple:
         """Canonical hashable encoding (used for caching and comparisons)."""
-        fmt = self.algebra.field.format
         deg_part = tuple((d, self.summands[d]) for d in self.degrees())
-        diff_part = []
-        for d, mat in sorted(self.diffs.items()):
-            entries = tuple(
-                (r, c, tuple((b.kind, fmt(s)) for b, s in m.terms)) for (r, c), m in sorted(mat.items())
-            )
-            diff_part.append((d, entries))
-        return (deg_part, tuple(diff_part))
+        diff_part = tuple((d, tuple(sorted(mat.items()))) for d, mat in sorted(self.diffs.items()))
+        return (deg_part, diff_part)
 
     def check(self) -> None:
         """Validate entry positions and typing, and d^2 = 0 (JSON input).
 
         Raises AssertionError explicitly, so the check also runs under -O.
         """
+        alg, sm = self.algebra, self.summands
         for d, mat in self.diffs.items():
-            if not _well_typed(mat, self.summands.get(d + 1, ()), self.summands.get(d, ())):
+            if not _well_typed(alg, mat, sm.get(d + 1, ()), sm.get(d, ())):
                 raise AssertionError(f"entry out of range or mistyped at degree {d}")
         for d in self.diffs:
-            prod: Dict[Tuple[int, int], MorphElement] = {}
-            _add_products(self.algebra, prod, self.diffs.get(d + 1), self.diffs[d])
-            if any(m.terms for m in prod.values()):
+            prod: Dict[Tuple[int, int], Optional[Entry]] = {}
+            labels = sm.get(d, ()), sm.get(d + 1, ()), sm.get(d + 2, ())
+            _add_products(alg, prod, self.diffs.get(d + 1), self.diffs[d], *labels)
+            if any(m is not None for m in prod.values()):
                 raise AssertionError(f"d^2 != 0 between degrees {d} and {d+2}")
 
 
@@ -111,26 +110,23 @@ def make_complex(
     summands: Mapping[int, Iterable[int]],
     diffs: Mapping[int, Matrix],
 ) -> ProjComplex:
+    """A complex from its summand labels and the nonzero entries of its differentials."""
     sm = {d: tuple(labels) for d, labels in summands.items() if tuple(labels)}
-    dd: Dict[int, Matrix] = {}
-    for d, mat in diffs.items():
-        mat = {rc: m for rc, m in mat.items() if m.terms}
-        if mat and d in sm and d + 1 in sm:
-            dd[d] = mat
+    dd = {d: mat for d, mat in diffs.items() if mat and d in sm and d + 1 in sm}
     return ProjComplex(algebra, sm, dd)
 
 
-def _well_typed(mat: Matrix, rows: Sequence[int], cols: Sequence[int]) -> bool:
-    """Every entry of mat sits inside the rows x cols shape and maps cols[c] -> rows[r]."""
+def _well_typed(algebra: ZigzagAlgebra, mat: Matrix, rows: Sequence[int], cols: Sequence[int]) -> bool:
+    """Every entry of mat sits inside the rows x cols shape and is a nonzero morphism cols[c] -> rows[r]."""
     return all(
-        0 <= r < len(rows) and 0 <= c < len(cols) and (m.src, m.tgt) == (cols[c], rows[r])
+        0 <= r < len(rows) and 0 <= c < len(cols) and algebra.in_hom(cols[c], rows[r], m)
         for (r, c), m in mat.items()
     )
 
 
-def _by_col(a: Matrix) -> Dict[int, List[Tuple[int, MorphElement]]]:
+def _by_col(a: Matrix) -> Dict[int, List[Tuple[int, Entry]]]:
     """col -> [(row, entry)] over the entries of a."""
-    out: Dict[int, List[Tuple[int, MorphElement]]] = {}
+    out: Dict[int, List[Tuple[int, Entry]]] = {}
     for (r, c), m in a.items():
         out.setdefault(c, []).append((r, m))
     return out
@@ -143,24 +139,31 @@ def _placed(mat: Optional[Matrix], r0: int, c0: int) -> Matrix:
 
 def _add_products(
     algebra: ZigzagAlgebra,
-    acc: Dict[Tuple[int, int], MorphElement],
+    acc: Dict[Tuple[int, int], Optional[Entry]],
     a: Optional[Matrix],
     b: Optional[Matrix],
+    src: Sequence[int],
+    mid: Sequence[int],
+    tgt: Sequence[int],
     sign: Optional[Scalar] = None,
 ) -> None:
-    """acc[(r, c)] += sign * (a o b)[r][c], composing nonzero entries only."""
+    """acc[(r, c)] += sign * (a o b)[r][c], composing nonzero entries only.
+
+    b maps the summands labelled src to those labelled mid, and a maps mid
+    to tgt; a cell of acc whose sum cancels holds None.
+    """
     if not a or not b:
         return
     a_cols = _by_col(a)
     for (k, c), m in b.items():
+        i, j = src[c], mid[k]
         for r, g in a_cols.get(k, ()):
-            term = algebra.compose(g, m)
-            if not term.terms:
+            term = algebra.compose(i, j, tgt[r], g, m)
+            if term is None:
                 continue
             if sign is not None:
-                term = algebra.scale(sign, term)
-            cur = acc.get((r, c))
-            acc[(r, c)] = term if cur is None else algebra.add(cur, term)
+                term = algebra.times(sign, term)
+            acc[(r, c)] = algebra.plus(acc.get((r, c)), term)
 
 
 @dataclass(eq=False)
@@ -175,16 +178,18 @@ class ChainMap:
         alg = self.src.algebra
         if alg != self.tgt.algebra:
             return False
+        xs, ys = self.src.summands, self.tgt.summands
         for d, mat in self.blocks.items():
-            if not _well_typed(mat, self.tgt.summands.get(d, ()), self.src.summands.get(d, ())):
+            if not _well_typed(alg, mat, ys.get(d, ()), xs.get(d, ())):
                 return False
         # f_{d+1} o d_X - d_Y o f_d, summed from the nonzero entries only
         neg_one = alg.field.neg(alg.field.one)
         for d in set(self.src.diffs) | set(self.blocks):
-            acc: Dict[Tuple[int, int], MorphElement] = {}
-            _add_products(alg, acc, self.blocks.get(d + 1), self.src.diffs.get(d))
-            _add_products(alg, acc, self.tgt.diffs.get(d), self.blocks.get(d), neg_one)
-            if any(m.terms for m in acc.values()):
+            acc: Dict[Tuple[int, int], Optional[Entry]] = {}
+            x_here, x_next, y_here, y_next = xs.get(d, ()), xs.get(d + 1, ()), ys.get(d, ()), ys.get(d + 1, ())
+            _add_products(alg, acc, self.blocks.get(d + 1), self.src.diffs.get(d), x_here, x_next, y_next)
+            _add_products(alg, acc, self.tgt.diffs.get(d), self.blocks.get(d), x_here, y_here, y_next, neg_one)
+            if any(m is not None for m in acc.values()):
                 return False
         return True
 
@@ -211,7 +216,7 @@ def shift(x: ProjComplex, n: int) -> ProjComplex:
     alg = x.algebra
     sm = {d - n: labels for d, labels in x.summands.items()}
     sign = alg.field.one if n % 2 == 0 else alg.field.neg(alg.field.one)
-    dd = {d - n: {rc: m.scaled(sign) for rc, m in mat.items()} for d, mat in x.diffs.items()}
+    dd = {d - n: {rc: alg.times(sign, m) for rc, m in mat.items()} for d, mat in x.diffs.items()}
     return make_complex(alg, sm, dd)
 
 
@@ -251,7 +256,7 @@ def cone(f: ChainMap) -> ProjComplex:
     for d in sm:
         # rows: X^{d+2} then Y^{d+1}; columns: X^{d+1} then Y^d
         xr, xc = len(x.summands.get(d + 2, ())), len(x.summands.get(d + 1, ()))
-        mat = {rc: m.scaled(neg_one) for rc, m in x.diffs.get(d + 1, {}).items()}
+        mat = {rc: alg.times(neg_one, m) for rc, m in x.diffs.get(d + 1, {}).items()}
         mat.update(_placed(f.blocks.get(d + 1), xr, 0))
         mat.update(_placed(y.diffs.get(d), xr, xc))
         dd[d] = mat
@@ -263,12 +268,13 @@ def cone_triangle(f: ChainMap) -> tuple[ProjComplex, ChainMap, ChainMap]:
     cone_complex = cone(f)
     x, y = f.src, f.tgt
     alg = x.algebra
+    identity = alg.scalar(alg.field.one)
     inc_blocks: Dict[int, Matrix] = {}
     proj_blocks: Dict[int, Matrix] = {}
     for d in cone_complex.summands:
-        xc = x.summands.get(d + 1, ())
-        inc_blocks[d] = {(len(xc) + r, r): alg.identity(lab) for r, lab in enumerate(y.summands.get(d, ()))}
-        proj_blocks[d] = {(r, r): alg.identity(lab) for r, lab in enumerate(xc)}
+        xc = len(x.summands.get(d + 1, ()))
+        inc_blocks[d] = {(xc + r, r): identity for r in range(len(y.summands.get(d, ())))}
+        proj_blocks[d] = {(r, r): identity for r in range(xc)}
     inclusion = ChainMap(y, cone_complex, inc_blocks)
     projection = ChainMap(cone_complex, shift(x, 1), proj_blocks)
     return cone_complex, inclusion, projection
@@ -290,8 +296,10 @@ def minimize(x: ProjComplex) -> ProjComplex:
     if x._minimal:
         return x
     alg = x.algebra
-    is_unit = alg.is_unit
-    entries: Dict[int, Dict[Tuple[int, int], MorphElement]] = {}
+    is_unit, compose = alg.is_unit, alg.compose
+    neg_one = alg.field.neg(alg.field.one)
+    labels = x.summands
+    entries: Dict[int, Dict[Tuple[int, int], Entry]] = {}
     row_cols: Dict[int, Dict[int, set]] = {}  # degree -> row -> cols with an entry
     col_rows: Dict[int, Dict[int, set]] = {}  # degree -> col -> rows with an entry
     queue: List[Tuple[int, int, int]] = []
@@ -299,10 +307,11 @@ def minimize(x: ProjComplex) -> ProjComplex:
         entries[d] = dict(mat)
         rc = row_cols[d] = {}
         cr = col_rows[d] = {}
+        rows, cols = labels[d + 1], labels[d]
         for (r, c), m in mat.items():
             rc.setdefault(r, set()).add(c)
             cr.setdefault(c, set()).add(r)
-            if is_unit(m):
+            if is_unit(cols[c], rows[r], m):
                 queue.append((d, r, c))
     heapq.heapify(queue)
 
@@ -322,26 +331,31 @@ def minimize(x: ProjComplex) -> ProjComplex:
     while queue:
         d, pr, pc = heapq.heappop(queue)
         block = entries[d]
+        rows, cols = labels[d + 1], labels[d]
         phi = block.get((pr, pc))
-        if phi is None or not is_unit(phi):
+        if phi is None or not is_unit(cols[pc], rows[pr], phi):
             continue
-        phi_inv = alg.invert_endo(phi)
+        v = rows[pr]
+        neg_phi_inv = alg.times(neg_one, alg.inverse(phi))
         row_entries = [(c, block[(pr, c)]) for c in row_cols[d][pr] if c != pc]
         col_entries = [(r, block[(r, pc)]) for r in col_rows[d][pc] if r != pr]
         for r2, g in col_entries:
-            g_phi = alg.compose(g, phi_inv)
+            # -g phi^{-1}: nonzero, as phi is a unit
+            g_phi = compose(v, v, rows[r2], g, neg_phi_inv)
             for c2, b in row_entries:
-                corr = alg.compose(g_phi, b)
+                corr = compose(cols[c2], v, rows[r2], g_phi, b)
+                if corr is None:
+                    continue
                 cur = block.get((r2, c2))
-                new = (cur - corr) if cur is not None else -corr
-                if new.terms:
+                new = alg.plus(cur, corr)
+                if new is not None:
                     if cur is None:
                         row_cols[d][r2].add(c2)
                         col_rows[d][c2].add(r2)
                     block[(r2, c2)] = new
-                    if is_unit(new):
+                    if is_unit(cols[c2], rows[r2], new):
                         heapq.heappush(queue, (d, r2, c2))
-                elif cur is not None:
+                else:
                     del block[(r2, c2)]
                     row_cols[d][r2].discard(c2)
                     col_rows[d][c2].discard(r2)
@@ -378,7 +392,8 @@ def minimize(x: ProjComplex) -> ProjComplex:
 class HomComplex:
     """The cochain-level Hom(P_j, X): sparse scalar matrices over the base field.
 
-    basis[d] lists (summand index, basis morphism) pairs; mats[d] is the
+    basis[d] lists (summand index, slot) pairs, the slot naming a morphism of
+    the algebra's hom_basis(vertex, label of the summand); mats[d] is the
     matrix of postcomposition with the differential from degree d to d+1,
     rows indexed by basis[d+1] and columns by basis[d].  It maps (row, col)
     to a nonzero scalar (the linalg format), and a degree whose differential
@@ -387,7 +402,7 @@ class HomComplex:
 
     field: Field
     vertex: int
-    basis: Dict[int, Tuple[Tuple[int, MorphBasisElement], ...]]
+    basis: Dict[int, Tuple[Tuple[int, int], ...]]
     mats: Dict[int, Dict[Tuple[int, int], Scalar]]
     _ranks: Dict[int, int] = dataclasses.field(default_factory=dict, init=False, repr=False)
 
@@ -418,36 +433,37 @@ class HomComplex:
 
 def hom_complex(j: int, x: ProjComplex) -> HomComplex:
     alg = x.algebra
-    bases: Dict[int, Tuple[MorphBasisElement, ...]] = {}  # label -> hom_basis(j, label)
-    basis: Dict[int, Tuple[Tuple[int, MorphBasisElement], ...]] = {}
-    index: Dict[int, Dict[Tuple[int, str], int]] = {}  # (summand, kind) -> position
+    bases: Dict[int, Tuple[Entry, ...]] = {}  # label -> hom_basis(j, label)
+    basis: Dict[int, Tuple[Tuple[int, int], ...]] = {}
+    index: Dict[int, Dict[Tuple[int, int], int]] = {}  # (summand, slot) -> position
     for d, labels in x.summands.items():
         items = []
         for s, lab in enumerate(labels):
             if lab not in bases:
                 bases[lab] = alg.hom_basis(j, lab)
-            for b in bases[lab]:
-                items.append((s, b))
+            items.extend((s, slot) for slot in range(len(bases[lab])))
         if items:
             basis[d] = tuple(items)
-            index[d] = {(s, b.kind): n for n, (s, b) in enumerate(items)}
-    basis_maps: Dict[MorphBasisElement, MorphElement] = {}
+            index[d] = {item: n for n, item in enumerate(items)}
     mats: Dict[int, Dict[Tuple[int, int], Scalar]] = {}
     for d in basis:
         if d + 1 not in basis or d not in x.diffs:
             continue
-        row_index = index[d + 1]
+        labels, row_labels, row_index = x.summands[d], x.summands[d + 1], index[d + 1]
         mat = {}
         diff_cols = _by_col(x.diffs[d])
-        for cidx, (s, b) in enumerate(basis[d]):
-            bm = basis_maps.get(b)
-            if bm is None:
-                bm = basis_maps[b] = alg.basis_morph(b)
-            # one entry per row r, and distinct kinds in its image: every
+        for cidx, (s, slot) in enumerate(basis[d]):
+            lab = labels[s]
+            f = bases[lab][slot]
+            # one entry per row r, and distinct slots in its image: every
             # cell is written at most once, with a nonzero coefficient
             for r, entry in diff_cols.get(s, ()):
-                for bb, coef in alg.compose(entry, bm).terms:
-                    mat[(row_index[(r, bb.kind)], cidx)] = coef
+                rlab = row_labels[r]
+                image = alg.compose(j, lab, rlab, entry, f)
+                if image is not None:
+                    for slot2, coef in enumerate(alg.coordinates(j, rlab, image)):
+                        if coef:
+                            mat[(row_index[(r, slot2)], cidx)] = coef
         if mat:
             mats[d] = mat
     return HomComplex(alg.field, j, basis, mats)
@@ -512,23 +528,19 @@ def profiles_equal(x: ProjComplex, y: ProjComplex) -> bool:
 # -- serialization -------------------------------------------------------------
 
 
-def matrix_to_json_obj(mat: Matrix, rows: Sequence[int], cols: Sequence[int]) -> List[list]:
+def matrix_to_json_obj(
+    algebra: ZigzagAlgebra, mat: Matrix, rows: Sequence[int], cols: Sequence[int]
+) -> List[list]:
     """The JSON view of a matrix: one cell per (row, col), an absent one as a zero morphism."""
-    return [
-        [
-            mat[(r, c)].to_json_obj() if (r, c) in mat else {"src": src, "tgt": tgt, "terms": []}
-            for c, src in enumerate(cols)
-        ]
-        for r, tgt in enumerate(rows)
-    ]
+    cell = algebra.entry_to_json_obj
+    return [[cell(src, tgt, mat.get((r, c))) for c, src in enumerate(cols)] for r, tgt in enumerate(rows)]
 
 
 def complex_to_json_obj(x: ProjComplex) -> dict:
+    sm = x.summands
     return {
-        "degrees": {str(d): list(x.summands[d]) for d in x.degrees()},
-        "diffs": {
-            str(d): matrix_to_json_obj(x.diffs[d], x.summands[d + 1], x.summands[d]) for d in sorted(x.diffs)
-        },
+        "degrees": {str(d): list(sm[d]) for d in x.degrees()},
+        "diffs": {str(d): matrix_to_json_obj(x.algebra, x.diffs[d], sm[d + 1], sm[d]) for d in sorted(x.diffs)},
     }
 
 
@@ -560,10 +572,11 @@ def complex_from_json_obj(algebra: ZigzagAlgebra, obj: Mapping) -> ProjComplex:
             for c, cell in enumerate(row):
                 if cell is None:
                     continue
-                m = algebra.morph_from_json_obj(cell)
-                if (m.src, m.tgt) != (col_labels[c], row_labels[r]):
+                src, tgt, m = algebra.entry_from_json_obj(cell)
+                if (src, tgt) != (col_labels[c], row_labels[r]):
                     raise ValueError(f"entry typing mismatch at {d}[{r}][{c}]")
-                mat[(r, c)] = m
+                if m is not None:
+                    mat[(r, c)] = m
     out = make_complex(algebra, sm, dd)
     out.check()
     return out

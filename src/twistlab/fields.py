@@ -2,16 +2,31 @@
 
 Scalars are plain Python values (int residues for GF(p), Fraction for the
 rationals); the field object supplies the arithmetic.  No floating point
-anywhere.
+anywhere.  parse reads only what format writes, up to a sign: an optional
+sign, digits, and optionally a slash and more digits.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Tuple, Union
 
 Scalar = Union[int, Fraction]
+
+# field_from_name's bound on p: trial division up to sqrt(p) stays fast
+MAX_FIELD_ORDER = 2**31
+
+_COEFFICIENT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def _ratio(s: str) -> Tuple[int, int]:
+    """Numerator and denominator of a coefficient in the grammar of the module docstring."""
+    if not _COEFFICIENT.fullmatch(s):
+        raise ValueError(f"malformed coefficient {s!r}")
+    num, _, den = s.partition("/")
+    return int(num), int(den or 1)
 
 
 def _is_prime(n: int) -> bool:
@@ -70,10 +85,10 @@ class PrimeField:
         return str(a % self.p)
 
     def parse(self, s: str) -> int:
-        if "/" in s:
-            num, den = s.split("/", 1)
-            return self.mul(self.from_int(int(num)), self.inv(self.from_int(int(den))))
-        return self.from_int(int(s))
+        num, den = _ratio(s)
+        if den % self.p == 0:
+            raise ValueError(f"coefficient {s!r} divides by zero in GF({self.p})")
+        return self.mul(self.from_int(num), self.inv(self.from_int(den)))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"GF({self.p})"
@@ -121,25 +136,33 @@ class RationalField:
         return f"{a.numerator}/{a.denominator}"
 
     def parse(self, s: str) -> Fraction:
-        return Fraction(s)
+        num, den = _ratio(s)
+        if den == 0:
+            raise ValueError(f"coefficient {s!r} has a zero denominator")
+        return Fraction(num, den)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return "QQ"
 
 
-Field = Union["PrimeField", "RationalField"]  # strings: see complexes.Matrix
+# Aliases name twistlab classes as strings: typing caches every subscription
+# it evaluates, and a class held there outlives a reload of its module.
+Field = Union["PrimeField", "RationalField"]
 
 GF2 = PrimeField(2)
 QQ = RationalField()
 
 
 def field_from_name(name: str) -> Field:
-    """Parse a field spec: "q" for the rationals, "f<p>" for GF(p)."""
+    """Parse a field spec: "q" for the rationals, "f<p>" for GF(p) with p < MAX_FIELD_ORDER."""
     name = name.strip().lower()
     if name in ("q", "qq", "rational", "rationals"):
         return QQ
-    if name.startswith("f") and name[1:].isdigit():
-        return PrimeField(int(name[1:]))
-    if name.startswith("gf") and name[2:].isdigit():
-        return PrimeField(int(name[2:]))
+    for prefix in ("gf", "f"):
+        digits = name[len(prefix) :]
+        if name.startswith(prefix) and digits.isdigit():
+            p = int(digits)
+            if p >= MAX_FIELD_ORDER:
+                raise ValueError(f"field order {p} is too large (the limit is {MAX_FIELD_ORDER})")
+            return PrimeField(p)
     raise ValueError(f"unknown field {name!r} (expected 'q' or 'f<p>')")

@@ -225,7 +225,7 @@ class BraidMove:
         return {"move": "braid", "a": list(self.a), "b": list(self.b), "c": list(self.c)}
 
 
-Move = Union["CommuteMove", "BraidMove"]  # strings: see complexes.Matrix
+Move = Union["CommuteMove", "BraidMove"]  # strings: see fields.Field
 MoveCertificate = Tuple[Move, ...]
 
 

@@ -74,6 +74,7 @@ def _long_space(j: int, homs: HomComplexes, r: int) -> Dict[Tuple[int, int], Sca
     """
     alg = homs.complex.algebra
     k_field = alg.field
+    labels = homs.complex.summands.get(r, ())
     vj = homs[j]
     rows = dict(vj.mats.get(r, {}))
     n = vj.dim(r + 1)
@@ -81,12 +82,17 @@ def _long_space(j: int, homs: HomComplexes, r: int) -> Dict[Tuple[int, int], Sca
         vk = homs[nb]
         if vk.dim(r) == 0:
             continue
-        gamma = alg.arrow(nb, j)
+        (gamma,) = alg.hom_basis(nb, j)
         index = {item: i for i, item in enumerate(vk.basis[r])}
         pre: Dict[int, Dict[int, Scalar]] = {}  # f g_{k,j} in vk's basis: row -> {col: coefficient}
-        for c, (s, b) in enumerate(vj.basis[r]):
-            for bb, coef in alg.compose(alg.basis_morph(b), gamma).terms:
-                pre.setdefault(index[(s, bb)], {})[c] = coef
+        for c, (s, slot) in enumerate(vj.basis[r]):
+            lab = labels[s]
+            image = alg.compose(nb, j, lab, alg.hom_basis(j, lab)[slot], gamma)
+            if image is None:
+                continue
+            for slot2, coef in enumerate(alg.coordinates(nb, lab, image)):
+                if coef:
+                    pre.setdefault(index[(s, slot2)], {})[c] = coef
         bmat = vk.mats.get(r - 1)
         if bmat is None:
             annihilators = [{i: k_field.one} for i in pre]

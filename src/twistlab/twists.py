@@ -7,10 +7,13 @@ The inverse twist dualizes: copies of P_i indexed by the same basis land one
 degree higher, and X maps into them by the trace-pairing dual basis
 (coevaluation).  Both functors minimize their output, so repeated twisting
 stays small.  The complexes, chain maps and two-term connecting maps built
-here hold nonzero entries only, in the sparse Matrix format of complexes;
-their JSON views are the only dense form.  The Hom complex's scalar matrices
-are sparse too, so the copies of P_i get a differential entry a * id for each
-nonzero scalar a, read straight from its entries.  twist_inv takes a
+here hold nonzero entries only, in the sparse Matrix format of complexes,
+and every entry comes from the algebra: a basis slot (s, slot) of the Hom
+complex, summand s labelled l, is evaluated by hom_basis(i, l)[slot] and
+coevaluated by dual_basis(i, l)[slot].  The Hom complex's scalar matrices
+are sparse too, so the copies of P_i get a differential entry scalar(a),
+a times the identity, for each nonzero scalar a, read straight from its
+entries.  JSON views are the only dense form.  twist_inv takes a
 HomComplexes map in place of X, as profile and peel do, and reads
 Hom(P_i, X) from it.
 
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, Iterable, Optional, Tuple, Union
 
 from .braid import BraidWord
@@ -42,21 +44,22 @@ from .complexes import (
 from .zigzag import ZigzagAlgebra
 
 
-def _scalar_block(times_id, mat, r0: int, c0: int) -> Matrix:
-    """times_id(a) for each entry a of a Hom complex matrix, moved down r0 rows and right c0 columns."""
-    return {(r + r0, c + c0): times_id(a) for (r, c), a in mat.items()}
+def _scalar_block(scalar, mat, r0: int, c0: int) -> Matrix:
+    """scalar(a) for each entry a of a Hom complex matrix, moved down r0 rows and right c0 columns."""
+    return {(r + r0, c + c0): scalar(a) for (r, c), a in mat.items()}
 
 
 def twist(i: int, x: ProjComplex) -> ProjComplex:
     """t_i(X) = minimize(cone(P_i (x) Hom(P_i, X) -> X))."""
     alg = x.algebra
     hc = hom_complex(i, x)
-    times_id = lru_cache(maxsize=None)(alg.identity(i).scaled)
-    evaluation = lru_cache(maxsize=None)(alg.basis_morph)
     src_summands = {d: (i,) * hc.dim(d) for d in hc.degrees()}
-    src_diffs = {d: _scalar_block(times_id, mat, 0, 0) for d, mat in hc.mats.items()}
+    src_diffs = {d: _scalar_block(alg.scalar, mat, 0, 0) for d, mat in hc.mats.items()}
     source = make_complex(alg, src_summands, src_diffs)
-    ev_blocks = {d: {(s, n): evaluation(b) for n, (s, b) in enumerate(hc.basis[d])} for d in hc.degrees()}
+    ev_blocks = {
+        d: {(s, n): alg.hom_basis(i, x.summands[d][s])[slot] for n, (s, slot) in enumerate(hc.basis[d])}
+        for d in hc.degrees()
+    }
     ev = ChainMap(source, x, ev_blocks)
     return minimize(cone(ev))
 
@@ -71,8 +74,7 @@ def twist_inv(i: int, x: Union[ProjComplex, HomComplexes]) -> ProjComplex:
     x = homs.complex
     hc = homs[i]
     alg = x.algebra
-    times_neg_id = lru_cache(maxsize=None)((-alg.identity(i)).scaled)
-    coevaluation = lru_cache(maxsize=None)(lambda b: alg.basis_morph(alg.dual_basis_element(b)))
+    neg = alg.field.neg
     summands: Dict[int, Tuple[int, ...]] = {}
     degs = set(x.summands) | {d + 1 for d in hc.degrees()}
     for d in degs:
@@ -83,9 +85,9 @@ def twist_inv(i: int, x: Union[ProjComplex, HomComplexes]) -> ProjComplex:
     for d in degs:
         x_rows, x_cols = len(x.summands.get(d + 1, ())), len(x.summands.get(d, ()))
         mat = dict(x.diffs.get(d, {}))
-        for ridx, (s, b) in enumerate(hc.basis.get(d, ())):
-            mat[(x_rows + ridx, s)] = coevaluation(b)
-        mat.update(_scalar_block(times_neg_id, hc.mats.get(d - 1, {}), x_rows, x_cols))
+        for ridx, (s, slot) in enumerate(hc.basis.get(d, ())):
+            mat[(x_rows + ridx, s)] = alg.dual_basis(i, x.summands[d][s])[slot]
+        mat.update(_scalar_block(lambda a: alg.scalar(neg(a)), hc.mats.get(d - 1, {}), x_rows, x_cols))
         diffs[d] = mat
     return minimize(make_complex(alg, summands, diffs))
 
@@ -157,7 +159,7 @@ class TwoTermObject:
             "side": self.side,
             "left": {str(j): m for j, m in sorted(self.left.items())},
             "right": {str(j): m for j, m in sorted(self.right.items())},
-            "phi": matrix_to_json_obj(self.phi, self.right_order, self.left_order),
+            "phi": matrix_to_json_obj(self.algebra, self.phi, self.right_order, self.left_order),
         }
 
 

@@ -11,91 +11,34 @@ Composition: identities are neutral, a back-and-forth pair of arrows through a
 neighbour closes to the loop (g_{j,i} o g_{i,j} = l_i), every other product of
 non-identity basis morphisms vanishes.  The trace form picks out the loop
 coefficient; it makes every pairing Hom(P_i,P_j) x Hom(P_j,P_i) -> k perfect.
+
+Entries.  A morphism P_i -> P_j is at most two scalars, so every matrix entry
+(of a differential, a chain-map block or a two-term connecting map) is a
+nonzero pair (a, b) of field scalars: a is the identity coefficient when
+i = j and the arrow coefficient when i != j; b is the loop coefficient, and
+it is 0 when i != j.  The pair is also the entry's coordinate vector in the
+basis above, cut to the dimension of Hom(P_i, P_j): slot 0 is e_i or g_{i,j},
+slot 1 is l_i.  An entry does not know i and j; the summand labels of its
+row and column do, and every method below that needs them takes them.  A
+zero morphism is no entry at all: matrices leave its cell out, and compose
+and plus return None for it.  Scalars are canonical (a residue in range(p)
+or a Fraction), so zero is the only falsy scalar.
+
+This is the only module that knows the entry format: the rest of the package
+builds, combines and reads entries through ZigzagAlgebra's methods, and the
+dense JSON cell {"src", "tgt", "terms": [{"kind", "coef"}]} exists only in
+entry_to_json_obj and entry_from_json_obj.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from dataclasses import dataclass
+from typing import Mapping, Optional, Tuple
 
 from .braid import DynkinDiagram
 from .fields import Field, GF2, Scalar
 
-KIND_ID = "id"
-KIND_LOOP = "loop"
-KIND_ARROW = "arrow"
-
-
-@dataclass(frozen=True)
-class MorphBasisElement:
-    kind: str
-    src: int
-    tgt: int
-
-    def __post_init__(self) -> None:
-        if self.kind in (KIND_ID, KIND_LOOP):
-            if self.src != self.tgt:
-                raise ValueError(f"{self.kind} morphism needs src == tgt")
-        elif self.kind != KIND_ARROW:
-            raise ValueError(f"unknown morphism kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class MorphElement:
-    """A linear combination of basis morphisms with a fixed source and target."""
-
-    algebra: "ZigzagAlgebra"
-    src: int
-    tgt: int
-    terms: tuple[tuple[MorphBasisElement, Scalar], ...]
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, b: MorphBasisElement) -> Scalar:
-        for bb, c in self.terms:
-            if bb == b:
-                return c
-        return self.algebra.field.zero
-
-    def id_coeff(self) -> Scalar:
-        if self.src == self.tgt:
-            for b, c in self.terms:
-                if b.kind == KIND_ID:
-                    return c
-        return self.algebra.field.zero
-
-    def __add__(self, other: "MorphElement") -> "MorphElement":
-        return self.algebra.add(self, other)
-
-    def __neg__(self) -> "MorphElement":
-        return self.algebra.scale(self.algebra.field.neg(self.algebra.field.one), self)
-
-    def __sub__(self, other: "MorphElement") -> "MorphElement":
-        return self + (-other)
-
-    def scaled(self, c: Scalar) -> "MorphElement":
-        return self.algebra.scale(c, self)
-
-    def compose(self, other: "MorphElement") -> "MorphElement":
-        """self o other (apply other first)."""
-        return self.algebra.compose(self, other)
-
-    def to_json_obj(self) -> dict:
-        fmt = self.algebra.field.format
-        return {
-            "src": self.src,
-            "tgt": self.tgt,
-            "terms": [{"kind": b.kind, "coef": fmt(c)} for b, c in self.terms],
-        }
-
-
-_KIND_ORDER = {KIND_ID: 0, KIND_LOOP: 1, KIND_ARROW: 2}
-
-
-def _term_key(term: tuple[MorphBasisElement, Scalar]) -> tuple:
-    b = term[0]
-    return (_KIND_ORDER[b.kind], b.src, b.tgt)
+Entry = Tuple[Scalar, Scalar]
 
 
 @dataclass(frozen=True)
@@ -110,154 +53,137 @@ class ZigzagAlgebra:
     field: Field = GF2
     corrupt_compose: bool = False
 
-    # -- basis -----------------------------------------------------------
+    # -- bases ---------------------------------------------------------------
 
-    def hom_basis(self, i: int, j: int) -> tuple[MorphBasisElement, ...]:
+    def hom_basis(self, i: int, j: int) -> Tuple[Entry, ...]:
+        """The distinguished basis of Hom(P_i, P_j) as entries, slot by slot."""
         if not (1 <= i <= self.diagram.rank and 1 <= j <= self.diagram.rank):
             raise ValueError(f"unknown vertex pair ({i}, {j})")
+        one, zero = self.field.one, self.field.zero
         if i == j:
-            return (MorphBasisElement(KIND_ID, i, i), MorphBasisElement(KIND_LOOP, i, i))
+            return ((one, zero), (zero, one))
         if self.diagram.adjacent(i, j):
-            return (MorphBasisElement(KIND_ARROW, i, j),)
+            return ((one, zero),)
         return ()
 
-    def hom_dim(self, i: int, j: int) -> int:
-        return len(self.hom_basis(i, j))
+    def dual_basis(self, i: int, j: int) -> Tuple[Entry, ...]:
+        """The basis of Hom(P_j, P_i) that the trace pairing makes dual to hom_basis(i, j).
 
-    # -- element constructors -------------------------------------------
+        Slot by slot: e_i <-> l_i, and g_{i,j} -> g_{j,i}.  Both are the
+        basis of the other Hom space in reverse slot order.
+        """
+        return self.hom_basis(i, j)[::-1]
 
-    def morph(self, src: int, tgt: int, coeffs: Mapping[MorphBasisElement, Scalar]) -> MorphElement:
-        rank = self.diagram.rank
-        terms = []
-        for b, c in coeffs.items():
-            if b.src != src or b.tgt != tgt:
-                raise ValueError(f"basis element {b} does not map {src} -> {tgt}")
-            # b in hom_basis(src, tgt), without building the basis: id and
-            # loop already force src == tgt, an arrow needs an edge
-            if not (1 <= src <= rank and 1 <= tgt <= rank):
-                raise ValueError(f"unknown vertex pair ({src}, {tgt})")
-            if b.kind == KIND_ARROW and not self.diagram.adjacent(src, tgt):
-                raise ValueError(f"{b} is not a basis element of Hom(P_{src}, P_{tgt})")
-            if not self.field.is_zero(c):
-                terms.append((b, c))
-        if len(terms) > 1:
-            terms.sort(key=_term_key)
-        return MorphElement(self, src, tgt, tuple(terms))
+    def coordinates(self, i: int, j: int, e: Entry) -> Tuple[Scalar, ...]:
+        """The coordinates of e: P_i -> P_j in hom_basis(i, j)."""
+        return e if i == j else e[:1]
 
-    def basis_morph(self, b: MorphBasisElement, c: Optional[Scalar] = None) -> MorphElement:
-        c = self.field.one if c is None else c
-        return self.morph(b.src, b.tgt, {b: c})
+    def in_hom(self, i: int, j: int, e: Entry) -> bool:
+        """e is a nonzero entry of Hom(P_i, P_j) (a check for entries from outside)."""
+        if not (1 <= i <= self.diagram.rank and 1 <= j <= self.diagram.rank):
+            return False
+        a, b = e
+        if i == j:
+            return bool(a or b)
+        return self.diagram.adjacent(i, j) and bool(a) and not b
 
-    def identity(self, i: int) -> MorphElement:
-        return self.basis_morph(MorphBasisElement(KIND_ID, i, i))
+    def scalar(self, c: Scalar) -> Entry:
+        """c times the identity of any P_i, for a nonzero scalar c."""
+        return (c, self.field.zero)
 
-    def loop(self, i: int) -> MorphElement:
-        return self.basis_morph(MorphBasisElement(KIND_LOOP, i, i))
+    # -- linear structure and composition ---------------------------------------
 
-    def arrow(self, i: int, j: int) -> MorphElement:
-        if not self.diagram.adjacent(i, j):
-            raise ValueError(f"vertices {i}, {j} are not adjacent")
-        return self.basis_morph(MorphBasisElement(KIND_ARROW, i, j))
-
-    # -- linear structure -------------------------------------------------
-
-    def add(self, f: MorphElement, g: MorphElement) -> MorphElement:
-        if (f.src, f.tgt) != (g.src, g.tgt):
-            raise ValueError("adding morphisms with different source/target")
-        acc: dict[MorphBasisElement, Scalar] = dict(f.terms)
-        for b, c in g.terms:
-            acc[b] = self.field.add(acc.get(b, self.field.zero), c)
-        return self.morph(f.src, f.tgt, acc)
-
-    def scale(self, c: Scalar, f: MorphElement) -> MorphElement:
-        if not f.terms or c == self.field.one:
+    def plus(self, e: Optional[Entry], f: Optional[Entry]) -> Optional[Entry]:
+        """e + f for entries of one Hom space, None standing for zero on both sides."""
+        if e is None:
             return f
-        return self.morph(f.src, f.tgt, {b: self.field.mul(c, a) for b, a in f.terms})
+        if f is None:
+            return e
+        add = self.field.add
+        a, b = add(e[0], f[0]), add(e[1], f[1])
+        return (a, b) if a or b else None
 
-    # -- composition ------------------------------------------------------
+    def times(self, c: Scalar, e: Entry) -> Entry:
+        """c * e for a nonzero scalar c."""
+        mul = self.field.mul
+        return (mul(c, e[0]), mul(c, e[1]))
 
-    def _compose_basis(self, g: MorphBasisElement, f: MorphBasisElement) -> Optional[MorphBasisElement]:
-        # g o f with f: i -> j, g: j -> l; returns the single basis element
-        # of the product or None when the product is zero.
-        if f.kind == KIND_ID:
-            return g
-        if g.kind == KIND_ID:
-            return f
-        if g.kind == KIND_ARROW and f.kind == KIND_ARROW:
-            if g.tgt == f.src and not self.corrupt_compose:
-                return MorphBasisElement(KIND_LOOP, f.src, f.src)
+    def compose(self, i: int, j: int, l: int, g: Entry, f: Entry) -> Optional[Entry]:
+        """g o f for f: P_i -> P_j and g: P_j -> P_l, or None when it is zero.
+
+        When i = j or j = l one factor is an endomorphism: identities are
+        neutral, so the identity (or arrow) coefficient is ga * fa, and the
+        loop kills arrows, so a loop coefficient survives only when all three
+        vertices agree.  Otherwise both factors are arrows, and their product
+        is ga * fa times the loop when the path returns to i, else zero.
+        """
+        k = self.field
+        if i == j or j == l:
+            a = k.mul(g[0], f[0])
+            b = k.add(k.mul(g[0], f[1]), k.mul(g[1], f[0])) if i == l else k.zero
+        elif i == l and not self.corrupt_compose:
+            a, b = k.zero, k.mul(g[0], f[0])
+        else:
             return None
-        # any product involving a loop (other than with an identity) vanishes
-        return None
+        return (a, b) if a or b else None
 
-    def compose(self, g: MorphElement, f: MorphElement) -> MorphElement:
-        if g.src != f.tgt:
-            raise ValueError(f"cannot compose: g has source {g.src}, f has target {f.tgt}")
-        acc: dict[MorphBasisElement, Scalar] = {}
-        for bg, cg in g.terms:
-            for bf, cf in f.terms:
-                b = self._compose_basis(bg, bf)
-                if b is not None:
-                    acc[b] = self.field.add(acc.get(b, self.field.zero), self.field.mul(cg, cf))
-        return self.morph(f.src, g.tgt, acc)
+    # -- trace form ------------------------------------------------------------
 
-    # -- trace form ---------------------------------------------------------
-
-    def trace(self, f: MorphElement) -> Scalar:
-        if f.src != f.tgt:
+    def trace(self, i: int, j: int, e: Entry) -> Scalar:
+        """The loop coefficient of an endomorphism e of P_i."""
+        if i != j:
             raise ValueError("trace is defined for endomorphisms only")
-        return f.coeff(MorphBasisElement(KIND_LOOP, f.src, f.src))
+        return e[1]
 
-    def pairing(self, f: MorphElement, g: MorphElement) -> Scalar:
-        """trace(g o f) for f: i -> j, g: j -> i."""
-        return self.trace(self.compose(g, f))
+    def pairing(self, i: int, j: int, f: Entry, g: Entry) -> Scalar:
+        """trace(g o f) for f: P_i -> P_j, g: P_j -> P_i."""
+        gf = self.compose(i, j, i, g, f)
+        return self.field.zero if gf is None else self.trace(i, i, gf)
 
-    def dual_basis_element(self, b: MorphBasisElement) -> MorphBasisElement:
-        """The trace-dual of a basis element: id <-> loop, arrow (i,j) -> arrow (j,i)."""
-        if b.kind == KIND_ID:
-            return MorphBasisElement(KIND_LOOP, b.src, b.src)
-        if b.kind == KIND_LOOP:
-            return MorphBasisElement(KIND_ID, b.src, b.src)
-        return MorphBasisElement(KIND_ARROW, b.tgt, b.src)
+    # -- units -----------------------------------------------------------------
 
-    # -- units ---------------------------------------------------------------
+    def is_unit(self, i: int, j: int, e: Entry) -> bool:
+        """e: P_i -> P_j is invertible: an endomorphism a*e_i + b*l_i with a != 0."""
+        return i == j and bool(e[0])
 
-    def is_unit(self, f: MorphElement) -> bool:
-        return f.src == f.tgt and not self.field.is_zero(f.id_coeff())
-
-    def invert_endo(self, f: MorphElement) -> MorphElement:
-        """Inverse of a unit a*id + b*loop, namely (1/a)*id - (b/a^2)*loop."""
-        if not self.is_unit(f):
+    def inverse(self, e: Entry) -> Entry:
+        """Inverse of a unit a*e_i + b*l_i, namely (1/a)*e_i - (b/a^2)*l_i."""
+        a, b = e
+        if not a:
             raise ValueError("morphism is not invertible")
         k = self.field
-        a = f.id_coeff()
-        b = f.coeff(MorphBasisElement(KIND_LOOP, f.src, f.src))
         a_inv = k.inv(a)
-        coeffs = {MorphBasisElement(KIND_ID, f.src, f.src): a_inv}
-        if not k.is_zero(b):
-            coeffs[MorphBasisElement(KIND_LOOP, f.src, f.src)] = k.neg(k.mul(b, k.mul(a_inv, a_inv)))
-        return self.morph(f.src, f.src, coeffs)
+        return (a_inv, k.neg(k.mul(b, k.mul(a_inv, a_inv))))
 
-    # -- serialization ---------------------------------------------------------
+    # -- serialization -----------------------------------------------------------
 
-    def morph_from_json_obj(self, obj: Mapping) -> MorphElement:
+    def _kinds(self, i: int, j: int) -> Tuple[str, ...]:
+        """The JSON kinds of the slots of hom_basis(i, j)."""
+        if i == j:
+            return ("id", "loop")
+        return ("arrow",) if self.diagram.adjacent(i, j) else ()
+
+    def entry_to_json_obj(self, i: int, j: int, e: Optional[Entry]) -> dict:
+        """The JSON cell of e: P_i -> P_j, its nonzero terms in slot order; None is the zero cell."""
+        terms = []
+        if e is not None:
+            fmt = self.field.format
+            terms = [{"kind": kind, "coef": fmt(c)} for kind, c in zip(self._kinds(i, j), e) if c]
+        return {"src": i, "tgt": j, "terms": terms}
+
+    def entry_from_json_obj(self, obj: Mapping) -> Tuple[int, int, Optional[Entry]]:
+        """(src, tgt, entry) of a JSON cell; every term is checked, repeated kinds add up."""
         src, tgt = int(obj["src"]), int(obj["tgt"])
-        coeffs: dict[MorphBasisElement, Scalar] = {}
+        if not (1 <= src <= self.diagram.rank and 1 <= tgt <= self.diagram.rank):
+            raise ValueError(f"unknown vertex pair ({src}, {tgt})")
+        kinds = self._kinds(src, tgt)
+        k = self.field
+        coefs = [k.zero, k.zero]
         for t in obj.get("terms", ()):
-            b = MorphBasisElement(str(t["kind"]), src, tgt)
-            c = self.field.parse(str(t["coef"]))
-            coeffs[b] = self.field.add(coeffs.get(b, self.field.zero), c)
-        return self.morph(src, tgt, coeffs)
-
-
-def hom_basis(diagram: DynkinDiagram, i: int, j: int) -> tuple[MorphBasisElement, ...]:
-    """Distinguished basis of Hom(P_i, P_j); see the module docstring."""
-    return ZigzagAlgebra(diagram).hom_basis(i, j)
-
-
-def trace(f: MorphElement) -> Scalar:
-    return f.algebra.trace(f)
-
-
-def compose(g: MorphElement, f: MorphElement) -> MorphElement:
-    return f.algebra.compose(g, f)
+            kind = str(t["kind"])
+            if kind not in kinds:
+                raise ValueError(f"{kind!r} is not a basis morphism of Hom(P_{src}, P_{tgt})")
+            slot = kinds.index(kind)
+            coefs[slot] = k.add(coefs[slot], k.parse(str(t["coef"])))
+        a, b = coefs
+        return src, tgt, ((a, b) if a or b else None)

@@ -91,6 +91,41 @@ def test_malformed_stdin_exits_2(capsys, monkeypatch, argv, payload):
     assert err.startswith("input error: bad ")
 
 
+
+def _cell_complex(coef):
+    """A one-entry complex P_1 -> P_1 in degrees 0 and 1 whose loop coefficient is coef."""
+    cell = {"src": 1, "tgt": 1, "terms": [{"kind": "loop", "coef": coef}]}
+    return json.dumps({"degrees": {"0": [1], "1": [1]}, "diffs": {"0": [[cell]]}})
+
+
+# Hostile input: each ends at once with exit 2 and a message, not with a
+# traceback (a zero denominator, deep nesting) or a hang (a huge exponent or
+# field order).  (field, command, stdin, expected message)
+HOSTILE_CASES = {
+    "zero-denominator-q": ("q", ["recover"], _cell_complex("1/0"), "zero denominator"),
+    "zero-denominator-f2": ("f2", ["recover"], _cell_complex("1/2"), "divides by zero in GF(2)"),
+    "coefficient-exponent": ("q", ["recover"], _cell_complex("1e999999999"), "malformed coefficient"),
+    "nested-complex": ("f2", ["recover"], "[" * 100000 + "]" * 100000, "bad complex on stdin"),
+    "nested-layered": ("f2", ["mesh-solve", "--layered"], "[" * 100000 + "]" * 100000, "bad layered word"),
+    "nested-decorated": ("f2", ["mesh-solve", "--decorated"], "[" * 100000 + "]" * 100000, "bad decorated set"),
+    "huge-field-order": ("f1000000000000000000000000000057", ["twist", "1"], "", "too large"),
+}
+
+
+@pytest.mark.parametrize("field,argv,text,message", HOSTILE_CASES.values(), ids=list(HOSTILE_CASES))
+def test_hostile_input_exits_2_at_once(capsys, monkeypatch, field, argv, text, message):
+    import io
+    import time
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "--diagram", "A2", "--field", field, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ") and message in err
+
+
 class TestRecover:
     def test_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, "--diagram", "A2", "recover", "--word", "1,2,1")

@@ -51,7 +51,7 @@ class TestTwist:
     def test_twist_of_adjacent_is_arrow_cone(self, alg):
         t = twist(1, projective(alg, 2))
         assert t.summands == {-1: (1,), 0: (2,)}
-        assert t.diffs[-1][(0, 0)].terms == alg.arrow(1, 2).terms
+        assert t.diffs[-1][(0, 0)] == alg.hom_basis(1, 2)[0]
 
     def test_twist_word_identity(self, alg):
         lam = sum_of_projectives(alg)
@@ -90,7 +90,7 @@ class TestTwistInverse:
     def test_inverse_of_adjacent(self, alg):
         t = twist_inv(1, projective(alg, 2))
         assert t.summands == {0: (2,), 1: (1,)}
-        assert t.diffs[0][(0, 0)].terms == alg.arrow(2, 1).terms
+        assert t.diffs[0][(0, 0)] == alg.hom_basis(2, 1)[0]
 
     def test_roundtrips_on_small_corpus(self, alg):
         lam = sum_of_projectives(alg)
@@ -117,7 +117,7 @@ class TestTwistInverse:
 
 def two_term(algebra, side, left, right, arrows):
     """Build a TwoTermObject with given summand tuples and 0/1 arrow pattern."""
-    phi = {(r, c): algebra.arrow(left[c], right[r]) for r, c in arrows}
+    phi = {(r, c): algebra.hom_basis(left[c], right[r])[0] for r, c in arrows}
     return TwoTermObject(algebra, side, left, right, phi)
 
 
@@ -128,7 +128,7 @@ class TestTwoTerm:
         assert tt.side == 0 and tt.lsupp() == frozenset() and tt.rsupp() == {2}
 
     def test_arrow_cone_reading(self, alg):
-        c = make_complex(alg, {-1: (1,), 0: (2,)}, {-1: {(0, 0): alg.arrow(1, 2)}})
+        c = make_complex(alg, {-1: (1,), 0: (2,)}, {-1: {(0, 0): alg.hom_basis(1, 2)[0]}})
         tt = two_term_of(c)
         assert tt is not None
         assert tt.left == {1: 1} and tt.right == {2: 1}
@@ -139,12 +139,12 @@ class TestTwoTerm:
         c = make_complex(
             algebra,
             {-1: (3, 1), 0: (2,)},
-            {-1: {(0, 0): algebra.arrow(3, 2).scaled(two), (0, 1): algebra.arrow(1, 2)}},
+            {-1: {(0, 0): algebra.times(two, algebra.hom_basis(3, 2)[0]), (0, 1): algebra.hom_basis(1, 2)[0]}},
         )
         tt = two_term_of(c)
         assert tt.left_order == (1, 3)
-        assert tt.phi[(0, 0)].terms == algebra.arrow(1, 2).terms
-        assert tt.phi[(0, 1)].terms == algebra.arrow(3, 2).scaled(two).terms
+        assert tt.phi[(0, 0)] == algebra.hom_basis(1, 2)[0]
+        assert tt.phi[(0, 1)] == algebra.times(two, algebra.hom_basis(3, 2)[0])
 
     def test_wide_complex_is_not_two_term(self, alg):
         lam = sum_of_projectives(alg)
@@ -160,7 +160,7 @@ class TestTwoTerm:
         assert not is_right_proper(tt)
 
     def test_arrow_cone_is_proper_both_ways(self, alg):
-        c = make_complex(alg, {-1: (1,), 0: (2,)}, {-1: {(0, 0): alg.arrow(1, 2)}})
+        c = make_complex(alg, {-1: (1,), 0: (2,)}, {-1: {(0, 0): alg.hom_basis(1, 2)[0]}})
         tt = two_term_of(c)
         assert is_right_proper(tt)
         assert is_left_proper(tt)
