@@ -29,7 +29,6 @@ from .complexes import (
     minimize,
     profile,
     profile_key,
-    profiles_equal,
     projective,
     shift,
     sum_of_projectives,
@@ -39,6 +38,7 @@ from .twists import (
     TwoTermPrediction,
     is_left_proper,
     is_right_proper,
+    is_twist_image,
     reflect_minus,
     reflect_plus,
     twist,
@@ -51,12 +51,10 @@ from .twists import (
 from .reconstruct import (
     NotTwistImage,
     long_morphism_dim,
-    max_degree,
     min_degree,
     peel,
     recover_trace,
     recover_word,
-    words_equal_via_category,
 )
 from .meshbraid import (
     BraidMove,

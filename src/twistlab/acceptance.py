@@ -11,7 +11,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .braid import (
     BraidWord,
@@ -51,6 +51,8 @@ from .twists import (
     TwoTermObject,
     is_left_proper,
     is_right_proper,
+    is_twist_image,
+    iso_to_sum,
     reflect_minus,
     reflect_plus,
     twist,
@@ -130,12 +132,20 @@ def twist_corpus(algebra: ZigzagAlgebra, max_len: int) -> Dict[Tuple[int, ...], 
 
 def profile_partition(algebra: ZigzagAlgebra, max_len: int) -> Dict[Tuple[int, ...], tuple]:
     """word -> profile key, over all words of length <= max_len."""
-    corpus = twist_corpus(algebra, max_len)
-    return {w: profile_key(t) for w, t in corpus.items()}
+    return {w: profile_key(t) for w, t in twist_corpus(algebra, max_len).items()}
 
 
-def oracle_partition(diagram: DynkinDiagram, words: Iterable[Tuple[int, ...]]) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
-    return {w: canonical_form(BraidWord(diagram, w)) for w in words}
+def _image_classes(corpus: Dict[Tuple[int, ...], ProjComplex]) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
+    """word -> the first corpus word with an isomorphic image: profile keys bucket, is_twist_image decides."""
+    lam = corpus[()]
+    reps: Dict[tuple, List[Tuple[int, ...]]] = {}
+    classes: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+    for w, t in corpus.items():
+        bucket = reps.setdefault(profile_key(t), [])
+        classes[w] = next((r for r in bucket if is_twist_image(t, BraidWord(lam.diagram, r), lam)), w)
+        if classes[w] == w:
+            bucket.append(w)
+    return classes
 
 
 def _groups(mapping: Dict) -> frozenset:
@@ -195,16 +205,18 @@ def criterion_configuration_sanity(field: Field = GF2, scale: Scale = Scale(), c
     return _timed(run, 1, "configuration sanity")
 
 
-def _axiom_corpus(field: Field, scale: Scale, corrupt: bool = False) -> List[ProjComplex]:
-    objects: List[ProjComplex] = []
+def _axiom_corpus(field: Field, scale: Scale, corrupt: bool = False) -> List[Tuple[ProjComplex, BraidWord, ProjComplex]]:
+    """(X, w, B) with X = t_w(B), for B a sum of projectives in a single degree."""
+    objects: List[Tuple[ProjComplex, BraidWord, ProjComplex]] = []
     for name, max_len in scale.axiom_corpora:
         alg = ZigzagAlgebra(diagram_from_name(name), field, corrupt_compose=corrupt)
-        objects.extend(twist_corpus(alg, max_len).values())
+        corpus = twist_corpus(alg, max_len)
+        objects.extend((t, BraidWord(alg.diagram, w), corpus[()]) for w, t in corpus.items())
     for name in ("A2", "A3", "D4"):
         alg = ZigzagAlgebra(diagram_from_name(name), field, corrupt_compose=corrupt)
         for i in alg.diagram.vertices:
             p = projective(alg, i)
-            objects.extend((p, shift(p, 1), shift(p, -1)))
+            objects.extend((x, BraidWord(alg.diagram, ()), x) for x in (p, shift(p, 1), shift(p, -1)))
     return objects
 
 
@@ -218,19 +230,19 @@ def criterion_twist_axioms(field: Field = GF2, scale: Scale = Scale(), corrupt: 
             d = alg.diagram
             for i in d.vertices:
                 pi = projective(alg, i)
-                if profile_key(twist(i, pi)) != profile_key(shift(pi, 1)):
+                if not iso_to_sum(twist(i, pi), shift(pi, 1)):
                     return False, f"{name}: t_{i}(P_{i}) is not P_{i}[1]"
                 for k in d.vertices:
                     if k != i and not d.adjacent(i, k):
                         pk = projective(alg, k)
-                        if profile_key(twist(i, pk)) != profile_key(pk):
+                        if not iso_to_sum(twist(i, pk), pk):
                             return False, f"{name}: t_{i}(P_{k}) moved a non-adjacent stalk"
         # quasi-inverse on the corpus
-        for x in objects:
+        for x, w, base in objects:
             for i in x.diagram.vertices:
-                if profile_key(twist_inv(i, twist(i, x))) != profile_key(x):
+                if not is_twist_image(twist_inv(i, twist(i, x)), w, base):
                     return False, f"t_{i}^-1 t_{i} != id on {x.summands}"
-                if profile_key(twist(i, twist_inv(i, x))) != profile_key(x):
+                if not is_twist_image(twist(i, twist_inv(i, x)), w, base):
                     return False, f"t_{i} t_{i}^-1 != id on {x.summands}"
                 checked += 1
         return True, f"{len(objects)} corpus objects, {checked} roundtrips"
@@ -248,14 +260,15 @@ def criterion_braid_relations(field: Field = GF2, scale: Scale = Scale(), corrup
             adjacent_pairs = [(i, j) for i in d.vertices for j in d.vertices if i < j and d.adjacent(i, j)]
             commuting_pairs = [(i, j) for i in d.vertices for j in d.vertices if i < j and not d.adjacent(i, j)]
             for w, t in corpus.items():
+                # t_i t_j t_i T_w against t_j t_i t_j T_w = t_{jijw}(Lambda), and
+                # t_i t_j T_w against t_j t_i T_w = t_{jiw}(Lambda)
                 for (i, j) in adjacent_pairs:
                     lhs = twist(i, twist(j, twist(i, t)))
-                    rhs = twist(j, twist(i, twist(j, t)))
-                    if profile_key(lhs) != profile_key(rhs):
+                    if not is_twist_image(lhs, BraidWord(d, (j, i, j) + w), corpus[()]):
                         return False, f"{name}: braid relation fails for ({i},{j}) on w={w}"
                     checked += 1
                 for (i, j) in commuting_pairs:
-                    if profile_key(twist(i, twist(j, t))) != profile_key(twist(j, twist(i, t))):
+                    if not is_twist_image(twist(i, twist(j, t)), BraidWord(d, (j, i) + w), corpus[()]):
                         return False, f"{name}: commutation fails for ({i},{j}) on w={w}"
                     checked += 1
         return True, f"{checked} relation instances"
@@ -269,17 +282,17 @@ def criterion_faithfulness(field: Field = GF2, scale: Scale = Scale(), corrupt: 
         for name, max_len in scale.faithfulness_corpora:
             d = diagram_from_name(name)
             alg = ZigzagAlgebra(d, field, corrupt_compose=corrupt)
-            profiles = profile_partition(alg, max_len)
-            oracle = oracle_partition(d, profiles.keys())
-            if _groups(profiles) != _groups(oracle):
+            classes = _image_classes(twist_corpus(alg, max_len))
+            oracle = {w: canonical_form(BraidWord(d, w)) for w in classes}
+            if _groups(classes) != _groups(oracle):
                 mism = next(
                     (w1, w2)
-                    for w1 in profiles
-                    for w2 in profiles
-                    if (profiles[w1] == profiles[w2]) != (oracle[w1] == oracle[w2])
+                    for w1 in classes
+                    for w2 in classes
+                    if (classes[w1] == classes[w2]) != (oracle[w1] == oracle[w2])
                 )
                 return False, f"{name} l<={max_len}: partition mismatch at {mism}"
-            total += len(profiles)
+            total += len(classes)
         return True, f"{total} words, partitions agree"
 
     return _timed(run, 4, "faithfulness / word problem")
@@ -618,18 +631,19 @@ def criterion_characteristic_independence(scale: Scale = Scale(), corrupt: bool 
         for fld in (GF2, QQ):
             alg = ZigzagAlgebra(d, fld, corrupt_compose=corrupt)
             corpus = twist_corpus(alg, max_len)
-            partition = _groups({w: profile_key(t) for w, t in corpus.items()})
+            lam = corpus[()]
+            partition = _groups(_image_classes(corpus))
             roundtrips = {w: recover_word(t).letters for w, t in corpus.items()}
             axioms = []
             for i in d.vertices:
                 pi = projective(alg, i)
-                axioms.append(profile_key(twist(i, pi)) == profile_key(shift(pi, 1)))
+                axioms.append(iso_to_sum(twist(i, pi), shift(pi, 1)))
                 for w, t in corpus.items():
                     if len(w) > 2:
                         continue
-                    axioms.append(profile_key(twist_inv(i, twist(i, t))) == profile_key(t))
+                    axioms.append(is_twist_image(twist_inv(i, twist(i, t)), BraidWord(d, w), lam))
             braid_ok = all(
-                profile_key(twist(1, twist(2, twist(1, t)))) == profile_key(twist(2, twist(1, twist(2, t))))
+                is_twist_image(twist(1, twist(2, twist(1, t))), BraidWord(d, (2, 1, 2) + w), lam)
                 for w, t in corpus.items()
                 if len(w) <= 3
             )

@@ -30,7 +30,6 @@ from .complexes import (
     complex_to_json_obj,
     minimize,
     profile,
-    profiles_equal,
     projective,
     sum_of_projectives,
 )
@@ -47,13 +46,16 @@ from .meshbraid import (
     word_of,
 )
 from .reconstruct import NotTwistImage, recover_trace
-from .twists import twist_word
+from .twists import is_twist_image, twist_word
 from .zigzag import ZigzagAlgebra
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_BREACH = 3
+
+# selftest's corpus budget: the D4 words up to 5 letters, the largest corpus the full-scale sweep runs
+MAX_SELFTEST_WORDS = 1365
 
 
 @dataclass
@@ -143,10 +145,7 @@ def cmd_recover(args) -> int:
     except NotTwistImage as exc:
         print(f"not a twist image: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    if source_word is not None:
-        verified = equivalent(rec, source_word)
-    else:
-        verified = profiles_equal(twist_word(rec, lam), t)
+    verified = equivalent(rec, source_word) if source_word is not None else is_twist_image(t, rec, lam)
     payload = {
         "word": list(rec.letters),
         "verified": verified,
@@ -168,9 +167,8 @@ def cmd_braid_eq(args) -> int:
     if args.mode in ("oracle", "both"):
         verdicts["oracle"] = equivalent(w1, w2)
     if args.mode in ("category", "both"):
-        algebra = ZigzagAlgebra(config.diagram, config.field)
-        lam = sum_of_projectives(algebra)
-        verdicts["category"] = profiles_equal(twist_word(w1, lam), twist_word(w2, lam))
+        lam = sum_of_projectives(ZigzagAlgebra(config.diagram, config.field))
+        verdicts["category"] = is_twist_image(twist_word(w2, lam), w1, lam)
     payload.update(verdicts)
     if len(verdicts) == 2 and verdicts["oracle"] != verdicts["category"]:
         payload["equal"] = None
@@ -245,6 +243,10 @@ def cmd_selftest(args) -> int:
         raise InputError(f"TWISTLAB_SEED must be an integer: {exc}") from exc
     if args.sample_longer < 0:
         raise InputError("--sample-longer must be non-negative")
+    # every rank is at least 2, so 11 letters already exceed the budget
+    words = sum(config.diagram.rank**k for k in range(min(config.max_len, 11) + 1))
+    if words > MAX_SELFTEST_WORDS:
+        raise InputError(f"--max-len {config.max_len} gives more than {MAX_SELFTEST_WORDS} words")
     scale = acceptance.selftest_scale(config.diagram.name(), config.max_len)
     scale = replace(scale, seed=seed, sample_longer=args.sample_longer)
     results = acceptance.run_all(config.field, scale, corrupt=args.debug_corrupt_compose)

@@ -83,7 +83,7 @@ class ProjComplex:
         return not self.summands
 
     def key(self) -> tuple:
-        """Canonical hashable encoding (used for caching and comparisons)."""
+        """Hashable encoding of this presentation; isomorphic complexes (summands reordered, say) can differ."""
         deg_part = tuple((d, self.summands[d]) for d in self.degrees())
         diff_part = tuple((d, tuple(sorted(mat.items()))) for d, mat in sorted(self.diffs.items()))
         return (deg_part, diff_part)
@@ -495,7 +495,7 @@ class HomComplexes(dict):
 
 
 def profile(x: Union[ProjComplex, HomComplexes]) -> HomProfile:
-    """(vertex, degree) -> dim Hom^degree(P_vertex, X); the comparison invariant.
+    """(vertex, degree) -> dim Hom^degree(P_vertex, X), an invariant of X up to isomorphism.
 
     x is a complex, or the HomComplexes map of one, whose Hom complexes are
     then read instead of built.  Computed once per complex; every call
@@ -511,18 +511,16 @@ def profile(x: Union[ProjComplex, HomComplexes]) -> HomProfile:
 
 
 def profile_key(x: ProjComplex) -> tuple:
-    """Key combining the minimized summand lists and the hom profile."""
+    """Hash bucket: the minimized summand lists and the hom profile.
+
+    Unequal keys prove two objects are not isomorphic; equal keys prove
+    nothing (twists.is_twist_image decides).
+    """
     m = minimize(x)
     summand_part = tuple((d, tuple(sorted(m.summands[d]))) for d in m.degrees())
     prof = profile(m)
     prof_part = tuple(sorted(prof.items()))
     return (summand_part, prof_part)
-
-
-def profiles_equal(x: ProjComplex, y: ProjComplex) -> bool:
-    if x.algebra != y.algebra:
-        raise ValueError("comparing complexes over different algebras")
-    return profile_key(x) == profile_key(y)
 
 
 # -- serialization -------------------------------------------------------------

@@ -4,8 +4,8 @@ Peeling one letter works like this: at the minimal nonzero degree m of T,
 look for a vertex j admitting a long morphism P_j -> T[m], i.e. a homology
 class killed by precomposition with every neighbour arrow.  Such a j is a
 left divisor of the hidden word; applying the inverse twist strips it.
-Iterating until the profile matches the sum of all projectives recovers a
-word equal to the original in the braid monoid, of the same length.
+Iterating until what is left is isomorphic to the sum of all projectives
+recovers a word equal to the original in the braid monoid, of the same length.
 
 Inputs that are not twist images fail with NotTwistImage instead of
 returning garbage, so this module doubles as a validator.
@@ -17,8 +17,8 @@ spaces of peel, for j and its neighbours alike, and the inverse twist that
 strips the peeled letter.  profile, peel, long_morphism_dim and twist_inv
 take the map wherever they take T, and read T from it.
 The map is dropped when the step ends; only the small profile stays
-memoized on T.  The test for the end of the word, profile_key(T) ==
-profile_key(Lambda), needs no Hom complex at all (see _is_projective_sum).
+memoized on T.  The word ends when the minimal T is isomorphic to Lambda,
+which twists.iso_to_sum reads off T's summands with no Hom complex at all.
 """
 
 from __future__ import annotations
@@ -34,11 +34,10 @@ from .complexes import (
     ProjComplex,
     minimize,
     profile,
-    profile_key,
     sum_of_projectives,
 )
 from .fields import Scalar
-from .twists import twist_inv, twist_word
+from .twists import iso_to_sum, twist_inv
 
 
 class NotTwistImage(Exception):
@@ -49,20 +48,15 @@ class NotTwistImage(Exception):
 Subject = Union["ProjComplex", "HomComplexes"]
 
 
-def _extremal_degree(prof: HomProfile, pick) -> int:
+def _min_degree(prof: HomProfile) -> int:
     if not prof:
         raise NotTwistImage("zero object has no extremal degree")
-    return pick(d for (_, d) in prof)
+    return min(d for (_, d) in prof)
 
 
 def min_degree(t: ProjComplex) -> int:
     """Smallest k with Hom^k(Lambda, T) nonzero."""
-    return _extremal_degree(profile(t), min)
-
-
-def max_degree(t: ProjComplex) -> int:
-    """Largest k with Hom^k(Lambda, T) nonzero."""
-    return _extremal_degree(profile(t), max)
+    return _min_degree(profile(t))
 
 
 def _long_space(j: int, homs: HomComplexes, r: int) -> Dict[Tuple[int, int], Scalar]:
@@ -128,7 +122,7 @@ def peel(t: Subject) -> Tuple[int, ProjComplex]:
     """
     homs = HomComplexes.of(t)
     t = homs.complex
-    m = _extremal_degree(profile(homs), min)
+    m = _min_degree(profile(homs))
     if m >= 0:
         raise NotTwistImage("minimal degree is non-negative: nothing to peel")
     for j in t.diagram.vertices:
@@ -143,17 +137,6 @@ class PeelStep:
     min_degree: int
 
 
-def _is_projective_sum(m: ProjComplex) -> bool:
-    """profile_key(m) == profile_key(Lambda), for a minimal complex m.
-
-    The summand parts of the keys agree exactly when m holds each P_i once,
-    all in degree 0.  Such an m has no differential (a differential needs
-    two degrees), so it is Lambda with its summands permuted, and the
-    profile parts agree as well.
-    """
-    return len(m.summands) == 1 and sorted(m.summands.get(0, ())) == list(m.diagram.vertices)
-
-
 def recover_trace(t: ProjComplex) -> Tuple[BraidWord, Tuple[PeelStep, ...]]:
     """recover_word plus the per-step peel log.
 
@@ -165,12 +148,13 @@ def recover_trace(t: ProjComplex) -> Tuple[BraidWord, Tuple[PeelStep, ...]]:
     """
     letters: List[int] = []
     steps: List[PeelStep] = []
+    lam = sum_of_projectives(t.algebra)
     current = minimize(t)
     previous: Optional[Tuple[int, int]] = None
-    while not _is_projective_sum(current):
+    while not iso_to_sum(current, lam):
         homs = HomComplexes(current)
         prof = profile(homs)
-        m = _extremal_degree(prof, min)
+        m = _min_degree(prof)
         potential = (-m, sum(h for (_, k), h in prof.items() if k == m))
         if previous is not None and potential >= previous:
             raise NotTwistImage("peeling failed to make progress")
@@ -189,13 +173,3 @@ def recover_word(t: ProjComplex) -> BraidWord:
     """The positive word whose twist image is T (up to monoid equality)."""
     return recover_trace(t)[0]
 
-
-def words_equal_via_category(w1: BraidWord, w2: BraidWord) -> bool:
-    """Decide monoid equality by comparing twist-image profiles (faithfulness)."""
-    if w1.diagram != w2.diagram:
-        raise ValueError("words over different diagrams")
-    from .zigzag import ZigzagAlgebra
-
-    alg = ZigzagAlgebra(w1.diagram)
-    lam = sum_of_projectives(alg)
-    return profile_key(twist_word(w1, lam)) == profile_key(twist_word(w2, lam))

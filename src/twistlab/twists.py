@@ -112,6 +112,26 @@ def twist_inv_word(w: BraidWord, x: ProjComplex) -> ProjComplex:
     return out
 
 
+# -- isomorphism ---------------------------------------------------------------
+
+
+def iso_to_sum(m: ProjComplex, base: ProjComplex) -> bool:
+    """Decide m = base up to isomorphism, for a minimal m and a sum of projectives base in a single degree.
+
+    Minimal complexes are unique up to isomorphism (Khovanov-Seidel 2002),
+    so m must hold base's summands in base's degree.
+    """
+    if len(base.summands) != 1 or m.algebra != base.algebra:
+        raise ValueError("the base must be a sum of projectives in a single degree, over the same algebra")
+    ((d, labels),) = base.summands.items()
+    return len(m.summands) == 1 and sorted(m.summands.get(d, ())) == sorted(labels)
+
+
+def is_twist_image(t: ProjComplex, w: BraidWord, base: ProjComplex) -> bool:
+    """The one place that decides isomorphism: t = t_w(base) exactly when the minimized t_w^-1(t) is base."""
+    return iso_to_sum(minimize(twist_inv_word(w, t)), base)
+
+
 # -- two-term objects --------------------------------------------------------
 
 
@@ -143,12 +163,6 @@ class TwoTermObject:
 
     def rsupp(self) -> frozenset[int]:
         return frozenset(self.right_order)
-
-    def multiplicity(self, j: int) -> int:
-        d = self.algebra.diagram
-        if d.color(j) == self.side % 2:
-            return self.left.get(j, 0)
-        return self.right.get(j, 0)
 
     def assemble(self) -> ProjComplex:
         """The underlying complex: left summands in degree -1, right in degree 0."""

@@ -1,7 +1,10 @@
 import json
+import time
 
 import pytest
 
+from twistlab import acceptance, cli
+from twistlab.braid import diagram_from_name
 from twistlab.cli import main
 
 
@@ -290,6 +293,30 @@ class TestSelftest:
         code, _, err = run_cli(capsys, "--diagram", "A2", "--max-len", "1", "selftest", "--sample-longer", "-3")
         assert code == 2
         assert "--sample-longer" in err
+
+    @pytest.fixture
+    def no_criteria(self, monkeypatch):
+        monkeypatch.setattr(acceptance, "run_all", lambda *args, **kwargs: [])
+
+    def test_corpus_at_the_word_budget_is_accepted(self, capsys, no_criteria):
+        # the limit is the D4 corpus up to 5 letters, which Scale() sweeps in full
+        assert len(acceptance.all_words(diagram_from_name("D4"), 5)) == cli.MAX_SELFTEST_WORDS
+        code, _, err = run_cli(capsys, "--diagram", "D4", "--max-len", "5", "selftest")
+        assert code == 0 and err == ""
+
+    def test_corpus_one_word_past_the_budget_exits_2(self, capsys, monkeypatch, no_criteria):
+        monkeypatch.setattr(cli, "MAX_SELFTEST_WORDS", cli.MAX_SELFTEST_WORDS - 1)
+        code, out, err = run_cli(capsys, "--diagram", "D4", "--max-len", "5", "selftest")
+        assert code == 2 and out == ""
+        assert err.startswith("input error: ") and "more than 1364 words" in err
+
+    @pytest.mark.parametrize("diagram, max_len", [("D4", "6"), ("E8", "12"), ("A2", "1000000000")])
+    def test_oversized_corpus_exits_2_at_once(self, capsys, diagram, max_len):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "--diagram", diagram, "--max-len", max_len, "selftest")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("input error: ") and "--max-len" in err
 
     def test_seeded_sampling(self, capsys, monkeypatch):
         monkeypatch.setenv("TWISTLAB_SEED", "7")

@@ -19,13 +19,12 @@ from twistlab.complexes import (
     minimize,
     profile,
     profile_key,
-    profiles_equal,
     projective,
     shift,
     sum_of_projectives,
 )
 from twistlab.fields import GF2, QQ
-from twistlab.twists import twist_word
+from twistlab.twists import is_twist_image, iso_to_sum, twist_word
 from twistlab.zigzag import ZigzagAlgebra
 
 A2 = build_diagram("A", 2)
@@ -92,7 +91,7 @@ class TestConstructors:
         lam = sum_of_projectives(alg)
         both = direct_sum(projective(alg, 1), projective(alg, 2))
         assert both.summands == lam.summands
-        assert profiles_equal(both, lam)
+        assert iso_to_sum(both, lam)
 
     def test_direct_sum_profile_additive(self, alg):
         x = arrow_cone(alg, 1, 2)
@@ -456,15 +455,28 @@ class TestHomComplex:
 
 class TestProfiles:
     def test_reflexive(self, alg):
-        c = arrow_cone(alg, 1, 2)
-        assert profiles_equal(c, c)
+        c = arrow_cone(alg, 1, 2)  # t_1(P_2)
+        assert is_twist_image(c, word(A2, (1,)), projective(alg, 2))
+        assert not is_twist_image(c, word(A2, (2,)), projective(alg, 2))
 
     def test_distinguishes_stalks(self, alg):
-        assert not profiles_equal(projective(alg, 1), projective(alg, 2))
+        assert not iso_to_sum(projective(alg, 1), projective(alg, 2))
+        assert not iso_to_sum(projective(alg, 1), shift(projective(alg, 1), 1))
+        assert iso_to_sum(projective(alg, 1), projective(alg, 1))
 
     def test_mismatched_algebras_rejected(self):
         with pytest.raises(ValueError):
-            profiles_equal(projective(ZigzagAlgebra(A2), 1), projective(ZigzagAlgebra(A3), 1))
+            iso_to_sum(projective(ZigzagAlgebra(A2), 1), projective(ZigzagAlgebra(A3), 1))
+        with pytest.raises(ValueError):
+            iso_to_sum(projective(ZigzagAlgebra(A2, GF2), 1), projective(ZigzagAlgebra(A2, QQ), 1))
+
+    def test_base_must_sit_in_a_single_degree(self, alg):
+        lam = sum_of_projectives(alg)
+        for base in (arrow_cone(alg, 1, 2), make_complex(alg, {}, {})):
+            with pytest.raises(ValueError):
+                iso_to_sum(lam, base)
+            with pytest.raises(ValueError):
+                is_twist_image(lam, word(A2, ()), base)
 
     def test_profile_memo_cannot_be_mutated_by_callers(self, alg):
         c = arrow_cone(alg, 1, 2)

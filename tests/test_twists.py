@@ -1,21 +1,22 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from twistlab.braid import build_diagram, word
+from twistlab.braid import build_diagram, equivalent, word
 from twistlab.complexes import (
     HomComplexes,
     make_complex,
     minimize,
-    profile_key,
-    profiles_equal,
     projective,
     shift,
     sum_of_projectives,
 )
-from twistlab.fields import GF2, QQ
+from twistlab.fields import GF2, QQ, PrimeField
 from twistlab.twists import (
     TwoTermObject,
     is_left_proper,
     is_right_proper,
+    is_twist_image,
+    iso_to_sum,
     reflect_minus,
     reflect_plus,
     twist,
@@ -30,6 +31,8 @@ from twistlab.zigzag import ZigzagAlgebra
 A2 = build_diagram("A", 2)
 A3 = build_diagram("A", 3)
 D4 = build_diagram("D", 4)
+A4 = build_diagram("A", 4)
+GF3 = PrimeField(3)
 
 
 @pytest.fixture(params=[GF2, QQ], ids=["gf2", "qq"])
@@ -40,7 +43,7 @@ def alg(request):
 class TestTwist:
     def test_twist_of_own_projective_is_shift(self, alg):
         p1 = projective(alg, 1)
-        assert profile_key(twist(1, p1)) == profile_key(shift(p1, 1))
+        assert iso_to_sum(twist(1, p1), shift(p1, 1))
 
     def test_twist_fixes_non_adjacent(self):
         algebra = ZigzagAlgebra(A3)
@@ -61,14 +64,13 @@ class TestTwist:
         lam = sum_of_projectives(alg)
         t1 = twist_word(word(A2, (1, 2, 1)), lam)
         t2 = twist_word(word(A2, (2, 1, 2)), lam)
-        assert profiles_equal(t1, t2)
+        assert is_twist_image(t1, word(A2, (2, 1, 2)), lam)
+        assert is_twist_image(t2, word(A2, (1, 2, 1)), lam)
 
     def test_commuting_twists(self):
         algebra = ZigzagAlgebra(A3)
         lam = sum_of_projectives(algebra)
-        assert profiles_equal(
-            twist_word(word(A3, (1, 3)), lam), twist_word(word(A3, (3, 1)), lam)
-        )
+        assert is_twist_image(twist_word(word(A3, (1, 3)), lam), word(A3, (3, 1)), lam)
 
     def test_word_complex_diagram_mismatch(self, alg):
         with pytest.raises(ValueError):
@@ -85,7 +87,7 @@ class TestTwist:
 class TestTwistInverse:
     def test_inverse_of_own_projective(self, alg):
         p1 = projective(alg, 1)
-        assert profile_key(twist_inv(1, p1)) == profile_key(shift(p1, -1))
+        assert iso_to_sum(twist_inv(1, p1), shift(p1, -1))
 
     def test_inverse_of_adjacent(self, alg):
         t = twist_inv(1, projective(alg, 2))
@@ -94,12 +96,14 @@ class TestTwistInverse:
 
     def test_roundtrips_on_small_corpus(self, alg):
         lam = sum_of_projectives(alg)
-        objects = [lam, projective(alg, 1), projective(alg, 2),
-                   twist_word(word(A2, (1, 2)), lam)]
-        for x in objects:
+        p1, p2 = projective(alg, 1), projective(alg, 2)
+        empty, w = word(A2, ()), word(A2, (1, 2))
+        # (X, w, B) with X = t_w(B)
+        objects = [(lam, empty, lam), (p1, empty, p1), (p2, empty, p2), (twist_word(w, lam), w, lam)]
+        for x, w, base in objects:
             for i in (1, 2):
-                assert profiles_equal(twist_inv(i, twist(i, x)), x)
-                assert profiles_equal(twist(i, twist_inv(i, x)), x)
+                assert is_twist_image(twist_inv(i, twist(i, x)), w, base)
+                assert is_twist_image(twist(i, twist_inv(i, x)), w, base)
 
     def test_reads_a_hom_complexes_map(self, alg):
         t = twist_word(word(A2, (2, 1, 2)), sum_of_projectives(alg))
@@ -112,7 +116,7 @@ class TestTwistInverse:
     def test_word_inverse(self, alg):
         lam = sum_of_projectives(alg)
         w = word(A2, (1, 2, 2, 1))
-        assert profiles_equal(twist_inv_word(w, twist_word(w, lam)), lam)
+        assert iso_to_sum(twist_inv_word(w, twist_word(w, lam)), lam)
 
 
 def two_term(algebra, side, left, right, arrows):
@@ -200,7 +204,7 @@ class TestReflection:
         assert pred.left_dict() == {2: 1}
         assert pred.right_dict() == {1: 1}
         computed = reflect_minus(tt, {1})
-        assert profile_key(computed) == profile_key(minimize(shift(twist_inv(1, projective(alg, 2)), 1)))
+        assert iso_to_sum(twist(1, shift(computed, -1)), projective(alg, 2))  # computed = t_1^-1(P_2)[1]
         got = two_term_of(computed)
         assert got.left == pred.left_dict() and got.right == pred.right_dict()
 
@@ -246,3 +250,60 @@ class TestMinDegreeDrift:
             for i in A3.vertices:
                 m2 = min_degree(twist(i, t))
                 assert m - 1 <= m2 <= m
+
+
+# -- exact isomorphism on random words -------------------------------------------
+
+
+def _rewrites(diagram, letters):
+    """Every word one commutation or braid relation away from letters."""
+    out = []
+    for k in range(len(letters) - 1):
+        i, j = letters[k], letters[k + 1]
+        if i != j and not diagram.adjacent(i, j):
+            out.append(letters[:k] + (j, i) + letters[k + 2:])
+        if k + 2 < len(letters) and letters[k + 2] == i and diagram.adjacent(i, j):
+            out.append(letters[:k] + (j, i, j) + letters[k + 3:])
+    return out
+
+
+@st.composite
+def word_pairs(draw):
+    """(diagram, w, u): u is w after a few relations, or w with one letter changed."""
+    diagram = draw(st.sampled_from([A3, D4, A4]))
+    vertices = list(diagram.vertices)
+    w = tuple(draw(st.lists(st.sampled_from(vertices), min_size=1, max_size=8)))
+    u = w
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(w) - 1))
+        u = w[:k] + (draw(st.sampled_from([v for v in vertices if v != w[k]])),) + w[k + 1:]
+    else:
+        for _ in range(draw(st.integers(1, 4))):
+            options = _rewrites(diagram, u)
+            if options:
+                u = draw(st.sampled_from(options))
+    return diagram, w, u
+
+
+FIELDS = st.sampled_from([GF2, QQ, GF3])
+
+
+@settings(max_examples=25, deadline=None)
+@given(word_pairs(), FIELDS, st.data())
+def test_twist_and_inverse_are_mutually_inverse_exactly(case, field, data):
+    diagram, w, _ = case
+    lam = sum_of_projectives(ZigzagAlgebra(diagram, field))
+    w = word(diagram, w)
+    x = twist_word(w, lam)
+    i = data.draw(st.sampled_from(list(diagram.vertices)))
+    assert is_twist_image(twist_inv(i, twist(i, x)), w, lam)
+    assert is_twist_image(twist(i, twist_inv(i, x)), w, lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(word_pairs(), FIELDS)
+def test_category_verdict_agrees_with_the_oracle(case, field):
+    diagram, w, u = case
+    lam = sum_of_projectives(ZigzagAlgebra(diagram, field))
+    w, u = word(diagram, w), word(diagram, u)
+    assert is_twist_image(twist_word(u, lam), w, lam) == equivalent(w, u)
