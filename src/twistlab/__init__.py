@@ -9,7 +9,6 @@ from .braid import (
     canonical_form,
     diagram_from_name,
     equivalent,
-    flatten,
     layer,
     left_divisible_by,
     neighbors,
@@ -22,7 +21,6 @@ from .complexes import (
     ProjComplex,
     cone,
     cone_triangle,
-    direct_sum,
     hom_complex,
     hom_dims,
     make_complex,

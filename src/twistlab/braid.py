@@ -204,10 +204,6 @@ def word(diagram: DynkinDiagram, letters: Iterable[int]) -> BraidWord:
     return BraidWord(diagram, tuple(letters))
 
 
-def word_from_json_obj(obj: Mapping) -> BraidWord:
-    return word(diagram_from_json_obj(obj["diagram"]), (int(s) for s in obj["letters"]))
-
-
 @dataclass(frozen=True)
 class LayeredWord:
     """A braid word sliced by parity: slice k only holds vertices of color k mod 2."""
@@ -397,14 +393,6 @@ def layer(w: BraidWord) -> LayeredWord:
     for k, j in placed:
         slices[k].add(j)
     return LayeredWord(d, tuple(frozenset(s) for s in slices))
-
-
-def flatten(lw: LayeredWord) -> BraidWord:
-    """Concatenate the slices, each emitted in ascending vertex order."""
-    letters: list[int] = []
-    for sl in lw.slices:
-        letters.extend(sorted(sl))
-    return BraidWord(lw.diagram, tuple(letters))
 
 
 def parse_letters(text: str) -> tuple[int, ...]:

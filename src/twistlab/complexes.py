@@ -18,6 +18,9 @@ and complex_from_json_obj reads dense rows and keeps their nonzero entries.
 The scalar matrices of Hom complexes are sparse the same way, with nonzero
 scalars as entries, which is the format linalg reduces; a Hom complex's basis
 is (summand, slot) pairs, a slot naming a basis morphism of the algebra.
+hom_complex reads each differential entry once through the algebra's Hom
+table (zigzag.HomTable), which says where postcomposition with it sends
+each basis slot; it composes nothing.
 
 cone() checks that f is a chain map on every call.  The check composes
 nonzero entries only, so it costs in proportion to the nonzero entries of
@@ -35,8 +38,8 @@ Memoized, for the life of the object that holds it (nothing outlives it):
 - a complex keeps its profile(), and hands out a fresh copy on each call;
 - a HomComplex keeps the rank of each differential it has ranked.
 Hom complexes themselves are not kept on their complex: a caller that needs
-them more than once (a recovery step) holds them in a HomComplexes map, and
-passes the map to profile() in place of the complex.
+them more than once holds them in a HomComplexes map.  A recovery step holds
+the map of a two-degree truncation of its complex (see reconstruct.py).
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import linalg
@@ -81,12 +85,6 @@ class ProjComplex:
 
     def is_zero(self) -> bool:
         return not self.summands
-
-    def key(self) -> tuple:
-        """Hashable encoding of this presentation; isomorphic complexes (summands reordered, say) can differ."""
-        deg_part = tuple((d, self.summands[d]) for d in self.degrees())
-        diff_part = tuple((d, tuple(sorted(mat.items()))) for d, mat in sorted(self.diffs.items()))
-        return (deg_part, diff_part)
 
     def check(self) -> None:
         """Validate entry positions and typing, and d^2 = 0 (JSON input).
@@ -217,23 +215,6 @@ def shift(x: ProjComplex, n: int) -> ProjComplex:
     sm = {d - n: labels for d, labels in x.summands.items()}
     sign = alg.field.one if n % 2 == 0 else alg.field.neg(alg.field.one)
     dd = {d - n: {rc: alg.times(sign, m) for rc, m in mat.items()} for d, mat in x.diffs.items()}
-    return make_complex(alg, sm, dd)
-
-
-def direct_sum(x: ProjComplex, y: ProjComplex) -> ProjComplex:
-    if x.algebra != y.algebra:
-        raise ValueError("direct sum of complexes over different algebras")
-    alg = x.algebra
-    sm: Dict[int, Tuple[int, ...]] = {}
-    for d in set(x.summands) | set(y.summands):
-        sm[d] = x.summands.get(d, ()) + y.summands.get(d, ())
-    dd = {
-        d: {
-            **x.diffs.get(d, {}),
-            **_placed(y.diffs.get(d), len(x.summands.get(d + 1, ())), len(x.summands.get(d, ()))),
-        }
-        for d in set(x.diffs) | set(y.diffs)
-    }
     return make_complex(alg, sm, dd)
 
 
@@ -393,11 +374,12 @@ class HomComplex:
     """The cochain-level Hom(P_j, X): sparse scalar matrices over the base field.
 
     basis[d] lists (summand index, slot) pairs, the slot naming a morphism of
-    the algebra's hom_basis(vertex, label of the summand); mats[d] is the
-    matrix of postcomposition with the differential from degree d to d+1,
-    rows indexed by basis[d+1] and columns by basis[d].  It maps (row, col)
-    to a nonzero scalar (the linalg format), and a degree whose differential
-    is zero has no matrix.  _ranks memoizes rank_at.
+    the algebra's hom_basis(vertex, label of the summand), summand by summand
+    and slot by slot; only summands labelled vertex or a neighbour of it have
+    slots.  mats[d] is the matrix of postcomposition with the differential
+    from degree d to d+1, rows indexed by basis[d+1] and columns by basis[d].
+    It maps (row, col) to a nonzero scalar (the linalg format), and a degree
+    whose differential is zero has no matrix.  _ranks memoizes rank_at.
     """
 
     field: Field
@@ -432,41 +414,32 @@ class HomComplex:
 
 
 def hom_complex(j: int, x: ProjComplex) -> HomComplex:
-    alg = x.algebra
-    bases: Dict[int, Tuple[Entry, ...]] = {}  # label -> hom_basis(j, label)
+    """Hom(P_j, X), each differential entry read once through the Hom table of j."""
+    table = x.algebra.hom_table(j)
+    slots = table.slots
     basis: Dict[int, Tuple[Tuple[int, int], ...]] = {}
-    index: Dict[int, Dict[Tuple[int, int], int]] = {}  # (summand, slot) -> position
+    offsets: Dict[int, List[int]] = {}  # degree -> the position of each summand's first slot
     for d, labels in x.summands.items():
-        items = []
-        for s, lab in enumerate(labels):
-            if lab not in bases:
-                bases[lab] = alg.hom_basis(j, lab)
-            items.extend((s, slot) for slot in range(len(bases[lab])))
+        items = tuple((s, slot) for s, lab in enumerate(labels) for slot in slots[lab])
         if items:
-            basis[d] = tuple(items)
-            index[d] = {item: n for n, item in enumerate(items)}
+            basis[d] = items
+            offsets[d] = list(accumulate((len(slots[lab]) for lab in labels), initial=0))
     mats: Dict[int, Dict[Tuple[int, int], Scalar]] = {}
-    for d in basis:
-        if d + 1 not in basis or d not in x.diffs:
+    for d, diff in x.diffs.items():
+        if d not in basis or d + 1 not in basis:
             continue
-        labels, row_labels, row_index = x.summands[d], x.summands[d + 1], index[d + 1]
-        mat = {}
-        diff_cols = _by_col(x.diffs[d])
-        for cidx, (s, slot) in enumerate(basis[d]):
-            lab = labels[s]
-            f = bases[lab][slot]
-            # one entry per row r, and distinct slots in its image: every
-            # cell is written at most once, with a nonzero coefficient
-            for r, entry in diff_cols.get(s, ()):
-                rlab = row_labels[r]
-                image = alg.compose(j, lab, rlab, entry, f)
-                if image is not None:
-                    for slot2, coef in enumerate(alg.coordinates(j, rlab, image)):
-                        if coef:
-                            mat[(row_index[(r, slot2)], cidx)] = coef
+        cols, rows, col0, row0 = x.summands[d], x.summands[d + 1], offsets[d], offsets[d + 1]
+        # distinct entries fill distinct blocks, and a rule's (slot, slot2)
+        # pairs are distinct: every cell is written at most once
+        mat = {
+            (row0[r] + slot2, col0[c] + slot): e[k]
+            for (r, c), e in diff.items()
+            for slot, slot2, k in table[cols[c], rows[r]]
+            if e[k]
+        }
         if mat:
             mats[d] = mat
-    return HomComplex(alg.field, j, basis, mats)
+    return HomComplex(x.algebra.field, j, basis, mats)
 
 
 def hom_dims(j: int, x: ProjComplex) -> Dict[int, int]:
@@ -494,20 +467,15 @@ class HomComplexes(dict):
         return x if isinstance(x, HomComplexes) else cls(x)
 
 
-def profile(x: Union[ProjComplex, HomComplexes]) -> HomProfile:
+def profile(x: ProjComplex) -> HomProfile:
     """(vertex, degree) -> dim Hom^degree(P_vertex, X), an invariant of X up to isomorphism.
 
-    x is a complex, or the HomComplexes map of one, whose Hom complexes are
-    then read instead of built.  Computed once per complex; every call
-    returns a fresh dict, so callers cannot alter the memo.
+    Computed once per complex; every call returns a fresh dict, so callers
+    cannot alter the memo.
     """
-    homs = HomComplexes.of(x)
-    t = homs.complex
-    if t._profile is None:
-        t._profile = {
-            (j, d): h for j in t.diagram.vertices for d, h in homs[j].homology_dims().items()
-        }
-    return dict(t._profile)
+    if x._profile is None:
+        x._profile = {(j, d): h for j in x.diagram.vertices for d, h in hom_complex(j, x).homology_dims().items()}
+    return dict(x._profile)
 
 
 def profile_key(x: ProjComplex) -> tuple:

@@ -229,18 +229,6 @@ Move = Union["CommuteMove", "BraidMove"]  # strings: see fields.Field
 MoveCertificate = Tuple[Move, ...]
 
 
-def move_from_json_obj(obj: Mapping) -> Move:
-    if obj["move"] == "commute":
-        return CommuteMove((int(obj["vertex"][0]), int(obj["vertex"][1])), int(obj["direction"]))
-    if obj["move"] == "braid":
-        return BraidMove(
-            (int(obj["a"][0]), int(obj["a"][1])),
-            (int(obj["b"][0]), int(obj["b"][1])),
-            (int(obj["c"][0]), int(obj["c"][1])),
-        )
-    raise MeshError(f"unknown move kind {obj.get('move')!r}")
-
-
 def commute_move(s: DecoratedSet, a: ZVert, direction: int) -> DecoratedSet:
     """Slide a two slices sideways; requires an empty target and a clear gap."""
     if direction not in (1, -1):

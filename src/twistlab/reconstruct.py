@@ -10,15 +10,18 @@ recovers a word equal to the original in the braid monoid, of the same length.
 Inputs that are not twist images fail with NotTwistImage instead of
 returning garbage, so this module doubles as a validator.
 
-One recovery step builds Hom(P_j, T) once for each vertex j, in a
-HomComplexes map, and reads everything from it: the profile (and with it
-the minimal degree and the termination potential) and the long-morphism
-spaces of peel, for j and its neighbours alike, and the inverse twist that
-strips the peeled letter.  profile, peel, long_morphism_dim and twist_inv
-take the map wherever they take T, and read T from it.
-The map is dropped when the step ends; only the small profile stays
-memoized on T.  The word ends when the minimal T is isomorphic to Lambda,
-which twists.iso_to_sum reads off T's summands with no Hom complex at all.
+A recovery step reads only the two lowest degrees of the minimal T.  Its
+minimal degree m is T's lowest summand degree: into a summand P_j of T^m
+the loop l_j is a cocycle (T is minimal, so every differential entry out
+of P_j kills it) and nothing lies below to hit it.  The step builds the
+Hom complexes of the brutal truncation sigma_{<=m+1} T, degrees m and m+1
+with the differential between them, in a HomComplexes map, each on first
+use.  H^m and the long-morphism spaces at m read nothing else, so the map
+gives the termination potential and peel's long morphisms, for j and its
+neighbours alike.  The one full Hom complex of a step, Hom(P_j, T) for
+the peeled letter j, is built inside twist_inv.  The word ends when the
+minimal T is isomorphic to Lambda, which twists.iso_to_sum reads off T's
+summands with no Hom complex at all.
 """
 
 from __future__ import annotations
@@ -30,10 +33,9 @@ from . import linalg
 from .braid import BraidWord
 from .complexes import (
     HomComplexes,
-    HomProfile,
     ProjComplex,
+    make_complex,
     minimize,
-    profile,
     sum_of_projectives,
 )
 from .fields import Scalar
@@ -44,19 +46,22 @@ class NotTwistImage(Exception):
     """The complex is not (recognizably) the twist image of a positive word."""
 
 
-# a complex T, or the HomComplexes map of T that a recovery step holds
+# a complex T, or a HomComplexes map (a recovery step holds the one of T's two lowest degrees)
 Subject = Union["ProjComplex", "HomComplexes"]
 
 
-def _min_degree(prof: HomProfile) -> int:
-    if not prof:
-        raise NotTwistImage("zero object has no extremal degree")
-    return min(d for (_, d) in prof)
-
-
 def min_degree(t: ProjComplex) -> int:
-    """Smallest k with Hom^k(Lambda, T) nonzero."""
-    return _min_degree(profile(t))
+    """Smallest k with Hom^k(Lambda, T) nonzero: the lowest summand degree of the minimal T."""
+    return bottom(minimize(t))[0]
+
+
+def bottom(t: ProjComplex) -> Tuple[int, HomComplexes]:
+    """For a minimal T: its minimal degree m and the HomComplexes map of the brutal truncation sigma_{<=m+1} T."""
+    if t.is_zero():
+        raise NotTwistImage("zero object has no extremal degree")
+    m = min(t.summands)
+    kept = {d: t.summands[d] for d in (m, m + 1) if d in t.summands}
+    return m, HomComplexes(make_complex(t.algebra, kept, {m: t.diffs.get(m, {})}))
 
 
 def _long_space(j: int, homs: HomComplexes, r: int) -> Dict[Tuple[int, int], Scalar]:
@@ -69,6 +74,7 @@ def _long_space(j: int, homs: HomComplexes, r: int) -> Dict[Tuple[int, int], Sca
     alg = homs.complex.algebra
     k_field = alg.field
     labels = homs.complex.summands.get(r, ())
+    basis = alg.hom_table(j).basis
     vj = homs[j]
     rows = dict(vj.mats.get(r, {}))
     n = vj.dim(r + 1)
@@ -81,7 +87,7 @@ def _long_space(j: int, homs: HomComplexes, r: int) -> Dict[Tuple[int, int], Sca
         pre: Dict[int, Dict[int, Scalar]] = {}  # f g_{k,j} in vk's basis: row -> {col: coefficient}
         for c, (s, slot) in enumerate(vj.basis[r]):
             lab = labels[s]
-            image = alg.compose(nb, j, lab, alg.hom_basis(j, lab)[slot], gamma)
+            image = alg.compose(nb, j, lab, basis[lab][slot], gamma)
             if image is None:
                 continue
             for slot2, coef in enumerate(alg.coordinates(nb, lab, image)):
@@ -112,22 +118,24 @@ def long_morphism_dim(j: int, t: Subject, r: int) -> int:
     return dim_r - linalg.rank(vj.field, _long_space(j, homs, r)) - vj.rank_at(r - 1)
 
 
-def peel(t: Subject) -> Tuple[int, ProjComplex]:
+def peel(t: ProjComplex, at: Optional[Tuple[int, HomComplexes]] = None) -> Tuple[int, ProjComplex]:
     """One reconstruction step: find a peelable letter at the minimal degree.
 
-    Ties break to the smallest vertex; the stripped complex is minimized.
-    The image of a nonempty word has strictly negative minimal degree, so
+    at is bottom(t) for a minimal t, when the caller holds it already.  Ties
+    break to the smallest vertex; the stripped complex is minimized.  The
+    image of a nonempty word has strictly negative minimal degree, so
     anything else is rejected outright (the empty word is the caller's base
     case).
     """
-    homs = HomComplexes.of(t)
-    t = homs.complex
-    m = _min_degree(profile(homs))
+    if at is None:
+        t = minimize(t)
+        at = bottom(t)
+    m, homs = at
     if m >= 0:
         raise NotTwistImage("minimal degree is non-negative: nothing to peel")
     for j in t.diagram.vertices:
         if long_morphism_dim(j, homs, m) > 0:
-            return j, twist_inv(j, homs)
+            return j, twist_inv(j, t)
     raise NotTwistImage(f"no long morphism at the minimal degree {m}")
 
 
@@ -152,15 +160,13 @@ def recover_trace(t: ProjComplex) -> Tuple[BraidWord, Tuple[PeelStep, ...]]:
     current = minimize(t)
     previous: Optional[Tuple[int, int]] = None
     while not iso_to_sum(current, lam):
-        homs = HomComplexes(current)
-        prof = profile(homs)
-        m = _min_degree(prof)
-        potential = (-m, sum(h for (_, k), h in prof.items() if k == m))
+        m, homs = at = bottom(current)
+        potential = (-m, sum(homs[j].homology_dims().get(m, 0) for j in current.diagram.vertices))
         if previous is not None and potential >= previous:
             raise NotTwistImage("peeling failed to make progress")
         if m >= 0:
             raise NotTwistImage("minimal degree is non-negative but the object is not the projective sum")
-        j, current = peel(homs)
+        j, current = peel(current, at)
         letters.append(j)
         steps.append(PeelStep(j, m))
         if not current.summands:

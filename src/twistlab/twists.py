@@ -10,12 +10,12 @@ stays small.  The complexes, chain maps and two-term connecting maps built
 here hold nonzero entries only, in the sparse Matrix format of complexes,
 and every entry comes from the algebra: a basis slot (s, slot) of the Hom
 complex, summand s labelled l, is evaluated by hom_basis(i, l)[slot] and
-coevaluated by dual_basis(i, l)[slot].  The Hom complex's scalar matrices
-are sparse too, so the copies of P_i get a differential entry scalar(a),
-a times the identity, for each nonzero scalar a, read straight from its
-entries.  JSON views are the only dense form.  twist_inv takes a
-HomComplexes map in place of X, as profile and peel do, and reads
-Hom(P_i, X) from it.
+coevaluated by dual_basis(i, l)[slot], both read from the algebra's Hom
+table of i (zigzag.HomTable), not rebuilt per slot.  The Hom complex's
+scalar matrices are sparse too, so the copies of P_i get a differential
+entry scalar(a), a times the identity, for each nonzero scalar a, read
+straight from its entries.  JSON views are the only dense form.  Each
+functor builds the one Hom complex Hom(P_i, X) it needs.
 
 The concrete model is the omega = 0 one: all Hom spaces between
 projectives are concentrated in degree 0, so no twist carries a shift.
@@ -25,12 +25,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Iterable, Optional, Tuple
 
 from .braid import BraidWord
 from .complexes import (
     ChainMap,
-    HomComplexes,
     Matrix,
     ProjComplex,
     cone,
@@ -56,24 +55,19 @@ def twist(i: int, x: ProjComplex) -> ProjComplex:
     src_summands = {d: (i,) * hc.dim(d) for d in hc.degrees()}
     src_diffs = {d: _scalar_block(alg.scalar, mat, 0, 0) for d, mat in hc.mats.items()}
     source = make_complex(alg, src_summands, src_diffs)
+    basis = alg.hom_table(i).basis
     ev_blocks = {
-        d: {(s, n): alg.hom_basis(i, x.summands[d][s])[slot] for n, (s, slot) in enumerate(hc.basis[d])}
-        for d in hc.degrees()
+        d: {(s, n): basis[x.summands[d][s]][slot] for n, (s, slot) in enumerate(hc.basis[d])} for d in hc.degrees()
     }
     ev = ChainMap(source, x, ev_blocks)
     return minimize(cone(ev))
 
 
-def twist_inv(i: int, x: Union[ProjComplex, HomComplexes]) -> ProjComplex:
-    """Quasi-inverse twist, built from the trace-pairing dual basis.
-
-    x is a complex, or the HomComplexes map of one, whose Hom(P_i, X) is then
-    read instead of built.
-    """
-    homs = HomComplexes.of(x)
-    x = homs.complex
-    hc = homs[i]
+def twist_inv(i: int, x: ProjComplex) -> ProjComplex:
+    """Quasi-inverse twist, built from the trace-pairing dual basis."""
+    hc = hom_complex(i, x)
     alg = x.algebra
+    dual = alg.hom_table(i).dual
     neg = alg.field.neg
     summands: Dict[int, Tuple[int, ...]] = {}
     degs = set(x.summands) | {d + 1 for d in hc.degrees()}
@@ -86,7 +80,7 @@ def twist_inv(i: int, x: Union[ProjComplex, HomComplexes]) -> ProjComplex:
         x_rows, x_cols = len(x.summands.get(d + 1, ())), len(x.summands.get(d, ()))
         mat = dict(x.diffs.get(d, {}))
         for ridx, (s, slot) in enumerate(hc.basis.get(d, ())):
-            mat[(x_rows + ridx, s)] = alg.dual_basis(i, x.summands[d][s])[slot]
+            mat[(x_rows + ridx, s)] = dual[x.summands[d][s]][slot]
         mat.update(_scalar_block(lambda a: alg.scalar(neg(a)), hc.mats.get(d - 1, {}), x_rows, x_cols))
         diffs[d] = mat
     return minimize(make_complex(alg, summands, diffs))

@@ -24,16 +24,29 @@ zero morphism is no entry at all: matrices leave its cell out, and compose
 and plus return None for it.  Scalars are canonical (a residue in range(p)
 or a Fraction), so zero is the only falsy scalar.
 
+Hom tables.  hom_table(j) holds, for one vertex j, what Hom(P_j, -) does
+on the projectives: the bases hom_basis(j, l) and dual_basis(j, l) of every
+label l, the slot range of each basis, and, for each pair (i, l), the rule
+by which postcomposition with an entry e: P_i -> P_l moves the basis slots
+of Hom(P_j, P_i) to those of Hom(P_j, P_l).  A rule is a tuple of triples
+(slot, slot2, k): e o basis[slot] has coefficient e[k] at slot2.  Rules are
+derived from compose on basis entries, the first time each pair is asked
+for, so a corrupt_compose algebra gets its own corrupt rules.  An algebra
+keeps its tables, at most one per vertex, each of at most rank^2 rules.
+With them a Hom complex is read off a differential's entries without
+composing any of them.
+
 This is the only module that knows the entry format: the rest of the package
-builds, combines and reads entries through ZigzagAlgebra's methods, and the
-dense JSON cell {"src", "tgt", "terms": [{"kind", "coef"}]} exists only in
-entry_to_json_obj and entry_from_json_obj.
+builds, combines and reads entries through ZigzagAlgebra's methods and Hom
+tables, and the dense JSON cell {"src", "tgt", "terms": [{"kind", "coef"}]}
+exists only in entry_to_json_obj and entry_from_json_obj.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from .braid import DynkinDiagram
 from .fields import Field, GF2, Scalar
@@ -52,6 +65,7 @@ class ZigzagAlgebra:
     diagram: DynkinDiagram
     field: Field = GF2
     corrupt_compose: bool = False
+    _tables: Dict[int, HomTable] = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- bases ---------------------------------------------------------------
 
@@ -90,6 +104,13 @@ class ZigzagAlgebra:
     def scalar(self, c: Scalar) -> Entry:
         """c times the identity of any P_i, for a nonzero scalar c."""
         return (c, self.field.zero)
+
+    def hom_table(self, j: int) -> HomTable:
+        """The Hom table of vertex j (see the module docstring), built on first use and kept with the algebra."""
+        table = self._tables.get(j)
+        if table is None:
+            table = self._tables[j] = HomTable(self, j)
+        return table
 
     # -- linear structure and composition ---------------------------------------
 
@@ -187,3 +208,36 @@ class ZigzagAlgebra:
             coefs[slot] = k.add(coefs[slot], k.parse(str(t["coef"])))
         a, b = coefs
         return src, tgt, ((a, b) if a or b else None)
+
+
+class HomTable(dict):
+    """(i, l) -> the postcomposition rule of Hom(P_j, -) for entries P_i -> P_l, each derived on first use.
+
+    basis[l] and dual[l] are hom_basis(j, l) and dual_basis(j, l), and
+    slots[l] is the slot range of basis[l].  A product of basis morphisms is
+    a basis morphism or zero, so a rule's coefficients are entries of e; and
+    the basis of Hom(P_i, P_l) sends one basis morphism to distinct products,
+    so no two triples of a rule share (slot, slot2).
+    """
+
+    def __init__(self, algebra: ZigzagAlgebra, j: int) -> None:
+        super().__init__()
+        self.algebra, self.vertex = algebra, j
+        self.basis = {l: algebra.hom_basis(j, l) for l in algebra.diagram.vertices}
+        self.dual = {l: algebra.dual_basis(j, l) for l in algebra.diagram.vertices}
+        self.slots = {l: range(len(b)) for l, b in self.basis.items()}
+
+    def __missing__(self, key: Tuple[int, int]) -> Tuple[Tuple[int, int, int], ...]:
+        i, l = key
+        alg, j, one = self.algebra, self.vertex, self.algebra.field.one
+        rule = []
+        for slot, f in enumerate(self.basis[i]):
+            for k, g in enumerate(alg.hom_basis(i, l)):
+                image = alg.compose(j, i, l, g, f)
+                for slot2, c in enumerate(() if image is None else alg.coordinates(j, l, image)):
+                    if c:
+                        if c != one:
+                            raise ValueError("a product of basis morphisms is not a basis morphism")
+                        rule.append((slot, slot2, k))
+        self[key] = rule = tuple(rule)
+        return rule

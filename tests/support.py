@@ -1,0 +1,68 @@
+"""Test-only constructions that the package itself does not need.
+
+direct_sum, key and flatten build or compare objects for tests; the
+package's code paths never call them.  reference_hom_complex is the
+entry-by-entry Hom complex (compose each basis morphism with each
+differential entry, read the coordinates of the product), against which the
+table-driven complexes.hom_complex is checked.
+"""
+
+from twistlab.braid import BraidWord, LayeredWord
+from twistlab.complexes import HomComplex, ProjComplex, make_complex
+
+
+def direct_sum(x: ProjComplex, y: ProjComplex) -> ProjComplex:
+    """X (+) Y: X's summands first in every degree, Y's block below and right of X's."""
+    if x.algebra != y.algebra:
+        raise ValueError("direct sum of complexes over different algebras")
+    sm = {d: x.summands.get(d, ()) + y.summands.get(d, ()) for d in set(x.summands) | set(y.summands)}
+    dd = {}
+    for d in set(x.diffs) | set(y.diffs):
+        r0, c0 = len(x.summands.get(d + 1, ())), len(x.summands.get(d, ()))
+        dd[d] = {**x.diffs.get(d, {}), **{(r + r0, c + c0): m for (r, c), m in y.diffs.get(d, {}).items()}}
+    return make_complex(x.algebra, sm, dd)
+
+
+def key(x: ProjComplex) -> tuple:
+    """Hashable encoding of a presentation; isomorphic complexes (summands reordered, say) can differ."""
+    deg_part = tuple((d, x.summands[d]) for d in x.degrees())
+    diff_part = tuple((d, tuple(sorted(mat.items()))) for d, mat in sorted(x.diffs.items()))
+    return (deg_part, diff_part)
+
+
+def flatten(lw: LayeredWord) -> BraidWord:
+    """Concatenate the slices, each emitted in ascending vertex order."""
+    return BraidWord(lw.diagram, tuple(j for sl in lw.slices for j in sorted(sl)))
+
+
+def reference_hom_complex(j: int, x: ProjComplex) -> HomComplex:
+    """Hom(P_j, X) by composing every basis morphism with every differential entry."""
+    alg = x.algebra
+    basis, index = {}, {}
+    for d, labels in x.summands.items():
+        items = tuple((s, slot) for s, lab in enumerate(labels) for slot in range(len(alg.hom_basis(j, lab))))
+        if items:
+            basis[d] = items
+            index[d] = {item: n for n, item in enumerate(items)}
+    mats = {}
+    for d in basis:
+        if d + 1 not in basis or d not in x.diffs:
+            continue
+        labels, row_labels = x.summands[d], x.summands[d + 1]
+        mat = {}
+        for cidx, (s, slot) in enumerate(basis[d]):
+            f = alg.hom_basis(j, labels[s])[slot]
+            for (r, c), entry in x.diffs[d].items():
+                if c != s:
+                    continue
+                image = alg.compose(j, labels[s], row_labels[r], entry, f)
+                if image is None:
+                    continue
+                for slot2, coef in enumerate(alg.coordinates(j, row_labels[r], image)):
+                    if coef:
+                        row = index[d + 1][(r, slot2)]
+                        assert (row, cidx) not in mat
+                        mat[(row, cidx)] = coef
+        if mat:
+            mats[d] = mat
+    return HomComplex(alg.field, j, basis, mats)

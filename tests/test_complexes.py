@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -12,7 +13,6 @@ from twistlab.complexes import (
     complex_to_json_obj,
     cone,
     cone_triangle,
-    direct_sum,
     hom_complex,
     hom_dims,
     make_complex,
@@ -23,13 +23,16 @@ from twistlab.complexes import (
     shift,
     sum_of_projectives,
 )
-from twistlab.fields import GF2, QQ
+from twistlab.fields import GF2, QQ, PrimeField
 from twistlab.twists import is_twist_image, iso_to_sum, twist_word
 from twistlab.zigzag import ZigzagAlgebra
+
+from support import direct_sum, key, reference_hom_complex
 
 A2 = build_diagram("A", 2)
 A3 = build_diagram("A", 3)
 D4 = build_diagram("D", 4)
+E6 = build_diagram("E", 6)
 
 
 @pytest.fixture(params=[GF2, QQ], ids=["gf2", "qq"])
@@ -83,7 +86,7 @@ class TestConstructors:
     def test_shift_sign_involutive(self, alg):
         c = arrow_cone(alg, 1, 2)
         back = shift(shift(c, 1), -1)
-        assert back.key() == c.key()
+        assert key(back) == key(c)
         shifted = shift(c, 1)
         shifted.check()
 
@@ -376,7 +379,7 @@ class TestMinimize:
         ):
             m = minimize(c)
             # minimize(m) returns m as is, so rebuild m unmarked: one pass leaves no unit entry
-            assert minimize(make_complex(alg, m.summands, m.diffs)).key() == m.key()
+            assert key(minimize(make_complex(alg, m.summands, m.diffs))) == key(m)
             assert profile(c) == profile(m)
             for j in alg.diagram.vertices:
                 assert euler(hom_complex(j, c)) == euler(hom_complex(j, m))
@@ -444,6 +447,52 @@ class TestHomComplex:
                     entries += len(mat)
         assert entries > 20
 
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_table_agrees_with_the_reference(self, data):
+        """hom_complex against the entry-by-entry reference on random sparse graded maps.
+
+        Unit entries are allowed, so the complexes are not minimal; d^2 need
+        not vanish, as both read each differential on its own.
+        """
+        diagram = data.draw(st.sampled_from([A3, D4, E6]))
+        fld = data.draw(st.sampled_from([GF2, PrimeField(3), QQ]))
+        algebra = ZigzagAlgebra(diagram, fld, corrupt_compose=data.draw(st.booleans()))
+        coef = st.integers(0, fld.p - 1) if isinstance(fld, PrimeField) else st.integers(-2, 2).map(Fraction)
+        labels = st.lists(st.sampled_from(list(diagram.vertices)), max_size=4).map(tuple)
+        summands = {d: data.draw(labels) for d in range(-2, 2)}
+        diffs = {}
+        for d in range(-2, 1):
+            mat = diffs[d] = {}
+            for r, c in itertools.product(range(len(summands[d + 1])), range(len(summands[d]))):
+                src, tgt = summands[d][c], summands[d + 1][r]
+                if data.draw(st.booleans()):
+                    m = None
+                    for b in algebra.hom_basis(src, tgt):
+                        a = data.draw(coef)
+                        m = algebra.plus(m, algebra.times(a, b)) if a else m
+                    if m is not None:
+                        mat[(r, c)] = m
+        x = make_complex(algebra, summands, diffs)
+        for j in diagram.vertices:
+            got, want = hom_complex(j, x), reference_hom_complex(j, x)
+            assert (got.basis, got.mats) == (want.basis, want.mats)
+
+    @pytest.mark.parametrize("diagram", [A3, D4, E6], ids=["A3", "D4", "E6"])
+    @pytest.mark.parametrize("fld", [GF2, PrimeField(3), QQ], ids=["gf2", "gf3", "qq"])
+    def test_table_agrees_with_the_reference_on_non_minimal_complexes(self, diagram, fld):
+        """Twist images plus a contractible pair cone(id_{P_k}) at their lowest degree (genuine complexes)."""
+        algebra = ZigzagAlgebra(diagram, fld)
+        one = algebra.scalar(fld.one)
+        for letters in ((1, 2, 3, 1, 2), (3, 2, 1, 3), (2, 3, 1, 2, 3, 2)):
+            t = twist_word(word(diagram, letters), sum_of_projectives(algebra))
+            m = min(t.summands)
+            for k in diagram.vertices:
+                x = direct_sum(t, make_complex(algebra, {m: (k,), m + 1: (k,)}, {m: {(0, 0): one}}))
+                for j in diagram.vertices:
+                    got, want = hom_complex(j, x), reference_hom_complex(j, x)
+                    assert (got.basis, got.mats) == (want.basis, want.mats)
+
     def test_shift_compatibility(self, alg):
         c = arrow_cone(alg, 1, 2)
         shifted = shift(c, 1)
@@ -500,7 +549,7 @@ class TestSerialization:
         obj = complex_to_json_obj(c)
         text = json.dumps(obj)
         back = complex_from_json_obj(alg, json.loads(text))
-        assert back.key() == c.key()
+        assert key(back) == key(c)
 
     def test_entry_typing_checked(self, alg):
         obj = {

@@ -1,13 +1,15 @@
 import itertools
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import twistlab
-from twistlab import complexes
+from twistlab import complexes, reconstruct
 from twistlab.braid import build_diagram, equivalent, word
 from twistlab.complexes import (
     make_complex,
+    minimize,
     profile,
     projective,
     sum_of_projectives,
@@ -15,14 +17,17 @@ from twistlab.complexes import (
 from twistlab.fields import GF2, QQ, PrimeField
 from twistlab.reconstruct import (
     NotTwistImage,
+    bottom,
     long_morphism_dim,
     min_degree,
     peel,
     recover_trace,
     recover_word,
 )
-from twistlab.twists import is_twist_image, iso_to_sum, twist_word
+from twistlab.twists import is_twist_image, iso_to_sum, twist, twist_inv, twist_word
 from twistlab.zigzag import ZigzagAlgebra
+
+from support import direct_sum, key
 
 A2 = build_diagram("A", 2)
 A3 = build_diagram("A", 3)
@@ -80,7 +85,7 @@ class TestLongMorphisms:
                 m = min(t.summands)
                 for k in diagram.vertices:
                     pair = make_complex(algebra, {m - 1: (k,), m: (k,)}, {m - 1: {(0, 0): algebra.scalar(GF2.one)}})
-                    cases.append((complexes.direct_sum(t, pair), m))
+                    cases.append((direct_sum(t, pair), m))
         reached = 0
         for t, r in cases:
             homs = complexes.HomComplexes(t)
@@ -88,7 +93,7 @@ class TestLongMorphisms:
                 if not any(homs[k].dim(r) and homs[k].mats.get(r - 1) for k in diagram.neighbors(j)):
                     continue
                 reached += 1
-                assert long_morphism_dim(j, homs, r) == _brute_long_dim_gf2(t, j, r), (t.key(), j, r)
+                assert long_morphism_dim(j, homs, r) == _brute_long_dim_gf2(t, j, r), (key(t), j, r)
         assert reached >= 50
 
 
@@ -153,14 +158,14 @@ class TestPeel:
     def test_peel_reads_a_filled_map(self, alg):
         lam = sum_of_projectives(alg)
         t = twist_word(word(A2, (2, 1, 2)), lam)
-        homs = complexes.HomComplexes(t)
+        m, homs = at = bottom(t)
         for j in A2.vertices:
             homs[j]
         filled = dict(homs)
-        j, rest = peel(homs)
+        j, rest = peel(t, at)
         assert dict(homs) == filled  # read, none rebuilt
-        assert j == peel(t)[0] and rest.key() == peel(t)[1].key()
-        assert complexes.profile(homs) == complexes.profile(t)
+        assert j == peel(t)[0] and key(rest) == key(peel(t)[1])
+        assert homs.complex.summands == {d: t.summands[d] for d in (m, m + 1) if d in t.summands}
 
     def test_peel_lambda_fails(self, alg):
         with pytest.raises(NotTwistImage):
@@ -251,7 +256,8 @@ class TestRecover:
 
 
 class TestOneHomComplexPerVertexAndPeel:
-    """A recovery step builds Hom(P_j, T) once per vertex j; the inverse twist reads its own from the step."""
+    """A recovery step builds Hom(P_j, -) at most once per vertex j on the two lowest degrees of T,
+    and one Hom complex on all of T: the peeled letter's, inside the inverse twist."""
 
     @pytest.mark.parametrize(
         "diagram,letters",
@@ -260,21 +266,32 @@ class TestOneHomComplexPerVertexAndPeel:
     )
     def test_builds_per_peel(self, monkeypatch, diagram, letters):
         t = twist_word(word(diagram, letters), sum_of_projectives(ZigzagAlgebra(diagram)))
-        original = complexes.hom_complex
-        builds = []
+        original_build, original_inv = complexes.hom_complex, reconstruct.twist_inv
+        builds, inverted = [], []  # the complex of each Hom-complex build, and of each inverse twist
 
         def counting(j, x):
-            builds.append(j)
-            return original(j, x)
+            builds.append(x)
+            return original_build(j, x)
+
+        def inverting(j, x):
+            inverted.append(x)
+            return original_inv(j, x)
 
         # every module that imported hom_complex by name calls it through its own reference
         for module in vars(twistlab).values():
-            if getattr(module, "hom_complex", None) is original:
+            if getattr(module, "hom_complex", None) is original_build:
                 monkeypatch.setattr(module, "hom_complex", counting)
+        monkeypatch.setattr(reconstruct, "twist_inv", inverting)
         rec, steps = recover_trace(t)
         assert equivalent(rec, word(diagram, letters))
-        assert len(steps) == len(letters)
-        assert len(builds) <= diagram.rank * len(steps)
+        assert len(steps) == len(inverted) == len(letters)
+        for x in inverted:
+            assert sum(b is x for b in builds) == 1
+        truncations = {id(b): b for b in builds if not any(b is x for x in inverted)}
+        assert len(truncations) == len(steps)
+        for x, step in zip(truncations.values(), steps):
+            assert step.min_degree in x.summands and set(x.summands) <= {step.min_degree, step.min_degree + 1}
+            assert sum(b is x for b in builds) <= diagram.rank
 
 
 @settings(max_examples=60, deadline=None)
@@ -289,6 +306,55 @@ def test_recover_inverts_twist(case, field):
     w = word(diagram, letters)
     t = twist_word(w, sum_of_projectives(ZigzagAlgebra(diagram, field)))
     assert equivalent(recover_word(t), w)
+
+
+def _assert_degree_local(t):
+    """A recovery step's reads of sigma_{<=m+1} T are the ones it would make of the minimal T itself."""
+    t = minimize(t)
+    prof = profile(t)
+    m, homs = bottom(t)
+    assert m == min(d for (_, d) in prof)
+    for j in t.diagram.vertices:
+        assert homs[j].homology_dims().get(m, 0) == prof.get((j, m), 0)
+        assert long_morphism_dim(j, homs, m) == long_morphism_dim(j, t, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([A4, D5]).flatmap(
+        lambda d: st.tuples(st.just(d), st.lists(st.sampled_from(list(d.vertices)), max_size=10))
+    ),
+    st.sampled_from([GF2, QQ, GF3]),
+)
+def test_degree_local_step_on_twist_images(case, field):
+    diagram, letters = case
+    _assert_degree_local(twist_word(word(diagram, letters), sum_of_projectives(ZigzagAlgebra(diagram, field))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_degree_local_step_on_random_non_images(data):
+    """Random two-term complexes (units allowed), moved by up to three twists or inverse twists, minimized."""
+    diagram = data.draw(st.sampled_from([A4, D5]))
+    field = data.draw(st.sampled_from([GF2, QQ, GF3]))
+    algebra = ZigzagAlgebra(diagram, field)
+    coef = st.integers(0, field.p - 1) if field != QQ else st.integers(-2, 2).map(Fraction)
+    labels = st.lists(st.sampled_from(list(diagram.vertices)), min_size=1, max_size=3).map(tuple)
+    left, right = data.draw(labels), data.draw(labels)
+    diff = {}
+    for r, c in itertools.product(range(len(right)), range(len(left))):
+        m = None
+        for b in algebra.hom_basis(left[c], right[r]):
+            a = data.draw(coef)
+            m = algebra.plus(m, algebra.times(a, b)) if a else m
+        if m is not None:
+            diff[(r, c)] = m
+    x = make_complex(algebra, {-1: left, 0: right}, {-1: diff})
+    for i, forward in data.draw(st.lists(st.tuples(st.sampled_from(list(diagram.vertices)), st.booleans()), max_size=3)):
+        x = twist(i, x) if forward else twist_inv(i, x)
+    t = minimize(x)
+    assume(not t.is_zero())
+    _assert_degree_local(t)
 
 
 def category_equal(w1, w2):

@@ -51,6 +51,54 @@ class TestHomBasis:
                     assert len(alg.hom_basis(i, j)) == expect
 
 
+class TestHomTable:
+    def test_a2_rules(self):
+        table = ZigzagAlgebra(A2).hom_table(1)
+        # e o e_1 = a e_1 + b l_1, e o l_1 = a l_1
+        assert table[1, 1] == ((0, 0, 0), (0, 1, 1), (1, 1, 0))
+        # e_1 -> g_{1,2}; the loop dies
+        assert table[1, 2] == ((0, 0, 0),)
+        # g_{2,1} o g_{1,2} is the loop of P_1
+        assert table[2, 1] == ((0, 1, 0),)
+        # e o g_{1,2} = a g_{1,2}
+        assert table[2, 2] == ((0, 0, 0),)
+        assert table.slots == {1: range(2), 2: range(1)}
+        assert table.dual == {1: ((0, 1), (1, 0)), 2: ((1, 0),)}
+
+    def test_corrupt_algebra_has_its_own_table(self):
+        good, bad = ZigzagAlgebra(A3), ZigzagAlgebra(A3, corrupt_compose=True)
+        assert bad.hom_table(2) is not good.hom_table(2)
+        assert good.hom_table(2)[1, 2] == ((0, 1, 0),)
+        assert bad.hom_table(2)[1, 2] == ()
+        assert bad.hom_table(2)[2, 2] == good.hom_table(2)[2, 2]
+
+    def test_rules_are_built_on_first_use(self):
+        table = ZigzagAlgebra(D4, GF2).hom_table(3)
+        assert dict(table) == {}
+        table[2, 3]
+        assert list(table) == [(2, 3)]
+
+    def test_rules_agree_with_compose(self):
+        for d in (A3, D4):
+            for fld in (GF2, QQ, PrimeField(3)):
+                alg = ZigzagAlgebra(d, fld)
+                k = alg.field
+                for j in d.vertices:
+                    table = alg.hom_table(j)
+                    for i in d.vertices:
+                        for l in d.vertices:
+                            if not alg.hom_basis(i, l):
+                                continue
+                            coefs = {k.zero, k.one, k.parse("2"), k.parse("-1")}
+                            entries = {(a, b if i == l else k.zero) for a in coefs for b in coefs} - {(k.zero, k.zero)}
+                            for e, (slot, f) in itertools.product(entries, enumerate(table.basis[i])):
+                                image = alg.compose(j, i, l, e, f)
+                                coords = () if image is None else alg.coordinates(j, l, image)
+                                want = {s2: c for s2, c in enumerate(coords) if c}
+                                got = {s2: e[kk] for s, s2, kk in table[i, l] if s == slot and e[kk]}
+                                assert got == want, (j, i, l, e, slot)
+
+
 @pytest.fixture(params=[GF2, QQ], ids=["gf2", "qq"])
 def algebra(request):
     return ZigzagAlgebra(A3, request.param)
