@@ -20,7 +20,6 @@ from .complexes import (
     ChainMap,
     ProjComplex,
     cone,
-    cone_triangle,
     hom_complex,
     hom_dims,
     make_complex,

@@ -331,10 +331,12 @@ def criterion_degree_bounds(field: Field = GF2, scale: Scale = Scale(), corrupt:
         for name, max_len in scale.faithfulness_corpora:
             alg = ZigzagAlgebra(diagram_from_name(name), field, corrupt_compose=corrupt)
             d = alg.diagram
-            for w, t in twist_corpus(alg, max_len).items():
+            corpus = twist_corpus(alg, max_len)
+            for w, t in corpus.items():
                 m = min_degree(t)
                 for i in d.vertices:
-                    m2 = min_degree(twist(i, t))
+                    # below the corpus length, t_i T_w is the corpus's own twist(i, T_w)
+                    m2 = min_degree(corpus[(i,) + w] if len(w) < max_len else twist(i, t))
                     if not (m - 1 <= m2 <= m):
                         return False, f"{name}: min degree of t_{i} T_{w} drifted {m} -> {m2}"
                     inv = twist_inv(i, t)

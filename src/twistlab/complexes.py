@@ -25,13 +25,18 @@ each basis slot; it composes nothing.
 cone() checks that f is a chain map on every call.  The check composes
 nonzero entries only, so it costs in proportion to the nonzero entries of
 the blocks and differentials, not to their cells.  cone() builds the cone
-complex alone; only cone_triangle() also builds the maps Y -> C -> X[1].
+complex alone, not the maps Y -> C -> X[1].
 
 minimize() strips contractible summand pairs by Gaussian elimination: any
 entry P_i -> P_i whose identity coefficient is a unit can be split off, the
 parallel block picking up the correction delta - gamma phi^{-1} beta.  Pivot
 order is deterministic (lowest degree, then lowest row, then lowest column)
-so outputs are reproducible.
+so outputs are reproducible.  It works on indexes alone: each degree's
+entries sit in a row index (row -> {col: entry}) and a column index (col ->
+{row: entry}), and the output is read back from the row index.  A pivot
+costs its row and column plus one correction per pair of other entries in
+them, and phi is inverted only when there is such a pair: most pivots of
+the twist path have none.
 
 Memoized, for the life of the object that holds it (nothing outlives it):
 - minimize() marks its output minimal and returns a minimal input unchanged;
@@ -244,23 +249,6 @@ def cone(f: ChainMap) -> ProjComplex:
     return make_complex(alg, sm, dd)
 
 
-def cone_triangle(f: ChainMap) -> tuple[ProjComplex, ChainMap, ChainMap]:
-    """The cone C of f: X -> Y plus the canonical maps Y -> C and C -> X[1]."""
-    cone_complex = cone(f)
-    x, y = f.src, f.tgt
-    alg = x.algebra
-    identity = alg.scalar(alg.field.one)
-    inc_blocks: Dict[int, Matrix] = {}
-    proj_blocks: Dict[int, Matrix] = {}
-    for d in cone_complex.summands:
-        xc = len(x.summands.get(d + 1, ()))
-        inc_blocks[d] = {(xc + r, r): identity for r in range(len(y.summands.get(d, ())))}
-        proj_blocks[d] = {(r, r): identity for r in range(xc)}
-    inclusion = ChainMap(y, cone_complex, inc_blocks)
-    projection = ChainMap(cone_complex, shift(x, 1), proj_blocks)
-    return cone_complex, inclusion, projection
-
-
 # -- minimal models -----------------------------------------------------------
 
 
@@ -270,97 +258,97 @@ def minimize(x: ProjComplex) -> ProjComplex:
     Entries keep their input (row, col) positions until the end: removing
     summands never reorders the ones that stay, so a heap of unit entries
     keyed by (degree, row, col) pops pivots in the order of the module
-    docstring.  Stale heap items (entries since removed or changed) are
-    skipped when popped; every entry that becomes a unit is pushed again.
-    The output is marked minimal, and a minimal input is returned as is.
+    docstring.  Each degree holds its entries twice, by row (row -> {col:
+    entry}) and by column (col -> {row: entry}), so a pivot reads its row
+    and its column, and drops the summands it removes, without a scan.
+    Only an entry between equal labels can be a unit, so only those are
+    asked.  A pivot whose row or column holds no other entry makes no
+    correction, and then phi is not inverted at all.  Stale heap items
+    (entries since removed or changed) are skipped when popped; every entry
+    that becomes a unit is pushed again.  The output is marked minimal, and
+    a minimal input is returned as is.
     """
     if x._minimal:
         return x
     alg = x.algebra
-    is_unit, compose = alg.is_unit, alg.compose
+    is_unit, compose, plus = alg.is_unit, alg.compose, alg.plus
     neg_one = alg.field.neg(alg.field.one)
     labels = x.summands
-    entries: Dict[int, Dict[Tuple[int, int], Entry]] = {}
-    row_cols: Dict[int, Dict[int, set]] = {}  # degree -> row -> cols with an entry
-    col_rows: Dict[int, Dict[int, set]] = {}  # degree -> col -> rows with an entry
+    by_row: Dict[int, Dict[int, Dict[int, Entry]]] = {}  # degree -> row -> {col: entry}
+    by_col: Dict[int, Dict[int, Dict[int, Entry]]] = {}  # degree -> col -> {row: entry}
     queue: List[Tuple[int, int, int]] = []
     for d, mat in x.diffs.items():
-        entries[d] = dict(mat)
-        rc = row_cols[d] = {}
-        cr = col_rows[d] = {}
+        rr: Dict[int, Dict[int, Entry]] = {}
+        cc: Dict[int, Dict[int, Entry]] = {}
         rows, cols = labels[d + 1], labels[d]
         for (r, c), m in mat.items():
-            rc.setdefault(r, set()).add(c)
-            cr.setdefault(c, set()).add(r)
-            if is_unit(cols[c], rows[r], m):
+            rr.setdefault(r, {})[c] = m
+            cc.setdefault(c, {})[r] = m
+            if rows[r] == cols[c] and is_unit(cols[c], rows[r], m):
                 queue.append((d, r, c))
+        by_row[d], by_col[d] = rr, cc
     heapq.heapify(queue)
 
-    def drop_row(d: int, r: int) -> None:
-        if d in entries:
-            for c in row_cols[d].pop(r, ()):
-                del entries[d][(r, c)]
-                col_rows[d][c].discard(r)
-
-    def drop_col(d: int, c: int) -> None:
-        if d in entries:
-            for r in col_rows[d].pop(c, ()):
-                del entries[d][(r, c)]
-                row_cols[d][r].discard(c)
-
-    dropped: Dict[int, set] = {d: set() for d in x.summands}
+    dropped: Dict[int, set] = {d: set() for d in labels}
     while queue:
         d, pr, pc = heapq.heappop(queue)
-        block = entries[d]
+        rr, cc = by_row[d], by_col[d]
+        row = rr.get(pr)
+        phi = row.get(pc) if row else None
         rows, cols = labels[d + 1], labels[d]
-        phi = block.get((pr, pc))
-        if phi is None or not is_unit(cols[pc], rows[pr], phi):
-            continue
         v = rows[pr]
-        neg_phi_inv = alg.times(neg_one, alg.inverse(phi))
-        row_entries = [(c, block[(pr, c)]) for c in row_cols[d][pr] if c != pc]
-        col_entries = [(r, block[(r, pc)]) for r in col_rows[d][pc] if r != pr]
-        for r2, g in col_entries:
-            # -g phi^{-1}: nonzero, as phi is a unit
-            g_phi = compose(v, v, rows[r2], g, neg_phi_inv)
-            for c2, b in row_entries:
-                corr = compose(cols[c2], v, rows[r2], g_phi, b)
-                if corr is None:
-                    continue
-                cur = block.get((r2, c2))
-                new = alg.plus(cur, corr)
-                if new is not None:
-                    if cur is None:
-                        row_cols[d][r2].add(c2)
-                        col_rows[d][c2].add(r2)
-                    block[(r2, c2)] = new
-                    if is_unit(cols[c2], rows[r2], new):
-                        heapq.heappush(queue, (d, r2, c2))
-                else:
-                    del block[(r2, c2)]
-                    row_cols[d][r2].discard(c2)
-                    col_rows[d][c2].discard(r2)
-        # drop the pivot row/column in degree d, the incoming column in d-1
-        # and the outgoing row in d+1
-        drop_row(d, pr)
-        drop_col(d, pc)
-        drop_row(d - 1, pc)
-        drop_col(d + 1, pr)
+        if phi is None or not is_unit(v, v, phi):
+            continue
+        # the pivot row and column leave degree d: unlink them, then correct
+        # the block they span by delta - gamma phi^{-1} beta
+        del rr[pr]
+        col = cc.pop(pc)
+        del row[pc], col[pr]
+        for c2 in row:
+            del cc[c2][pr]
+        for r2 in col:
+            del rr[r2][pc]
+        if row and col:
+            neg_phi_inv = alg.times(neg_one, alg.inverse(phi))
+            for r2, g in col.items():
+                # -g phi^{-1}: nonzero, as phi is a unit
+                g_phi = compose(v, v, rows[r2], g, neg_phi_inv)
+                r2_row, r2_lab = rr[r2], rows[r2]
+                for c2, b in row.items():
+                    corr = compose(cols[c2], v, r2_lab, g_phi, b)
+                    if corr is None:
+                        continue
+                    new = plus(r2_row.get(c2), corr)
+                    if new is None:
+                        del r2_row[c2], cc[c2][r2]
+                    else:
+                        r2_row[c2] = cc[c2][r2] = new
+                        if r2_lab == cols[c2] and is_unit(cols[c2], r2_lab, new):
+                            heapq.heappush(queue, (d, r2, c2))
+        # the pivot column's summand is a row of degree d-1, the pivot row's
+        # summand a column of degree d+1
+        if d - 1 in by_row:
+            below = by_col[d - 1]
+            for c2 in by_row[d - 1].pop(pc, ()):
+                del below[c2][pc]
+        if d + 1 in by_col:
+            above = by_row[d + 1]
+            for r2 in by_col[d + 1].pop(pr, ()):
+                del above[r2][pr]
         dropped[d].add(pc)
         dropped[d + 1].add(pr)
 
     summands: Dict[int, Tuple[int, ...]] = {}
     position: Dict[int, Dict[int, int]] = {}  # degree -> input index -> output index
-    for d, labels in x.summands.items():
-        keep = [s for s in range(len(labels)) if s not in dropped[d]]
+    for d, labs in labels.items():
+        keep = [s for s in range(len(labs)) if s not in dropped[d]]
         if keep:
-            summands[d] = tuple(labels[s] for s in keep)
+            summands[d] = tuple(labs[s] for s in keep)
             position[d] = {s: n for n, s in enumerate(keep)}
-    diffs = {
-        d: {(position[d + 1][r], position[d][c]): m for (r, c), m in block.items()}
-        for d, block in entries.items()
-        if block
-    }
+    diffs: Dict[int, Matrix] = {}
+    for d, rr in by_row.items():
+        at_row, at_col = position.get(d + 1), position.get(d)
+        diffs[d] = {(at_row[r], at_col[c]): m for r, row in rr.items() for c, m in row.items()}
     out = make_complex(alg, summands, diffs)
     out._minimal = True
     return out

@@ -74,7 +74,7 @@ def _long_space(j: int, homs: HomComplexes, r: int) -> Dict[Tuple[int, int], Sca
     alg = homs.complex.algebra
     k_field = alg.field
     labels = homs.complex.summands.get(r, ())
-    basis = alg.hom_table(j).basis
+    table = alg.hom_table(j)
     vj = homs[j]
     rows = dict(vj.mats.get(r, {}))
     n = vj.dim(r + 1)
@@ -82,17 +82,13 @@ def _long_space(j: int, homs: HomComplexes, r: int) -> Dict[Tuple[int, int], Sca
         vk = homs[nb]
         if vk.dim(r) == 0:
             continue
-        (gamma,) = alg.hom_basis(nb, j)
         index = {item: i for i, item in enumerate(vk.basis[r])}
-        pre: Dict[int, Dict[int, Scalar]] = {}  # f g_{k,j} in vk's basis: row -> {col: coefficient}
+        # f g_{k,j} in vk's basis, read off the Hom table: row -> {col: coefficient}
+        pre: Dict[int, Dict[int, Scalar]] = {}
         for c, (s, slot) in enumerate(vj.basis[r]):
-            lab = labels[s]
-            image = alg.compose(nb, j, lab, basis[lab][slot], gamma)
-            if image is None:
-                continue
-            for slot2, coef in enumerate(alg.coordinates(nb, lab, image)):
-                if coef:
-                    pre.setdefault(index[(s, slot2)], {})[c] = coef
+            slot2 = table.precomposition(nb, labels[s]).get(slot)
+            if slot2 is not None:
+                pre.setdefault(index[(s, slot2)], {})[c] = k_field.one
         bmat = vk.mats.get(r - 1)
         if bmat is None:
             annihilators = [{i: k_field.one} for i in pre]

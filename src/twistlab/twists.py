@@ -17,6 +17,22 @@ entry scalar(a), a times the identity, for each nonzero scalar a, read
 straight from its entries.  JSON views are the only dense form.  Each
 functor builds the one Hom complex Hom(P_i, X) it needs.
 
+The inverse twist cancels its predictable pivots before minimize sees
+them.  Each summand s of X^d labelled i has two slots, the identity
+(s, 0) and the loop (s, 1), and the dual of the loop slot is the
+identity: s maps to the copy (s, 1) by a unit.  These pairs form an
+identity block, since no matched pivot's row or column meets another:
+the copy (s, 1) gets an entry from X^d at s alone, and s sends entries
+to its own two copies alone.  So eliminating them all is one
+Schur-complement step D' = D - C B with no inverse, C the other entries
+of the pivot columns and B those of the pivot rows, and it equals the
+pivot-by-pivot elimination in exact arithmetic.  twist_inv builds that
+reduced complex, without the summands labelled i or their loop copies,
+and minimize eliminates the rest.  Summands that stay keep their order, so
+on minimal complexes the output matches, entry for entry, that of
+minimizing the whole unreduced complex: tests/test_twists.py checks it
+against such a reference and pins a digest of a corpus of outputs.
+
 The concrete model is the omega = 0 one: all Hom spaces between
 projectives are concentrated in degree 0, so no twist carries a shift.
 """
@@ -40,12 +56,7 @@ from .complexes import (
     minimize,
     shift,
 )
-from .zigzag import ZigzagAlgebra
-
-
-def _scalar_block(scalar, mat, r0: int, c0: int) -> Matrix:
-    """scalar(a) for each entry a of a Hom complex matrix, moved down r0 rows and right c0 columns."""
-    return {(r + r0, c + c0): scalar(a) for (r, c), a in mat.items()}
+from .zigzag import Entry, ZigzagAlgebra
 
 
 def twist(i: int, x: ProjComplex) -> ProjComplex:
@@ -53,7 +64,7 @@ def twist(i: int, x: ProjComplex) -> ProjComplex:
     alg = x.algebra
     hc = hom_complex(i, x)
     src_summands = {d: (i,) * hc.dim(d) for d in hc.degrees()}
-    src_diffs = {d: _scalar_block(alg.scalar, mat, 0, 0) for d, mat in hc.mats.items()}
+    src_diffs = {d: {rc: alg.scalar(a) for rc, a in mat.items()} for d, mat in hc.mats.items()}
     source = make_complex(alg, src_summands, src_diffs)
     basis = alg.hom_table(i).basis
     ev_blocks = {
@@ -64,25 +75,78 @@ def twist(i: int, x: ProjComplex) -> ProjComplex:
 
 
 def twist_inv(i: int, x: ProjComplex) -> ProjComplex:
-    """Quasi-inverse twist, built from the trace-pairing dual basis."""
+    """Quasi-inverse twist, built from the trace-pairing dual basis, its identity pivots cancelled in bulk.
+
+    Degree d holds X^d then the copies of P_i for basis[d-1]; the
+    differential sends X^d to X^{d+1} by X's own, each summand s to the
+    copies (s, slot) by dual slots, and copies to copies by -hc.  Every
+    summand s labelled i (and none else) meets the copy of its loop slot
+    (s, 1) by the identity; the module docstring says why all of these
+    pairs cancel at once.  A copy column c with a = hc[(s, 1), c] picks up
+    a times X's differential out of s in each row of X, and a times the
+    loop in the row of the copy (s, 0).
+    """
     hc = hom_complex(i, x)
     alg = x.algebra
     dual = alg.hom_table(i).dual
-    neg = alg.field.neg
+    times, plus, neg = alg.times, alg.plus, alg.field.neg
+    loop = dual[i][0]
+    # new position of each summand of X that stays: those not labelled i
+    x_at = {
+        d: {s: n for n, s in enumerate(s for s, lab in enumerate(labels) if lab != i)}
+        for d, labels in x.summands.items()
+    }
+    # per degree d: new position of each copy for basis[d] that stays, every
+    # copy but (s, 1) of a summand s labelled i; and for those s, the new
+    # position of the copy (s, 0)
+    copy_at: Dict[int, Dict[int, int]] = {}
+    loop_row: Dict[int, Dict[int, int]] = {}
+    for d, items in hc.basis.items():
+        labels, at, lr = x.summands[d], {}, {}
+        for n, (s, slot) in enumerate(items):
+            if labels[s] != i or slot == 0:
+                at[n] = len(at)
+                if labels[s] == i:
+                    lr[s] = at[n]
+        copy_at[d], loop_row[d] = at, lr
     summands: Dict[int, Tuple[int, ...]] = {}
     degs = set(x.summands) | {d + 1 for d in hc.degrees()}
     for d in degs:
-        summands[d] = x.summands.get(d, ()) + (i,) * hc.dim(d - 1)
-    # rows: X^{d+1} then the copies of P_i for basis[d]; columns: X^d then
-    # the copies for basis[d-1]
+        summands[d] = tuple(lab for lab in x.summands.get(d, ()) if lab != i) + (i,) * len(copy_at.get(d - 1, ()))
+    # rows: X^{d+1} then the copies for basis[d]; columns: X^d then the
+    # copies for basis[d-1], each part in its order above
     diffs: Dict[int, Matrix] = {}
     for d in degs:
-        x_rows, x_cols = len(x.summands.get(d + 1, ())), len(x.summands.get(d, ()))
-        mat = dict(x.diffs.get(d, {}))
-        for ridx, (s, slot) in enumerate(hc.basis.get(d, ())):
-            mat[(x_rows + ridx, s)] = dual[x.summands[d][s]][slot]
-        mat.update(_scalar_block(lambda a: alg.scalar(neg(a)), hc.mats.get(d - 1, {}), x_rows, x_cols))
-        diffs[d] = mat
+        row_x, col_x = x_at.get(d + 1, {}), x_at.get(d, {})
+        row_copy, col_copy = copy_at.get(d, {}), copy_at.get(d - 1, {})
+        x_rows, x_cols = len(row_x), len(col_x)
+        labels = x.summands.get(d, ())
+        mat: Dict[Tuple[int, int], Optional[Entry]] = {}
+        out_of: Dict[int, list] = {}  # s labelled i -> X's differential out of s, in the new rows
+        for (r, c), g in x.diffs.get(d, {}).items():
+            if r in row_x:
+                if c in col_x:
+                    mat[(row_x[r], col_x[c])] = g
+                else:
+                    out_of.setdefault(c, []).append((row_x[r], g))
+        items, loops = hc.basis.get(d, ()), loop_row.get(d, {})
+        for n, (s, slot) in enumerate(items):
+            if labels[s] != i:
+                mat[(x_rows + row_copy[n], col_x[s])] = dual[labels[s]][slot]
+        for (r, c), a in hc.mats.get(d - 1, {}).items():
+            if c not in col_copy:
+                continue
+            col = x_cols + col_copy[c]
+            if r in row_copy:
+                cell = (x_rows + row_copy[r], col)
+                mat[cell] = plus(mat.get(cell), alg.scalar(neg(a)))
+                continue
+            s = items[r][0]
+            for row, g in out_of.get(s, ()):
+                mat[(row, col)] = plus(mat.get((row, col)), times(a, g))
+            cell = (x_rows + loops[s], col)
+            mat[cell] = plus(mat.get(cell), times(a, loop))
+        diffs[d] = {rc: m for rc, m in mat.items() if m is not None}
     return minimize(make_complex(alg, summands, diffs))
 
 

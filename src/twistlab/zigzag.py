@@ -29,12 +29,16 @@ on the projectives: the bases hom_basis(j, l) and dual_basis(j, l) of every
 label l, the slot range of each basis, and, for each pair (i, l), the rule
 by which postcomposition with an entry e: P_i -> P_l moves the basis slots
 of Hom(P_j, P_i) to those of Hom(P_j, P_l).  A rule is a tuple of triples
-(slot, slot2, k): e o basis[slot] has coefficient e[k] at slot2.  Rules are
-derived from compose on basis entries, the first time each pair is asked
-for, so a corrupt_compose algebra gets its own corrupt rules.  An algebra
-keeps its tables, at most one per vertex, each of at most rank^2 rules.
-With them a Hom complex is read off a differential's entries without
-composing any of them.
+(slot, slot2, k): e o basis[slot] has coefficient e[k] at slot2.  The
+table also holds precomposition rules: for a neighbour k of j and a label
+l, the slot of Hom(P_k, P_l) to which precomposition with the arrow
+g_{k,j} sends each basis slot of Hom(P_j, P_l), unless the product is
+zero.  Rules are derived from compose on basis entries, the first time
+each pair is asked for, so a corrupt_compose algebra gets its own corrupt
+rules.  An algebra keeps its tables, at most one per vertex, each of at
+most 2 rank^2 rules.  With them a Hom complex is read off a differential's
+entries, and a morphism's precomposition with an arrow off its basis
+slots, without composing any of them.
 
 This is the only module that knows the entry format: the rest of the package
 builds, combines and reads entries through ZigzagAlgebra's methods and Hom
@@ -226,18 +230,47 @@ class HomTable(dict):
         self.basis = {l: algebra.hom_basis(j, l) for l in algebra.diagram.vertices}
         self.dual = {l: algebra.dual_basis(j, l) for l in algebra.diagram.vertices}
         self.slots = {l: range(len(b)) for l, b in self.basis.items()}
+        self._pre: Dict[Tuple[int, int], Dict[int, int]] = {}
 
     def __missing__(self, key: Tuple[int, int]) -> Tuple[Tuple[int, int, int], ...]:
         i, l = key
-        alg, j, one = self.algebra, self.vertex, self.algebra.field.one
+        alg, j = self.algebra, self.vertex
         rule = []
         for slot, f in enumerate(self.basis[i]):
             for k, g in enumerate(alg.hom_basis(i, l)):
-                image = alg.compose(j, i, l, g, f)
-                for slot2, c in enumerate(() if image is None else alg.coordinates(j, l, image)):
-                    if c:
-                        if c != one:
-                            raise ValueError("a product of basis morphisms is not a basis morphism")
-                        rule.append((slot, slot2, k))
+                rule.extend((slot, slot2, k) for slot2 in _product_slots(alg, j, i, l, g, f))
         self[key] = rule = tuple(rule)
         return rule
+
+    def precomposition(self, k: int, l: int) -> Dict[int, int]:
+        """slot -> slot2 where basis[l][slot] o g_{k,j} is the basis morphism slot2 of Hom(P_k, P_l).
+
+        k is a neighbour of j; slots whose product is zero are absent.  Each
+        rule is derived on first use and kept.
+        """
+        rule = self._pre.get((k, l))
+        if rule is None:
+            alg = self.algebra
+            (arrow,) = alg.hom_basis(k, self.vertex)
+            rule = self._pre[(k, l)] = {
+                slot: slot2
+                for slot, f in enumerate(self.basis[l])
+                for slot2 in _product_slots(alg, k, self.vertex, l, f, arrow)
+            }
+        return rule
+
+
+def _product_slots(alg: ZigzagAlgebra, i: int, j: int, l: int, g: Entry, f: Entry) -> Tuple[int, ...]:
+    """The slots of hom_basis(i, l) at which g o f is nonzero, for basis morphisms f: P_i -> P_j and g: P_j -> P_l.
+
+    Each such coefficient is one (a product of basis morphisms is a basis
+    morphism or zero); anything else raises.
+    """
+    image = alg.compose(i, j, l, g, f)
+    if image is None:
+        return ()
+    one = alg.field.one
+    coords = alg.coordinates(i, l, image)
+    if any(c and c != one for c in coords):
+        raise ValueError("a product of basis morphisms is not a basis morphism")
+    return tuple(slot for slot, c in enumerate(coords) if c)

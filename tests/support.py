@@ -1,14 +1,26 @@
 """Test-only constructions that the package itself does not need.
 
-direct_sum, key and flatten build or compare objects for tests; the
-package's code paths never call them.  reference_hom_complex is the
-entry-by-entry Hom complex (compose each basis morphism with each
+direct_sum, cone_triangle, key and flatten build or compare objects for
+tests; the package's code paths never call them.  reference_hom_complex is
+the entry-by-entry Hom complex (compose each basis morphism with each
 differential entry, read the coordinates of the product), against which the
-table-driven complexes.hom_complex is checked.
+table-driven complexes.hom_complex is checked.  reference_twist_inv is the
+inverse twist with every contractible pair left to minimize, against which
+twists.twist_inv's bulk cancellation is checked.
 """
 
 from twistlab.braid import BraidWord, LayeredWord
-from twistlab.complexes import HomComplex, ProjComplex, make_complex
+from twistlab.complexes import (
+    ChainMap,
+    HomComplex,
+    Matrix,
+    ProjComplex,
+    cone,
+    hom_complex,
+    make_complex,
+    minimize,
+    shift,
+)
 
 
 def direct_sum(x: ProjComplex, y: ProjComplex) -> ProjComplex:
@@ -21,6 +33,47 @@ def direct_sum(x: ProjComplex, y: ProjComplex) -> ProjComplex:
         r0, c0 = len(x.summands.get(d + 1, ())), len(x.summands.get(d, ()))
         dd[d] = {**x.diffs.get(d, {}), **{(r + r0, c + c0): m for (r, c), m in y.diffs.get(d, {}).items()}}
     return make_complex(x.algebra, sm, dd)
+
+
+def cone_triangle(f: ChainMap) -> tuple[ProjComplex, ChainMap, ChainMap]:
+    """The cone C of f: X -> Y plus the canonical maps Y -> C and C -> X[1]."""
+    cone_complex = cone(f)
+    x, y = f.src, f.tgt
+    alg = x.algebra
+    identity = alg.scalar(alg.field.one)
+    inc_blocks: dict = {}
+    proj_blocks: dict = {}
+    for d in cone_complex.summands:
+        xc = len(x.summands.get(d + 1, ()))
+        inc_blocks[d] = {(xc + r, r): identity for r in range(len(y.summands.get(d, ())))}
+        proj_blocks[d] = {(r, r): identity for r in range(xc)}
+    inclusion = ChainMap(y, cone_complex, inc_blocks)
+    projection = ChainMap(cone_complex, shift(x, 1), proj_blocks)
+    return cone_complex, inclusion, projection
+
+
+def reference_twist_inv(i: int, x: ProjComplex) -> ProjComplex:
+    """The inverse twist as one complex, X plus a copy of P_i per Hom-complex basis slot, minimized whole."""
+    hc = hom_complex(i, x)
+    alg = x.algebra
+    dual = alg.hom_table(i).dual
+    neg = alg.field.neg
+    summands = {}
+    degs = set(x.summands) | {d + 1 for d in hc.degrees()}
+    for d in degs:
+        summands[d] = x.summands.get(d, ()) + (i,) * hc.dim(d - 1)
+    # rows: X^{d+1} then the copies of P_i for basis[d]; columns: X^d then
+    # the copies for basis[d-1]
+    diffs = {}
+    for d in degs:
+        x_rows, x_cols = len(x.summands.get(d + 1, ())), len(x.summands.get(d, ()))
+        mat: Matrix = dict(x.diffs.get(d, {}))
+        for ridx, (s, slot) in enumerate(hc.basis.get(d, ())):
+            mat[(x_rows + ridx, s)] = dual[x.summands[d][s]][slot]
+        for (r, c), a in hc.mats.get(d - 1, {}).items():
+            mat[(x_rows + r, x_cols + c)] = alg.scalar(neg(a))
+        diffs[d] = mat
+    return minimize(make_complex(alg, summands, diffs))
 
 
 def key(x: ProjComplex) -> tuple:

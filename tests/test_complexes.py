@@ -12,7 +12,6 @@ from twistlab.complexes import (
     complex_from_json_obj,
     complex_to_json_obj,
     cone,
-    cone_triangle,
     hom_complex,
     hom_dims,
     make_complex,
@@ -27,7 +26,7 @@ from twistlab.fields import GF2, QQ, PrimeField
 from twistlab.twists import is_twist_image, iso_to_sum, twist_word
 from twistlab.zigzag import ZigzagAlgebra
 
-from support import direct_sum, key, reference_hom_complex
+from support import cone_triangle, direct_sum, key, reference_hom_complex
 
 A2 = build_diagram("A", 2)
 A3 = build_diagram("A", 3)

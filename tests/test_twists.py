@@ -1,15 +1,20 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistlab.braid import build_diagram, equivalent, word
+from twistlab.acceptance import twist_corpus
+from twistlab.braid import build_diagram, diagram_from_name, equivalent, word
 from twistlab.complexes import (
+    complex_to_json_obj,
     make_complex,
     minimize,
     projective,
     shift,
     sum_of_projectives,
 )
-from twistlab.fields import GF2, QQ, PrimeField
+from twistlab.fields import GF2, QQ, PrimeField, field_from_name
 from twistlab.twists import (
     TwoTermObject,
     is_left_proper,
@@ -27,7 +32,7 @@ from twistlab.twists import (
 )
 from twistlab.zigzag import ZigzagAlgebra
 
-from support import key
+from support import key, reference_twist_inv
 
 A2 = build_diagram("A", 2)
 A3 = build_diagram("A", 3)
@@ -110,6 +115,48 @@ class TestTwistInverse:
         lam = sum_of_projectives(alg)
         w = word(A2, (1, 2, 2, 1))
         assert iso_to_sum(twist_inv_word(w, twist_word(w, lam)), lam)
+
+
+# sha256 over the JSON of every twist image T_w of the corpus and of every
+# twist_inv(i, T_w), pinned before twist_inv cancelled its identity pivots in bulk
+CORPUS_DIGESTS = [
+    ("A3", 4, "f2", "0fe3727adfc50ce1c2ad53f468822a91f113084da6358c5422fef92470f33796"),
+    ("A3", 4, "q", "452c65e11cbc78dcd4b775bc7791482488ee67899248547bd17a7339452b214d"),
+    ("A3", 4, "f3", "107be3c553e8d4daed96edc3582b266dddc6cd1694d359d1cdf03f41b9869d55"),
+    ("D4", 3, "f2", "60ad2052cf79d22bd5f04a767eb113114d80e4fa6258c2c94e8e12544730f048"),
+    ("D4", 3, "q", "5b7db02e9be70d1735498c9288bb87535c6a1b3baf57021f3f1eedf14fef8f0f"),
+    ("D4", 3, "f3", "aa4335c931c55d2ba456f190df01dbf304508797ec83973f3526c9d9376a9429"),
+]
+
+
+def _corpus_algebras(max_lens):
+    for name, max_len in max_lens:
+        for field in ("f2", "q", "f3"):
+            yield name, max_len, field, ZigzagAlgebra(diagram_from_name(name), field_from_name(field))
+
+
+class TestTwistInvOutputs:
+    """twist_inv's bulk cancellation leaves every output of the elimination kernel as it was."""
+
+    @pytest.mark.parametrize("name, max_len, field, digest", CORPUS_DIGESTS)
+    def test_corpus_digest(self, name, max_len, field, digest):
+        alg = ZigzagAlgebra(diagram_from_name(name), field_from_name(field))
+        h = hashlib.sha256()
+        for w, t in twist_corpus(alg, max_len).items():
+            h.update(json.dumps([w, complex_to_json_obj(t)], sort_keys=True).encode())
+            for i in alg.diagram.vertices:
+                h.update(json.dumps([i, complex_to_json_obj(twist_inv(i, t))], sort_keys=True).encode())
+        assert h.hexdigest() == digest
+
+    def test_matches_minimizing_the_whole_complex(self):
+        checked = 0
+        for name, max_len, field, alg in _corpus_algebras((("A3", 3), ("D4", 2))):
+            for w, t in twist_corpus(alg, max_len).items():
+                for i in alg.diagram.vertices:
+                    got = complex_to_json_obj(twist_inv(i, t))
+                    assert got == complex_to_json_obj(reference_twist_inv(i, t)), (name, field, w, i)
+                    checked += 1
+        assert checked == 3 * (40 * 3 + 21 * 4)
 
 
 def two_term(algebra, side, left, right, arrows):
