@@ -56,6 +56,9 @@ EXIT_BREACH = 3
 
 # selftest's corpus budget: the D4 words up to 5 letters, the largest corpus the full-scale sweep runs
 MAX_SELFTEST_WORDS = 1365
+# twist's output budget: the cells of the dense JSON differentials, sum over d of |T^{d+1}| |T^d|
+# (the 40-letter A4 word that CI recovers needs 63,178)
+MAX_TWIST_CELLS = 250_000
 
 
 @dataclass
@@ -115,6 +118,9 @@ def cmd_twist(args) -> int:
     w = _parse_word(config, args.word)
     x = _object_spec(config, algebra, args.object)
     t = minimize(twist_word(w, x))
+    cells = sum(len(labels) * len(t.summands.get(d + 1, ())) for d, labels in t.summands.items())
+    if cells > MAX_TWIST_CELLS:
+        raise InputError(f"the image needs {cells} dense matrix cells, more than the limit of {MAX_TWIST_CELLS}")
     prof = profile(t)
     payload = {
         "complex": complex_to_json_obj(t),

@@ -22,10 +22,13 @@ hom_complex reads each differential entry once through the algebra's Hom
 table (zigzag.HomTable), which says where postcomposition with it sends
 each basis slot; it composes nothing.
 
-cone() checks that f is a chain map on every call.  The check composes
-nonzero entries only, so it costs in proportion to the nonzero entries of
-the blocks and differentials, not to their cells.  cone() builds the cone
-complex alone, not the maps Y -> C -> X[1].
+cone() is the checked entry point for chain maps from outside the package
+(a ChainMap built by a caller): it checks that f is a chain map on every
+call.  The check composes nonzero entries only, so it costs in proportion
+to the nonzero entries of the blocks and differentials, not to their
+cells.  cone() builds the cone complex alone, not the maps Y -> C -> X[1].
+The twist writes its cone of evaluation itself and runs the same check
+there (see twists.py).
 
 minimize() strips contractible summand pairs by Gaussian elimination: any
 entry P_i -> P_i whose identity coefficient is a unit can be split off, the
@@ -33,10 +36,13 @@ parallel block picking up the correction delta - gamma phi^{-1} beta.  Pivot
 order is deterministic (lowest degree, then lowest row, then lowest column)
 so outputs are reproducible.  It works on indexes alone: each degree's
 entries sit in a row index (row -> {col: entry}) and a column index (col ->
-{row: entry}), and the output is read back from the row index.  A pivot
-costs its row and column plus one correction per pair of other entries in
-them, and phi is inverted only when there is such a pair: most pivots of
-the twist path have none.
+{row: entry}), and the output is read back from the row index.  A degree
+that lost no summand keeps its label tuple and its positions, and a
+differential between two such degrees, which no pivot touched, is the
+input's own matrix (complexes are immutable, so they may share it).  A
+pivot costs its row and column plus one correction per pair of other
+entries in them, and phi is inverted only when there is such a pair: most
+pivots of the twist path have none.
 
 Memoized, for the life of the object that holds it (nothing outlives it):
 - minimize() marks its output minimal and returns a minimal input unchanged;
@@ -338,18 +344,29 @@ def minimize(x: ProjComplex) -> ProjComplex:
         dropped[d].add(pc)
         dropped[d + 1].add(pr)
 
+    # a degree that lost no summand keeps its tuple and its positions, and a
+    # differential between two such degrees is the input's, untouched
     summands: Dict[int, Tuple[int, ...]] = {}
-    position: Dict[int, Dict[int, int]] = {}  # degree -> input index -> output index
+    position: Dict[int, Union[range, Dict[int, int]]] = {}  # degree -> input index -> output index
     for d, labs in labels.items():
-        keep = [s for s in range(len(labs)) if s not in dropped[d]]
+        gone = dropped[d]
+        if not gone:
+            summands[d], position[d] = labs, range(len(labs))
+            continue
+        keep = [s for s in range(len(labs)) if s not in gone]
         if keep:
             summands[d] = tuple(labs[s] for s in keep)
             position[d] = {s: n for n, s in enumerate(keep)}
     diffs: Dict[int, Matrix] = {}
     for d, rr in by_row.items():
-        at_row, at_col = position.get(d + 1), position.get(d)
-        diffs[d] = {(at_row[r], at_col[c]): m for r, row in rr.items() for c, m in row.items()}
-    out = make_complex(alg, summands, diffs)
+        if dropped[d] or dropped[d + 1]:
+            at_row, at_col = position.get(d + 1), position.get(d)
+            mat = {(at_row[r], at_col[c]): m for r, row in rr.items() for c, m in row.items()}
+        else:
+            mat = x.diffs[d]
+        if mat:
+            diffs[d] = mat
+    out = ProjComplex(alg, summands, diffs)
     out._minimal = True
     return out
 

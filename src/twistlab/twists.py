@@ -6,8 +6,8 @@ Hom complex Hom(P_i, X), map it to X by evaluation, take the cone, minimize.
 The inverse twist dualizes: copies of P_i indexed by the same basis land one
 degree higher, and X maps into them by the trace-pairing dual basis
 (coevaluation).  Both functors minimize their output, so repeated twisting
-stays small.  The complexes, chain maps and two-term connecting maps built
-here hold nonzero entries only, in the sparse Matrix format of complexes,
+stays small.  The complexes and two-term connecting maps built here hold
+nonzero entries only, in the sparse Matrix format of complexes,
 and every entry comes from the algebra: a basis slot (s, slot) of the Hom
 complex, summand s labelled l, is evaluated by hom_basis(i, l)[slot] and
 coevaluated by dual_basis(i, l)[slot], both read from the algebra's Hom
@@ -16,6 +16,18 @@ scalar matrices are sparse too, so the copies of P_i get a differential
 entry scalar(a), a times the identity, for each nonzero scalar a, read
 straight from its entries.  JSON views are the only dense form.  Each
 functor builds the one Hom complex Hom(P_i, X) it needs.
+
+twist writes the cone of evaluation itself.  Degree d holds the copies for
+the basis of Hom^{d+1}, then X^d.  Its entries are -a times the identity
+between copies, the basis morphism from each copy to its summand, and X's
+own differential, at the (row, col) positions that cone() gives them.  No
+source complex and no chain map are built.  The check that cone() makes
+still runs, in _check_evaluation, before the cone is written.  It makes the
+checks of ChainMap.is_valid: each basis entry of the Hom table is typed
+once, as every evaluation entry is one of them; and in each degree d,
+ev_{d+1} o d_src = d_X o ev_d is composed entry by entry.  A failure raises
+cone()'s ValueError.  cone() itself stays the checked entry point for chain
+maps from outside (see complexes.py).
 
 The inverse twist cancels its predictable pivots before minimize sees
 them.  Each summand s of X^d labelled i has two slots, the identity
@@ -45,10 +57,9 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from .braid import BraidWord
 from .complexes import (
-    ChainMap,
+    HomComplex,
     Matrix,
     ProjComplex,
-    cone,
     hom_complex,
     hom_dims,
     make_complex,
@@ -60,18 +71,69 @@ from .zigzag import Entry, ZigzagAlgebra
 
 
 def twist(i: int, x: ProjComplex) -> ProjComplex:
-    """t_i(X) = minimize(cone(P_i (x) Hom(P_i, X) -> X))."""
+    """t_i(X): the cone of evaluation P_i (x) Hom(P_i, X) -> X, checked, written in place and minimized.
+
+    Each entry sits where cone() would put it (see the module docstring):
+    -a times the identity between copies for each scalar a of hc, the
+    basis morphism basis[l][slot] from each copy (s, slot) to its summand
+    s, labelled l, and X's own differential.
+    """
     alg = x.algebra
     hc = hom_complex(i, x)
-    src_summands = {d: (i,) * hc.dim(d) for d in hc.degrees()}
-    src_diffs = {d: {rc: alg.scalar(a) for rc, a in mat.items()} for d, mat in hc.mats.items()}
-    source = make_complex(alg, src_summands, src_diffs)
     basis = alg.hom_table(i).basis
-    ev_blocks = {
-        d: {(s, n): basis[x.summands[d][s]][slot] for n, (s, slot) in enumerate(hc.basis[d])} for d in hc.degrees()
-    }
-    ev = ChainMap(source, x, ev_blocks)
-    return minimize(cone(ev))
+    _check_evaluation(i, x, hc, basis)
+    neg, scalar = alg.field.neg, alg.scalar
+    summands: Dict[int, Tuple[int, ...]] = {}
+    diffs: Dict[int, Matrix] = {}
+    for d in set(x.summands) | {d - 1 for d in hc.basis}:
+        copies, labels = hc.basis.get(d + 1, ()), x.summands.get(d + 1, ())
+        # rows: the copies for basis[d+2], then X^{d+1}; columns: the copies for basis[d+1], then X^d
+        row_x, col_x = hc.dim(d + 2), len(copies)
+        summands[d] = (i,) * col_x + x.summands.get(d, ())
+        mat = {rc: scalar(neg(a)) for rc, a in hc.mats.get(d + 1, {}).items()}
+        for n, (s, slot) in enumerate(copies):
+            mat[(row_x + s, n)] = basis[labels[s]][slot]
+        for (r, c), g in x.diffs.get(d, {}).items():
+            mat[(row_x + r, col_x + c)] = g
+        diffs[d] = mat
+    return minimize(make_complex(alg, summands, diffs))
+
+
+def _check_evaluation(i: int, x: ProjComplex, hc: HomComplex, basis: Dict[int, Tuple[Entry, ...]]) -> None:
+    """Raise ValueError, as cone() does, unless evaluation P_i (x) Hom(P_i, X) -> X is a chain map.
+
+    The checks are those of ChainMap.is_valid.  Every evaluation entry is
+    a basis entry of the Hom table, so typing each of those once types
+    them all.  Then, per degree d of the Hom complex, ev_{d+1} o d_src -
+    d_X o ev_d must vanish, summed from compositions of nonzero entries.
+    """
+    alg = x.algebra
+    compose, plus, times, scalar = alg.compose, alg.plus, alg.times, alg.scalar
+    neg_one = alg.field.neg(alg.field.one)
+    if not all(alg.in_hom(i, l, e) for l, entries in basis.items() for e in entries):
+        raise ValueError("cone of an invalid chain map")
+    for d, items in hc.basis.items():
+        acc: Dict[Tuple[int, int], Optional[Entry]] = {}
+        above, labels_above = hc.basis.get(d + 1, ()), x.summands.get(d + 1, ())
+        # ev_{d+1} o d_src: the copy k above is (s, slot), evaluated into its summand s
+        for (k, c), a in hc.mats.get(d, {}).items():
+            s, slot = above[k]
+            lab = labels_above[s]
+            term = compose(i, i, lab, basis[lab][slot], scalar(a))
+            if term is not None:
+                acc[(s, c)] = plus(acc.get((s, c)), term)
+        # -d_X o ev_d: each entry of X's differential out of s meets the copies of s
+        labels = x.summands[d]
+        copies_of: Dict[int, list] = {}
+        for c, (s, slot) in enumerate(items):
+            copies_of.setdefault(s, []).append((c, basis[labels[s]][slot]))
+        for (r, s), g in x.diffs.get(d, {}).items():
+            for c, e in copies_of.get(s, ()):
+                term = compose(i, labels[s], labels_above[r], g, e)
+                if term is not None:
+                    acc[(r, c)] = plus(acc.get((r, c)), times(neg_one, term))
+        if any(m is not None for m in acc.values()):
+            raise ValueError("cone of an invalid chain map")
 
 
 def twist_inv(i: int, x: ProjComplex) -> ProjComplex:

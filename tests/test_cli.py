@@ -64,6 +64,23 @@ class TestTwist:
         code, _, err = run_cli(capsys, "--diagram", "A2", "twist", "1", "--object", "-")
         assert code == 2
 
+    # the first 12 letters of CI's 40-letter A4 word: an image of 32 summands whose
+    # dense differentials hold 198 cells
+    BUDGET_WORD = "2,3,1,4,2,1,4,3,1,2,3,2"
+
+    def test_image_at_the_cell_budget_is_written(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_TWIST_CELLS", 198)
+        code, out, err = run_cli(capsys, "--diagram", "A4", "twist", self.BUDGET_WORD)
+        assert code == 0 and err == ""
+        obj = json.loads(out)["complex"]
+        assert sum(len(rows) * len(rows[0]) for rows in obj["diffs"].values()) == 198
+
+    def test_image_one_cell_past_the_budget_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_TWIST_CELLS", 197)
+        code, out, err = run_cli(capsys, "--diagram", "A4", "twist", self.BUDGET_WORD)
+        assert code == 2 and out == ""
+        assert err.startswith("input error: ") and "198 dense matrix cells" in err and "limit of 197" in err
+
 
 # Malformed JSON on stdin, for each command that reads it: exit 2, no traceback
 MALFORMED_COMPLEXES = {

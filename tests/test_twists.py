@@ -4,6 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twistlab import twists
 from twistlab.acceptance import twist_corpus
 from twistlab.braid import build_diagram, diagram_from_name, equivalent, word
 from twistlab.complexes import (
@@ -88,6 +89,41 @@ class TestTwist:
         for letter in (1, 2, 1, 1, 2):
             t = twist(letter, t)
             t.check()
+
+    @pytest.mark.parametrize("field", ["f2", "f3"])
+    def test_evaluation_is_checked_against_the_hom_complex(self, monkeypatch, field):
+        # each scalar of Hom(P_2, X)'s differential in turn is dropped (GF(2)) or
+        # negated (GF(3)): evaluation is then no chain map, and twist must say so
+        algebra = ZigzagAlgebra(A3, field_from_name(field))
+        neg = algebra.field.neg
+        x = twist_word(word(A3, (2, 1, 3)), sum_of_projectives(algebra))
+        real = twists.hom_complex
+        cells = [(d, rc) for d, mat in real(2, x).mats.items() for rc in mat]
+        assert len(cells) >= 4
+        for d, rc in cells:
+
+            def changed(j, y, d=d, rc=rc):
+                hc = real(j, y)
+                mat = hc.mats[d] = dict(hc.mats[d])
+                a = mat.pop(rc)
+                if neg(a) != a:
+                    mat[rc] = neg(a)
+                return hc
+
+            monkeypatch.setattr(twists, "hom_complex", changed)
+            with pytest.raises(ValueError, match="cone of an invalid chain map"):
+                twist(2, x)
+
+    def test_long_chain_digest(self):
+        # sha256 of the JSON of t_w(Lambda) over GF(2) for the 40-letter A4 word CI
+        # recovers (843 summands), pinned before twist wrote its cone in place
+        letters = (2, 3, 1, 4, 2, 1, 4, 3, 1, 2, 3, 2, 1, 3, 2, 1, 3, 2, 3, 1,
+                   3, 4, 2, 4, 3, 1, 3, 1, 3, 2, 4, 3, 4, 2, 3, 1, 4, 3, 4, 3)
+        algebra = ZigzagAlgebra(A4)
+        t = twist_word(word(A4, letters), sum_of_projectives(algebra))
+        assert sum(map(len, t.summands.values())) == 843
+        digest = hashlib.sha256(json.dumps(complex_to_json_obj(t), sort_keys=True).encode()).hexdigest()
+        assert digest == "9daadeab82d9cc212e3f882e57001d09a684a6384493edcea4cf9b23c564350b"
 
 
 class TestTwistInverse:
