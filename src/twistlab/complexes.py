@@ -47,6 +47,9 @@ pivots of the twist path have none.
 Memoized, for the life of the object that holds it (nothing outlives it):
 - minimize() marks its output minimal and returns a minimal input unchanged;
 - a complex keeps its profile(), and hands out a fresh copy on each call;
+  the profile of t_i(Y), made by twists.twist while Y lives and Y's profile
+  is memoized, builds the Hom complexes of i's neighbours only and reads
+  its other rows off Y's profile, exactly (profile() says why);
 - a HomComplex keeps the rank of each differential it has ranked.
 Hom complexes themselves are not kept on their complex: a caller that needs
 them more than once holds them in a HomComplexes map.  A recovery step holds
@@ -57,6 +60,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import weakref
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -78,7 +82,9 @@ class ProjComplex:
     d -> d+1.  Degrees without summands and empty matrices are dropped on
     normalization (see make_complex); zero morphisms are no entries at all
     (see zigzag.py).  _minimal and _profile are the memos of minimize() and
-    profile().
+    profile().  _twist_of is the link twists.twist leaves on its output, the
+    letter i and a weak reference to the complex it twisted; profile() reads
+    it and drops it.
     """
 
     algebra: ZigzagAlgebra
@@ -86,6 +92,7 @@ class ProjComplex:
     diffs: Dict[int, Matrix]
     _minimal: bool = dataclasses.field(default=False, init=False, repr=False)
     _profile: Optional[HomProfile] = dataclasses.field(default=None, init=False, repr=False)
+    _twist_of: Optional[Tuple[int, weakref.ref]] = dataclasses.field(default=None, init=False, repr=False)
 
     @property
     def diagram(self) -> DynkinDiagram:
@@ -475,12 +482,45 @@ class HomComplexes(dict):
 def profile(x: ProjComplex) -> HomProfile:
     """(vertex, degree) -> dim Hom^degree(P_vertex, X), an invariant of X up to isomorphism.
 
-    Computed once per complex; every call returns a fresh dict, so callers
-    cannot alter the memo.
+    Keys run by vertex, then by degree.  Computed once per complex; every
+    call returns a fresh dict, so callers cannot alter the memo.  When X =
+    t_i(Y) came out of twists.twist, Y is still alive and Y's profile is
+    already memoized, only the rows of i's neighbours are computed; the
+    others are read off Y's profile, and are exact, not estimates:
+    - for j neither i nor a neighbour of i, Hom(P_j, P_i) = 0, so the
+      copies of P_i in the cone add no basis to Hom(P_j, cone), which is
+      Hom(P_j, Y) entry for entry; minimize is a homotopy equivalence, so
+      row j of X is row j of Y;
+    - for j = i, the identity slots of the copies map onto Hom(P_i, Y) by
+      the identity, so Hom(P_i, t_i Y) is homotopy equivalent to the loop
+      slots' copy of Hom(P_i, Y), shifted by one: H^d(P_i, X) = H^{d+1}(P_i, Y).
+    Both hold in any algebra of this form, the corrupt_compose one too.  Y
+    is never profiled from here, and X drops the link once its own memo is
+    set, so a twist chain keeps none of its intermediates alive.
     """
     if x._profile is None:
-        x._profile = {(j, d): h for j in x.diagram.vertices for d, h in hom_complex(j, x).homology_dims().items()}
+        x._profile = _profile_rows(x)
+        x._twist_of = None
     return dict(x._profile)
+
+
+def _profile_rows(x: ProjComplex) -> HomProfile:
+    """The profile of x: every row from its Hom complex, or, through the twist link, the neighbours' rows alone."""
+    vertices = x.diagram.vertices
+    parent = x._twist_of[1]() if x._twist_of else None
+    known = parent._profile if parent is not None else None
+    if known is None:
+        return {(j, d): h for j in vertices for d, h in hom_dims(j, x).items()}
+    i = x._twist_of[0]
+    near = x.diagram.neighbors(i)
+    out: HomProfile = {}
+    for j in vertices:
+        if j in near:
+            out.update(((j, d), h) for d, h in hom_dims(j, x).items())
+        else:
+            lift = 1 if j == i else 0
+            out.update(((j, d - lift), h) for (k, d), h in known.items() if k == j)
+    return out
 
 
 def profile_key(x: ProjComplex) -> tuple:

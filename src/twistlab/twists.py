@@ -23,11 +23,19 @@ between copies, the basis morphism from each copy to its summand, and X's
 own differential, at the (row, col) positions that cone() gives them.  No
 source complex and no chain map are built.  The check that cone() makes
 still runs, in _check_evaluation, before the cone is written.  It makes the
-checks of ChainMap.is_valid: each basis entry of the Hom table is typed
-once, as every evaluation entry is one of them; and in each degree d,
+checks of ChainMap.is_valid: every evaluation entry is a basis entry of the
+Hom table, and the table types each of those once, when it is built (a
+mistyped one raises ValueError there); and in each degree d,
 ev_{d+1} o d_src = d_X o ev_d is composed entry by entry.  A failure raises
 cone()'s ValueError.  cone() itself stays the checked entry point for chain
 maps from outside (see complexes.py).
+
+twist leaves a link on its output: the letter i and a weak reference to X.
+complexes.profile reads it to compute only the rows of i's neighbours when
+X's profile is already memoized (see there why the other rows are exact),
+and drops it once its own memo is set.  The reference is weak, so a twist
+chain keeps none of its intermediates alive.  twist_inv leaves no link:
+nothing on a hot path profiles an inverse image.
 
 The inverse twist cancels its predictable pivots before minimize sees
 them.  Each summand s of X^d labelled i has two slots, the identity
@@ -51,6 +59,7 @@ projectives are concentrated in degree 0, so no twist carries a shift.
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
@@ -76,7 +85,8 @@ def twist(i: int, x: ProjComplex) -> ProjComplex:
     Each entry sits where cone() would put it (see the module docstring):
     -a times the identity between copies for each scalar a of hc, the
     basis morphism basis[l][slot] from each copy (s, slot) to its summand
-    s, labelled l, and X's own differential.
+    s, labelled l, and X's own differential.  The output carries the link
+    (i, weak reference to X) that profile() reads.
     """
     alg = x.algebra
     hc = hom_complex(i, x)
@@ -96,22 +106,23 @@ def twist(i: int, x: ProjComplex) -> ProjComplex:
         for (r, c), g in x.diffs.get(d, {}).items():
             mat[(row_x + r, col_x + c)] = g
         diffs[d] = mat
-    return minimize(make_complex(alg, summands, diffs))
+    out = minimize(make_complex(alg, summands, diffs))
+    out._twist_of = (i, weakref.ref(x))
+    return out
 
 
 def _check_evaluation(i: int, x: ProjComplex, hc: HomComplex, basis: Dict[int, Tuple[Entry, ...]]) -> None:
     """Raise ValueError, as cone() does, unless evaluation P_i (x) Hom(P_i, X) -> X is a chain map.
 
     The checks are those of ChainMap.is_valid.  Every evaluation entry is
-    a basis entry of the Hom table, so typing each of those once types
-    them all.  Then, per degree d of the Hom complex, ev_{d+1} o d_src -
-    d_X o ev_d must vanish, summed from compositions of nonzero entries.
+    a basis entry of the Hom table, which typed each of them once, when it
+    was built.  So what is left is, per degree d of the Hom complex, that
+    ev_{d+1} o d_src - d_X o ev_d vanish, summed from compositions of
+    nonzero entries.
     """
     alg = x.algebra
     compose, plus, times, scalar = alg.compose, alg.plus, alg.times, alg.scalar
     neg_one = alg.field.neg(alg.field.one)
-    if not all(alg.in_hom(i, l, e) for l, entries in basis.items() for e in entries):
-        raise ValueError("cone of an invalid chain map")
     for d, items in hc.basis.items():
         acc: Dict[Tuple[int, int], Optional[Entry]] = {}
         above, labels_above = hc.basis.get(d + 1, ()), x.summands.get(d + 1, ())

@@ -26,9 +26,10 @@ or a Fraction), so zero is the only falsy scalar.
 
 Hom tables.  hom_table(j) holds, for one vertex j, what Hom(P_j, -) does
 on the projectives: the bases hom_basis(j, l) and dual_basis(j, l) of every
-label l, the slot range of each basis, and, for each pair (i, l), the rule
-by which postcomposition with an entry e: P_i -> P_l moves the basis slots
-of Hom(P_j, P_i) to those of Hom(P_j, P_l).  A rule is a tuple of triples
+label l (each basis entry typed once, when the table is built), the slot
+range of each basis, and, for each pair (i, l), the rule by which
+postcomposition with an entry e: P_i -> P_l moves the basis slots of
+Hom(P_j, P_i) to those of Hom(P_j, P_l).  A rule is a tuple of triples
 (slot, slot2, k): e o basis[slot] has coefficient e[k] at slot2.  The
 table also holds precomposition rules: for a neighbour k of j and a label
 l, the slot of Hom(P_k, P_l) to which precomposition with the arrow
@@ -218,10 +219,13 @@ class HomTable(dict):
     """(i, l) -> the postcomposition rule of Hom(P_j, -) for entries P_i -> P_l, each derived on first use.
 
     basis[l] and dual[l] are hom_basis(j, l) and dual_basis(j, l), and
-    slots[l] is the slot range of basis[l].  A product of basis morphisms is
-    a basis morphism or zero, so a rule's coefficients are entries of e; and
-    the basis of Hom(P_i, P_l) sends one basis morphism to distinct products,
-    so no two triples of a rule share (slot, slot2).
+    slots[l] is the slot range of basis[l].  Each entry of basis is typed
+    once, here, with in_hom: twist uses them as evaluation entries P_j ->
+    P_l without checking them again, and a mistyped one raises ValueError.
+    A product of basis morphisms is a basis morphism or zero, so a rule's
+    coefficients are entries of e; and the basis of Hom(P_i, P_l) sends one
+    basis morphism to distinct products, so no two triples of a rule share
+    (slot, slot2).
     """
 
     def __init__(self, algebra: ZigzagAlgebra, j: int) -> None:
@@ -229,6 +233,9 @@ class HomTable(dict):
         self.algebra, self.vertex = algebra, j
         self.basis = {l: algebra.hom_basis(j, l) for l in algebra.diagram.vertices}
         self.dual = {l: algebra.dual_basis(j, l) for l in algebra.diagram.vertices}
+        for l, entries in self.basis.items():
+            if not all(algebra.in_hom(j, l, e) for e in entries):
+                raise ValueError(f"hom_basis({j}, {l}) holds an entry outside Hom(P_{j}, P_{l})")
         self.slots = {l: range(len(b)) for l, b in self.basis.items()}
         self._pre: Dict[Tuple[int, int], Dict[int, int]] = {}
 

@@ -1,16 +1,23 @@
+import gc
 import hashlib
+import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistlab import twists
+from twistlab import complexes, twists
 from twistlab.acceptance import twist_corpus
 from twistlab.braid import build_diagram, diagram_from_name, equivalent, word
 from twistlab.complexes import (
+    ChainMap,
     complex_to_json_obj,
+    cone,
+    hom_dims,
     make_complex,
     minimize,
+    profile,
     projective,
     shift,
     sum_of_projectives,
@@ -33,7 +40,7 @@ from twistlab.twists import (
 )
 from twistlab.zigzag import ZigzagAlgebra
 
-from support import key, reference_twist_inv
+from support import direct_sum, key, reference_twist_inv
 
 A2 = build_diagram("A", 2)
 A3 = build_diagram("A", 3)
@@ -114,6 +121,23 @@ class TestTwist:
             with pytest.raises(ValueError, match="cone of an invalid chain map"):
                 twist(2, x)
 
+    @pytest.mark.parametrize("pair, mistyped", [((1, 2), "loop on an arrow"), ((1, 3), "arrow between non-neighbours")])
+    def test_mistyped_hom_basis_is_rejected(self, monkeypatch, pair, mistyped):
+        # the Hom table types its basis once, when it is built; twist takes its
+        # evaluation entries from that basis and must refuse a mistyped one
+        real = ZigzagAlgebra.hom_basis
+
+        def patched(self, i, j):
+            if (i, j) != pair:
+                return real(self, i, j)
+            one = self.field.one
+            return ((one, one),) if mistyped == "loop on an arrow" else ((one, self.field.zero),)
+
+        monkeypatch.setattr(ZigzagAlgebra, "hom_basis", patched)
+        algebra = ZigzagAlgebra(A3)
+        with pytest.raises(ValueError, match=rf"hom_basis\({pair[0]}, {pair[1]}\)"):
+            twist(1, sum_of_projectives(algebra))
+
     def test_long_chain_digest(self):
         # sha256 of the JSON of t_w(Lambda) over GF(2) for the 40-letter A4 word CI
         # recovers (843 summands), pinned before twist wrote its cone in place
@@ -193,6 +217,113 @@ class TestTwistInvOutputs:
                     assert got == complex_to_json_obj(reference_twist_inv(i, t)), (name, field, w, i)
                     checked += 1
         assert checked == 3 * (40 * 3 + 21 * 4)
+
+
+def _full_profile(x):
+    """The profile from every row's Hom complex, in profile()'s key order (vertex, then degree)."""
+    return [((j, d), h) for j in x.diagram.vertices for d, h in hom_dims(j, x).items()]
+
+
+def _linked_to(t, x):
+    """t came out of twist(i, x), x is alive and x's profile is memoized: profile(t) may read it."""
+    return t._twist_of is not None and t._twist_of[1]() is x and x._profile is not None
+
+
+PROFILE_CORPORA = (("A2", 6), ("A3", 5), ("D4", 4), ("A4", 4), ("D5", 3), ("E6", 3))
+
+
+class TestProfileAfterTwist:
+    """profile(t_i X) computes the rows of i's neighbours and reads the rest off profile(X)."""
+
+    @pytest.mark.parametrize("field", ["f2", "q", "f3"])
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["sound", "corrupt"])
+    def test_corpus_profiles_equal_the_full_computation(self, field, corrupt):
+        checked = 0
+        for name, max_len in PROFILE_CORPORA:
+            alg = ZigzagAlgebra(diagram_from_name(name), field_from_name(field), corrupt_compose=corrupt)
+            corpus = twist_corpus(alg, max_len)
+            # parent first, as profile_partition and _image_classes visit the corpus
+            for w, t in corpus.items():
+                assert not w or _linked_to(t, corpus[w[1:]])
+                assert list(profile(t).items()) == _full_profile(t), (name, w)
+                assert t._twist_of is None
+                checked += 1
+        assert checked == 127 + 364 + 341 + 341 + 156 + 259
+
+    @pytest.mark.parametrize("field", ["f2", "q", "f3"])
+    def test_non_image_inputs(self, field):
+        rng = random.Random(13)
+        alg = ZigzagAlgebra(D4, field_from_name(field))
+        k = alg.field
+        nonzero = [c for c in (k.parse(str(n)) for n in range(1, 3)) if c]
+        # an image plus a contractible cone(id_{P_i}) in degrees -1 and 0, not minimized
+        starts = []
+        image = twist_word(word(D4, (2, 1, 3)), sum_of_projectives(alg))
+        for i in D4.vertices:
+            p = projective(alg, i)
+            contractible = cone(ChainMap(p, p, {0: {(0, 0): alg.scalar(k.one)}}))
+            starts.append(direct_sum(image, contractible))
+        # random two-term complexes, identity and loop components included
+        for _ in range(8):
+            left = tuple(rng.choice(D4.vertices) for _ in range(rng.randint(1, 3)))
+            right = tuple(rng.choice(D4.vertices) for _ in range(rng.randint(1, 3)))
+            phi = {}
+            for r, c in itertools.product(range(len(right)), range(len(left))):
+                basis = alg.hom_basis(left[c], right[r])
+                entry = None
+                for b in basis:
+                    if rng.random() < 0.6:
+                        entry = alg.plus(entry, alg.times(rng.choice(nonzero), b))
+                if entry is not None:
+                    phi[(r, c)] = entry
+            starts.append(make_complex(alg, {-1: left, 0: right}, {-1: phi}))
+        for x in starts:
+            x.check()
+            assert list(profile(x).items()) == _full_profile(x)
+            for _ in range(4):
+                t = twist(rng.choice(D4.vertices), x)
+                assert _linked_to(t, x)
+                assert list(profile(t).items()) == _full_profile(t)
+                x = t
+
+    def test_link_keeps_no_intermediate_alive(self):
+        alg = ZigzagAlgebra(D4, QQ)
+        x = twist_word(word(D4, (1, 2, 3, 2)), sum_of_projectives(alg))
+        profile(x)
+        t = twist(2, x)
+        link = t._twist_of[1]
+        assert link() is x
+        del x
+        gc.collect()
+        assert link() is None
+        assert list(profile(t).items()) == _full_profile(t)
+
+    def test_unprofiled_parent_is_left_unprofiled(self, monkeypatch):
+        alg = ZigzagAlgebra(D4)
+        x = twist_word(word(D4, (1, 2)), sum_of_projectives(alg))
+        t = twist(2, x)
+        built = []
+        real = complexes.hom_complex
+        monkeypatch.setattr(complexes, "hom_complex", lambda j, y: built.append(j) or real(j, y))
+        profile(t)
+        assert x._profile is None
+        assert built == list(D4.vertices)
+
+    @pytest.mark.parametrize("name", ["D4", "E6"])
+    def test_one_hom_complex_per_neighbour(self, monkeypatch, name):
+        alg = ZigzagAlgebra(diagram_from_name(name), GF3)
+        diagram = alg.diagram
+        x = twist_word(word(diagram, (1, 2, 3, 4)), sum_of_projectives(alg))
+        profile(x)
+        built = []
+        real = complexes.hom_complex
+        monkeypatch.setattr(complexes, "hom_complex", lambda j, y: built.append(j) or real(j, y))
+        for i in diagram.vertices:
+            t = twist(i, x)
+            built.clear()
+            got = list(profile(t).items())
+            assert sorted(built) == sorted(diagram.neighbors(i))
+            assert got == _full_profile(t)
 
 
 def two_term(algebra, side, left, right, arrows):
