@@ -16,11 +16,13 @@ holds.  Differentials, chain-map blocks and two-term connecting maps all use
 this one format; the JSON view (complex_to_json_obj) is the only dense form,
 and complex_from_json_obj reads dense rows and keeps their nonzero entries.
 The scalar matrices of Hom complexes are sparse the same way, with nonzero
-scalars as entries, which is the format linalg reduces; a Hom complex's basis
-is (summand, slot) pairs, a slot naming a basis morphism of the algebra.
-hom_complex reads each differential entry once through the algebra's Hom
-table (zigzag.HomTable), which says where postcomposition with it sends
-each basis slot; it composes nothing.
+scalars as entries, which is the format linalg reduces.  A Hom complex
+numbers its basis by position: summand s's slot k, a slot naming a basis
+morphism of the algebra, sits at s's offset plus k, so no basis element is
+stored.  hom_complex reads each differential entry once through the
+algebra's Hom table (zigzag.HomTable), which says where postcomposition with
+it sends each basis slot and how many slots each label has; it composes
+nothing.
 
 cone() is the checked entry point for chain maps from outside the package
 (a ChainMap built by a caller): it checks that f is a chain map on every
@@ -385,26 +387,30 @@ def minimize(x: ProjComplex) -> ProjComplex:
 class HomComplex:
     """The cochain-level Hom(P_j, X): sparse scalar matrices over the base field.
 
-    basis[d] lists (summand index, slot) pairs, the slot naming a morphism of
-    the algebra's hom_basis(vertex, label of the summand), summand by summand
-    and slot by slot; only summands labelled vertex or a neighbour of it have
-    slots.  mats[d] is the matrix of postcomposition with the differential
-    from degree d to d+1, rows indexed by basis[d+1] and columns by basis[d].
-    It maps (row, col) to a nonzero scalar (the linalg format), and a degree
-    whose differential is zero has no matrix.  _ranks memoizes rank_at.
+    The basis of Hom^d runs summand by summand and, within a summand s of
+    label l, slot by slot through the algebra's hom_basis(vertex, l); only
+    summands labelled vertex or a neighbour of it have slots.  offsets[d][s]
+    is the position of summand s's first slot, so its slot k sits at
+    offsets[d][s] + k, and offsets[d][-1] is dim(d); a degree of dimension
+    0 has no offsets.  mats[d] is the matrix of postcomposition with the
+    differential from degree d to d+1, rows and columns numbered by those
+    positions in degrees d+1 and d.  It maps (row, col) to a nonzero scalar
+    (the linalg format), and a degree whose differential is zero has no
+    matrix.  _ranks memoizes rank_at.
     """
 
     field: Field
     vertex: int
-    basis: Dict[int, Tuple[Tuple[int, int], ...]]
+    offsets: Dict[int, List[int]]
     mats: Dict[int, Dict[Tuple[int, int], Scalar]]
     _ranks: Dict[int, int] = dataclasses.field(default_factory=dict, init=False, repr=False)
 
     def dim(self, d: int) -> int:
-        return len(self.basis.get(d, ()))
+        offs = self.offsets.get(d)
+        return offs[-1] if offs else 0
 
     def degrees(self) -> list[int]:
-        return sorted(self.basis)
+        return sorted(self.offsets)
 
     def rank_at(self, d: int) -> int:
         """Rank of the differential from degree d, computed once."""
@@ -417,30 +423,38 @@ class HomComplex:
         return r
 
     def homology_dims(self) -> Dict[int, int]:
+        """degree -> dim H^degree, nonzero ones only, in ascending degree order.
+
+        Each rank is read once: the rank out of d is the rank into d + 1.
+        """
         out = {}
+        last, into = None, 0
         for d in self.degrees():
-            h = self.dim(d) - self.rank_at(d) - self.rank_at(d - 1)
+            if last != d - 1:
+                into = 0  # degree d - 1 has dimension 0, so no matrix
+            rank = self.rank_at(d)
+            h = self.offsets[d][-1] - rank - into
             if h:
                 out[d] = h
+            last, into = d, rank
         return out
 
 
 def hom_complex(j: int, x: ProjComplex) -> HomComplex:
     """Hom(P_j, X), each differential entry read once through the Hom table of j."""
     table = x.algebra.hom_table(j)
-    slots = table.slots
-    basis: Dict[int, Tuple[Tuple[int, int], ...]] = {}
-    offsets: Dict[int, List[int]] = {}  # degree -> the position of each summand's first slot
+    width = table.width.__getitem__
+    offsets: Dict[int, List[int]] = {}
     for d, labels in x.summands.items():
-        items = tuple((s, slot) for s, lab in enumerate(labels) for slot in slots[lab])
-        if items:
-            basis[d] = items
-            offsets[d] = list(accumulate((len(slots[lab]) for lab in labels), initial=0))
+        offs = list(accumulate(map(width, labels), initial=0))
+        if offs[-1]:
+            offsets[d] = offs
     mats: Dict[int, Dict[Tuple[int, int], Scalar]] = {}
     for d, diff in x.diffs.items():
-        if d not in basis or d + 1 not in basis:
+        col0, row0 = offsets.get(d), offsets.get(d + 1)
+        if col0 is None or row0 is None:
             continue
-        cols, rows, col0, row0 = x.summands[d], x.summands[d + 1], offsets[d], offsets[d + 1]
+        cols, rows = x.summands[d], x.summands[d + 1]
         # distinct entries fill distinct blocks, and a rule's (slot, slot2)
         # pairs are distinct: every cell is written at most once
         mat = {
@@ -451,7 +465,7 @@ def hom_complex(j: int, x: ProjComplex) -> HomComplex:
         }
         if mat:
             mats[d] = mat
-    return HomComplex(x.algebra.field, j, basis, mats)
+    return HomComplex(x.algebra.field, j, offsets, mats)
 
 
 def hom_dims(j: int, x: ProjComplex) -> Dict[int, int]:
@@ -513,13 +527,17 @@ def _profile_rows(x: ProjComplex) -> HomProfile:
         return {(j, d): h for j in vertices for d, h in hom_dims(j, x).items()}
     i = x._twist_of[0]
     near = x.diagram.neighbors(i)
+    rows: Dict[int, HomProfile] = {j: {} for j in vertices}  # the parent's profile, row by row
+    for key, h in known.items():
+        rows[key[0]][key] = h
     out: HomProfile = {}
     for j in vertices:
         if j in near:
             out.update(((j, d), h) for d, h in hom_dims(j, x).items())
+        elif j == i:
+            out.update(((j, d - 1), h) for (_, d), h in rows[j].items())
         else:
-            lift = 1 if j == i else 0
-            out.update(((j, d - lift), h) for (k, d), h in known.items() if k == j)
+            out.update(rows[j])
     return out
 
 

@@ -15,6 +15,9 @@ from typing import Tuple, Union
 
 Scalar = Union[int, Fraction]
 
+# the rationals' zero and one, shared: a Fraction is immutable
+_QQ_ZERO, _QQ_ONE = Fraction(0), Fraction(1)
+
 # field_from_name's bound on p: trial division up to sqrt(p) stays fast
 MAX_FIELD_ORDER = 2**31
 
@@ -100,11 +103,11 @@ class RationalField:
 
     @property
     def zero(self) -> Fraction:
-        return Fraction(0)
+        return _QQ_ZERO
 
     @property
     def one(self) -> Fraction:
-        return Fraction(1)
+        return _QQ_ONE
 
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)

@@ -69,29 +69,34 @@ def _long_space(j: int, homs: HomComplexes, r: int) -> Dict[Tuple[int, int], Sca
 
     A sparse matrix with one column per basis element of Hom^r(P_j, T): the
     cocycle rows, then for each neighbour k the rows that make f g_{k,j} a
-    coboundary.
+    coboundary.  The basis morphism of summand s at slot, column
+    offsets[r][s] + slot of Hom(P_j, T), composed with g_{k,j} is the one at
+    offsets[r][s] + slot2 of Hom(P_k, T), slot2 read off the Hom table's
+    precomposition rule.
     """
     alg = homs.complex.algebra
     k_field = alg.field
     labels = homs.complex.summands.get(r, ())
     table = alg.hom_table(j)
+    one = k_field.one
     vj = homs[j]
+    vj_offs = vj.offsets[r]
     rows = dict(vj.mats.get(r, {}))
     n = vj.dim(r + 1)
     for nb in alg.diagram.neighbors(j):
         vk = homs[nb]
-        if vk.dim(r) == 0:
+        vk_offs = vk.offsets.get(r)
+        if vk_offs is None:
             continue
-        index = {item: i for i, item in enumerate(vk.basis[r])}
         # f g_{k,j} in vk's basis, read off the Hom table: row -> {col: coefficient}
         pre: Dict[int, Dict[int, Scalar]] = {}
-        for c, (s, slot) in enumerate(vj.basis[r]):
-            slot2 = table.precomposition(nb, labels[s]).get(slot)
-            if slot2 is not None:
-                pre.setdefault(index[(s, slot2)], {})[c] = k_field.one
+        for s, lab in enumerate(labels):
+            offk, offj = vk_offs[s], vj_offs[s]
+            for slot, slot2 in table.precomposition(nb, lab).items():
+                pre.setdefault(offk + slot2, {})[offj + slot] = one
         bmat = vk.mats.get(r - 1)
         if bmat is None:
-            annihilators = [{i: k_field.one} for i in pre]
+            annihilators = [{i: one} for i in pre]
         else:
             # never reached by peel: into a lowest summand a loop is a cocycle, not a coboundary
             transposed = {(c, i): a for (i, c), a in bmat.items()}

@@ -7,15 +7,18 @@ The inverse twist dualizes: copies of P_i indexed by the same basis land one
 degree higher, and X maps into them by the trace-pairing dual basis
 (coevaluation).  Both functors minimize their output, so repeated twisting
 stays small.  The complexes and two-term connecting maps built here hold
-nonzero entries only, in the sparse Matrix format of complexes,
-and every entry comes from the algebra: a basis slot (s, slot) of the Hom
-complex, summand s labelled l, is evaluated by hom_basis(i, l)[slot] and
-coevaluated by dual_basis(i, l)[slot], both read from the algebra's Hom
-table of i (zigzag.HomTable), not rebuilt per slot.  The Hom complex's
-scalar matrices are sparse too, so the copies of P_i get a differential
-entry scalar(a), a times the identity, for each nonzero scalar a, read
-straight from its entries.  JSON views are the only dense form.  Each
-functor builds the one Hom complex Hom(P_i, X) it needs.
+nonzero entries only, in the sparse Matrix format of complexes, and every
+entry comes from the algebra: the Hom complex's basis element at position
+offsets[d][s] + slot, slot slot of summand s labelled l, is evaluated by
+hom_basis(i, l)[slot] and coevaluated by dual_basis(i, l)[slot], both read
+from the algebra's Hom table of i (zigzag.HomTable), not rebuilt per slot.
+Positions are computed from the offsets, never looked up; only the
+chain-map check, which must know the summand that owns a position, lists
+the owners of one degree.  The Hom complex's scalar matrices are sparse
+too, so the copies of P_i get a differential entry scalar(a), a times the
+identity, for each nonzero scalar a, read straight from its entries.  JSON
+views are the only dense form.  Each functor builds the one Hom complex
+Hom(P_i, X) it needs.
 
 twist writes the cone of evaluation itself.  Degree d holds the copies for
 the basis of Hom^{d+1}, then X^d.  Its entries are -a times the identity
@@ -39,11 +42,11 @@ nothing on a hot path profiles an inverse image.
 
 The inverse twist cancels its predictable pivots before minimize sees
 them.  Each summand s of X^d labelled i has two slots, the identity
-(s, 0) and the loop (s, 1), and the dual of the loop slot is the
-identity: s maps to the copy (s, 1) by a unit.  These pairs form an
+(slot 0) and the loop (slot 1), and the dual of the loop slot is the
+identity: s maps to its loop slot's copy by a unit.  These pairs form an
 identity block, since no matched pivot's row or column meets another:
-the copy (s, 1) gets an entry from X^d at s alone, and s sends entries
-to its own two copies alone.  So eliminating them all is one
+the loop slot's copy of s gets an entry from X^d at s alone, and s sends
+entries to its own two copies alone.  So eliminating them all is one
 Schur-complement step D' = D - C B with no inverse, C the other entries
 of the pivot columns and B those of the pivot rows, and it equals the
 pivot-by-pivot elimination in exact arithmetic.  twist_inv builds that
@@ -84,9 +87,9 @@ def twist(i: int, x: ProjComplex) -> ProjComplex:
 
     Each entry sits where cone() would put it (see the module docstring):
     -a times the identity between copies for each scalar a of hc, the
-    basis morphism basis[l][slot] from each copy (s, slot) to its summand
-    s, labelled l, and X's own differential.  The output carries the link
-    (i, weak reference to X) that profile() reads.
+    basis morphism basis[l][slot] from the copy at offsets[s] + slot to
+    its summand s, labelled l, and X's own differential.  The output
+    carries the link (i, weak reference to X) that profile() reads.
     """
     alg = x.algebra
     hc = hom_complex(i, x)
@@ -95,14 +98,17 @@ def twist(i: int, x: ProjComplex) -> ProjComplex:
     neg, scalar = alg.field.neg, alg.scalar
     summands: Dict[int, Tuple[int, ...]] = {}
     diffs: Dict[int, Matrix] = {}
-    for d in set(x.summands) | {d - 1 for d in hc.basis}:
-        copies, labels = hc.basis.get(d + 1, ()), x.summands.get(d + 1, ())
-        # rows: the copies for basis[d+2], then X^{d+1}; columns: the copies for basis[d+1], then X^d
-        row_x, col_x = hc.dim(d + 2), len(copies)
+    for d in set(x.summands) | {d - 1 for d in hc.offsets}:
+        # rows: the copies for Hom^{d+2}, then X^{d+1}; columns: the copies for Hom^{d+1}, then X^d
+        row_x, col_x = hc.dim(d + 2), hc.dim(d + 1)
         summands[d] = (i,) * col_x + x.summands.get(d, ())
         mat = {rc: scalar(neg(a)) for rc, a in hc.mats.get(d + 1, {}).items()}
-        for n, (s, slot) in enumerate(copies):
-            mat[(row_x + s, n)] = basis[labels[s]][slot]
+        if col_x:
+            offs = hc.offsets[d + 1]
+            for s, lab in enumerate(x.summands[d + 1]):
+                n = offs[s]
+                for slot, e in enumerate(basis[lab]):
+                    mat[(row_x + s, n + slot)] = e
         for (r, c), g in x.diffs.get(d, {}).items():
             mat[(row_x + r, col_x + c)] = g
         diffs[d] = mat
@@ -123,25 +129,28 @@ def _check_evaluation(i: int, x: ProjComplex, hc: HomComplex, basis: Dict[int, T
     alg = x.algebra
     compose, plus, times, scalar = alg.compose, alg.plus, alg.times, alg.scalar
     neg_one = alg.field.neg(alg.field.one)
-    for d, items in hc.basis.items():
+    for d, offs in hc.offsets.items():
         acc: Dict[Tuple[int, int], Optional[Entry]] = {}
-        above, labels_above = hc.basis.get(d + 1, ()), x.summands.get(d + 1, ())
-        # ev_{d+1} o d_src: the copy k above is (s, slot), evaluated into its summand s
-        for (k, c), a in hc.mats.get(d, {}).items():
-            s, slot = above[k]
-            lab = labels_above[s]
-            term = compose(i, i, lab, basis[lab][slot], scalar(a))
-            if term is not None:
-                acc[(s, c)] = plus(acc.get((s, c)), term)
+        labels_above = x.summands.get(d + 1, ())
+        mat = hc.mats.get(d)
+        if mat:
+            # ev_{d+1} o d_src: the copy k above belongs to summand s, which it evaluates into
+            above = hc.offsets[d + 1]
+            owner = [s for s, n in enumerate(above[1:]) for _ in range(n - above[s])]
+            for (k, c), a in mat.items():
+                s = owner[k]
+                lab = labels_above[s]
+                term = compose(i, i, lab, basis[lab][k - above[s]], scalar(a))
+                if term is not None:
+                    acc[(s, c)] = plus(acc.get((s, c)), term)
         # -d_X o ev_d: each entry of X's differential out of s meets the copies of s
         labels = x.summands[d]
-        copies_of: Dict[int, list] = {}
-        for c, (s, slot) in enumerate(items):
-            copies_of.setdefault(s, []).append((c, basis[labels[s]][slot]))
         for (r, s), g in x.diffs.get(d, {}).items():
-            for c, e in copies_of.get(s, ()):
-                term = compose(i, labels[s], labels_above[r], g, e)
+            lab, n = labels[s], offs[s]
+            for slot, e in enumerate(basis[lab]):
+                term = compose(i, lab, labels_above[r], g, e)
                 if term is not None:
+                    c = n + slot
                     acc[(r, c)] = plus(acc.get((r, c)), times(neg_one, term))
         if any(m is not None for m in acc.values()):
             raise ValueError("cone of an invalid chain map")
@@ -150,14 +159,15 @@ def _check_evaluation(i: int, x: ProjComplex, hc: HomComplex, basis: Dict[int, T
 def twist_inv(i: int, x: ProjComplex) -> ProjComplex:
     """Quasi-inverse twist, built from the trace-pairing dual basis, its identity pivots cancelled in bulk.
 
-    Degree d holds X^d then the copies of P_i for basis[d-1]; the
-    differential sends X^d to X^{d+1} by X's own, each summand s to the
-    copies (s, slot) by dual slots, and copies to copies by -hc.  Every
-    summand s labelled i (and none else) meets the copy of its loop slot
-    (s, 1) by the identity; the module docstring says why all of these
-    pairs cancel at once.  A copy column c with a = hc[(s, 1), c] picks up
-    a times X's differential out of s in each row of X, and a times the
-    loop in the row of the copy (s, 0).
+    Degree d holds X^d then the copies of P_i for Hom^{d-1}; the
+    differential sends X^d to X^{d+1} by X's own, each summand s to its
+    copies, at offsets[s] + slot, by dual slots, and copies to copies by
+    -hc.  Every summand s labelled i (and none else) meets the copy of its
+    loop slot, at offsets[s] + 1, by the identity; the module docstring
+    says why all of these pairs cancel at once.  A copy column c with
+    a = hc[offsets[s] + 1, c] picks up a times X's differential out of s
+    in each row of X, and a times the loop in the row of the copy at
+    offsets[s].
     """
     hc = hom_complex(i, x)
     alg = x.algebra
@@ -169,31 +179,36 @@ def twist_inv(i: int, x: ProjComplex) -> ProjComplex:
         d: {s: n for n, s in enumerate(s for s, lab in enumerate(labels) if lab != i)}
         for d, labels in x.summands.items()
     }
-    # per degree d: new position of each copy for basis[d] that stays, every
-    # copy but (s, 1) of a summand s labelled i; and for those s, the new
-    # position of the copy (s, 0)
+    # per degree d: new position of each copy for Hom^d that stays, every
+    # copy but the loop slot's of a summand s labelled i; and for those s,
+    # the position of the loop slot's copy and the new position of the
+    # identity slot's copy
     copy_at: Dict[int, Dict[int, int]] = {}
+    loop_of: Dict[int, Dict[int, int]] = {}
     loop_row: Dict[int, Dict[int, int]] = {}
-    for d, items in hc.basis.items():
-        labels, at, lr = x.summands[d], {}, {}
-        for n, (s, slot) in enumerate(items):
-            if labels[s] != i or slot == 0:
+    for d, offs in hc.offsets.items():
+        at: Dict[int, int] = {}
+        lo, lr = {}, {}
+        for s, lab in enumerate(x.summands[d]):
+            n = offs[s]
+            if lab == i:
+                lo[n + 1], lr[s] = s, len(at)
                 at[n] = len(at)
-                if labels[s] == i:
-                    lr[s] = at[n]
-        copy_at[d], loop_row[d] = at, lr
+            else:
+                for p in range(n, offs[s + 1]):
+                    at[p] = len(at)
+        copy_at[d], loop_of[d], loop_row[d] = at, lo, lr
     summands: Dict[int, Tuple[int, ...]] = {}
-    degs = set(x.summands) | {d + 1 for d in hc.degrees()}
+    degs = set(x.summands) | {d + 1 for d in hc.offsets}
     for d in degs:
         summands[d] = tuple(lab for lab in x.summands.get(d, ()) if lab != i) + (i,) * len(copy_at.get(d - 1, ()))
-    # rows: X^{d+1} then the copies for basis[d]; columns: X^d then the
-    # copies for basis[d-1], each part in its order above
+    # rows: X^{d+1} then the copies for Hom^d; columns: X^d then the
+    # copies for Hom^{d-1}, each part in its order above
     diffs: Dict[int, Matrix] = {}
     for d in degs:
         row_x, col_x = x_at.get(d + 1, {}), x_at.get(d, {})
         row_copy, col_copy = copy_at.get(d, {}), copy_at.get(d - 1, {})
         x_rows, x_cols = len(row_x), len(col_x)
-        labels = x.summands.get(d, ())
         mat: Dict[Tuple[int, int], Optional[Entry]] = {}
         out_of: Dict[int, list] = {}  # s labelled i -> X's differential out of s, in the new rows
         for (r, c), g in x.diffs.get(d, {}).items():
@@ -202,10 +217,14 @@ def twist_inv(i: int, x: ProjComplex) -> ProjComplex:
                     mat[(row_x[r], col_x[c])] = g
                 else:
                     out_of.setdefault(c, []).append((row_x[r], g))
-        items, loops = hc.basis.get(d, ()), loop_row.get(d, {})
-        for n, (s, slot) in enumerate(items):
-            if labels[s] != i:
-                mat[(x_rows + row_copy[n], col_x[s])] = dual[labels[s]][slot]
+        if row_copy:
+            offs = hc.offsets[d]
+            for s, lab in enumerate(x.summands[d]):
+                if lab != i:
+                    n, col = offs[s], col_x[s]
+                    for slot, e in enumerate(dual[lab]):
+                        mat[(x_rows + row_copy[n + slot], col)] = e
+        owners, loops = loop_of.get(d, {}), loop_row.get(d, {})
         for (r, c), a in hc.mats.get(d - 1, {}).items():
             if c not in col_copy:
                 continue
@@ -214,7 +233,7 @@ def twist_inv(i: int, x: ProjComplex) -> ProjComplex:
                 cell = (x_rows + row_copy[r], col)
                 mat[cell] = plus(mat.get(cell), alg.scalar(neg(a)))
                 continue
-            s = items[r][0]
+            s = owners[r]
             for row, g in out_of.get(s, ()):
                 mat[(row, col)] = plus(mat.get((row, col)), times(a, g))
             cell = (x_rows + loops[s], col)

@@ -27,7 +27,7 @@ or a Fraction), so zero is the only falsy scalar.
 Hom tables.  hom_table(j) holds, for one vertex j, what Hom(P_j, -) does
 on the projectives: the bases hom_basis(j, l) and dual_basis(j, l) of every
 label l (each basis entry typed once, when the table is built), the slot
-range of each basis, and, for each pair (i, l), the rule by which
+width of each basis, and, for each pair (i, l), the rule by which
 postcomposition with an entry e: P_i -> P_l moves the basis slots of
 Hom(P_j, P_i) to those of Hom(P_j, P_l).  A rule is a tuple of triples
 (slot, slot2, k): e o basis[slot] has coefficient e[k] at slot2.  The
@@ -219,7 +219,7 @@ class HomTable(dict):
     """(i, l) -> the postcomposition rule of Hom(P_j, -) for entries P_i -> P_l, each derived on first use.
 
     basis[l] and dual[l] are hom_basis(j, l) and dual_basis(j, l), and
-    slots[l] is the slot range of basis[l].  Each entry of basis is typed
+    width[l] is the number of slots of basis[l].  Each entry of basis is typed
     once, here, with in_hom: twist uses them as evaluation entries P_j ->
     P_l without checking them again, and a mistyped one raises ValueError.
     A product of basis morphisms is a basis morphism or zero, so a rule's
@@ -236,7 +236,7 @@ class HomTable(dict):
         for l, entries in self.basis.items():
             if not all(algebra.in_hom(j, l, e) for e in entries):
                 raise ValueError(f"hom_basis({j}, {l}) holds an entry outside Hom(P_{j}, P_{l})")
-        self.slots = {l: range(len(b)) for l, b in self.basis.items()}
+        self.width = {l: len(b) for l, b in self.basis.items()}
         self._pre: Dict[Tuple[int, int], Dict[int, int]] = {}
 
     def __missing__(self, key: Tuple[int, int]) -> Tuple[Tuple[int, int, int], ...]:

@@ -4,9 +4,11 @@ direct_sum, cone_triangle, key and flatten build or compare objects for
 tests; the package's code paths never call them.  reference_hom_complex is
 the entry-by-entry Hom complex (compose each basis morphism with each
 differential entry, read the coordinates of the product), against which the
-table-driven complexes.hom_complex is checked.  reference_twist_inv is the
-inverse twist with every contractible pair left to minimize, against which
-twists.twist_inv's bulk cancellation is checked.
+table-driven complexes.hom_complex is checked; reference_basis lists its
+basis as (summand, slot) pairs, and implied_basis expands a Hom complex's
+offsets into the same pairs.  reference_twist_inv is the inverse twist with
+every contractible pair left to minimize, against which twists.twist_inv's
+bulk cancellation is checked.
 """
 
 from twistlab.braid import BraidWord, LayeredWord
@@ -62,14 +64,15 @@ def reference_twist_inv(i: int, x: ProjComplex) -> ProjComplex:
     degs = set(x.summands) | {d + 1 for d in hc.degrees()}
     for d in degs:
         summands[d] = x.summands.get(d, ()) + (i,) * hc.dim(d - 1)
-    # rows: X^{d+1} then the copies of P_i for basis[d]; columns: X^d then
-    # the copies for basis[d-1]
+    # rows: X^{d+1} then the copies of P_i for Hom^d, summand s's slot k at
+    # offsets[d][s] + k; columns: X^d then the copies for Hom^{d-1}
     diffs = {}
     for d in degs:
         x_rows, x_cols = len(x.summands.get(d + 1, ())), len(x.summands.get(d, ()))
         mat: Matrix = dict(x.diffs.get(d, {}))
-        for ridx, (s, slot) in enumerate(hc.basis.get(d, ())):
-            mat[(x_rows + ridx, s)] = dual[x.summands[d][s]][slot]
+        for s, offset in enumerate(hc.offsets.get(d, ())[:-1]):
+            for slot, e in enumerate(dual[x.summands[d][s]]):
+                mat[(x_rows + offset + slot, s)] = e
         for (r, c), a in hc.mats.get(d - 1, {}).items():
             mat[(x_rows + r, x_cols + c)] = alg.scalar(neg(a))
         diffs[d] = mat
@@ -88,15 +91,34 @@ def flatten(lw: LayeredWord) -> BraidWord:
     return BraidWord(lw.diagram, tuple(j for sl in lw.slices for j in sorted(sl)))
 
 
-def reference_hom_complex(j: int, x: ProjComplex) -> HomComplex:
-    """Hom(P_j, X) by composing every basis morphism with every differential entry."""
+def reference_basis(j: int, x: ProjComplex) -> dict:
+    """degree -> the (summand, slot) pairs of Hom(P_j, X)'s basis, summand by summand, read off hom_basis alone."""
     alg = x.algebra
-    basis, index = {}, {}
+    basis = {}
     for d, labels in x.summands.items():
         items = tuple((s, slot) for s, lab in enumerate(labels) for slot in range(len(alg.hom_basis(j, lab))))
         if items:
             basis[d] = items
-            index[d] = {item: n for n, item in enumerate(items)}
+    return basis
+
+
+def implied_basis(hc: HomComplex) -> dict:
+    """degree -> the (summand, slot) pairs that hc's offsets place at positions 0, 1, ..."""
+    return {
+        d: tuple((s, slot) for s in range(len(offs) - 1) for slot in range(offs[s + 1] - offs[s]))
+        for d, offs in hc.offsets.items()
+    }
+
+
+def reference_hom_complex(j: int, x: ProjComplex) -> HomComplex:
+    """Hom(P_j, X) by composing every basis morphism with every differential entry."""
+    alg = x.algebra
+    basis = reference_basis(j, x)
+    index, offsets = {}, {}
+    for d, items in basis.items():
+        index[d] = {item: n for n, item in enumerate(items)}
+        # summand s's first slot sits after the slots of the summands before it
+        offsets[d] = [sum(1 for t, _ in items if t < s) for s in range(len(x.summands[d]) + 1)]
     mats = {}
     for d in basis:
         if d + 1 not in basis or d not in x.diffs:
@@ -118,4 +140,4 @@ def reference_hom_complex(j: int, x: ProjComplex) -> HomComplex:
                         mat[(row, cidx)] = coef
         if mat:
             mats[d] = mat
-    return HomComplex(alg.field, j, basis, mats)
+    return HomComplex(alg.field, j, offsets, mats)

@@ -35,6 +35,11 @@ class TestFields:
         assert QQ.parse("2/4") == Fraction(1, 2)
         assert QQ.format(Fraction(4, 2)) == "2"
 
+    def test_rational_zero_and_one_are_shared(self):
+        assert QQ.zero is QQ.zero and QQ.one is QQ.one
+        assert (QQ.zero, QQ.one) == (Fraction(0), Fraction(1))
+        assert type(QQ.zero) is Fraction and type(QQ.one) is Fraction
+
 
 class TestHomBasis:
     def test_dimensions(self):
@@ -62,7 +67,7 @@ class TestHomTable:
         assert table[2, 1] == ((0, 1, 0),)
         # e o g_{1,2} = a g_{1,2}
         assert table[2, 2] == ((0, 0, 0),)
-        assert table.slots == {1: range(2), 2: range(1)}
+        assert table.width == {1: 2, 2: 1}
         assert table.dual == {1: ((0, 1), (1, 0)), 2: ((1, 0),)}
 
     def test_corrupt_algebra_has_its_own_table(self):
