@@ -7,13 +7,22 @@ left divisor of the hidden word; applying the inverse twist strips it.
 Iterating until what is left is isomorphic to the sum of all projectives
 recovers a word equal to the original in the braid monoid, of the same length.
 
+Every label j of T^m carries a long morphism: the loop l_j into a P_j
+summand of T^m.  It is a cocycle (T is minimal, so every differential
+entry out of P_j is a loop or an arrow, and both kill l_j), it is no
+coboundary (T^{m-1} = 0), and l_j g_{k,j} = 0 for every neighbour k.  Only
+compositions that corrupt_compose leaves alone enter, so this holds in
+every ZigzagAlgebra.  Ties break to the smallest vertex with a long
+morphism, so with j0 the smallest label of T^m a peel probes only the
+vertices below j0, in ascending order, and takes j0 when none of them has
+one: the letter that a scan of every vertex would pick.
+
 Inputs that are not twist images fail with NotTwistImage instead of
 returning garbage, so this module doubles as a validator.
 
 A recovery step reads only the two lowest degrees of the minimal T.  Its
-minimal degree m is T's lowest summand degree: into a summand P_j of T^m
-the loop l_j is a cocycle (T is minimal, so every differential entry out
-of P_j kills it) and nothing lies below to hit it.  The step builds the
+minimal degree m is T's lowest summand degree, since the loop l_j into a
+summand P_j of T^m is a nonzero class, as above.  The step builds the
 Hom complexes of the brutal truncation sigma_{<=m+1} T, degrees m and m+1
 with the differential between them, in a HomComplexes map, each on first
 use.  H^m and the long-morphism spaces at m read nothing else, so the map
@@ -123,10 +132,13 @@ def peel(t: ProjComplex, at: Optional[Tuple[int, HomComplexes]] = None) -> Tuple
     """One reconstruction step: find a peelable letter at the minimal degree.
 
     at is bottom(t) for a minimal t, when the caller holds it already.  Ties
-    break to the smallest vertex; the stripped complex is minimized.  The
-    image of a nonempty word has strictly negative minimal degree, so
-    anything else is rejected outright (the empty word is the caller's base
-    case).
+    break to the smallest vertex with a long morphism P_j -> T[m]; the
+    stripped complex is minimized.  The smallest label j0 of T^m has one
+    (the loop into its summand, see the module docstring), so only the
+    vertices below j0 are probed, in ascending order, and j0 is the letter
+    when none of them has one.  The image of a nonempty word has strictly
+    negative minimal degree, so anything else is rejected outright (the
+    empty word is the caller's base case).
     """
     if at is None:
         t = minimize(t)
@@ -134,10 +146,10 @@ def peel(t: ProjComplex, at: Optional[Tuple[int, HomComplexes]] = None) -> Tuple
     m, homs = at
     if m >= 0:
         raise NotTwistImage("minimal degree is non-negative: nothing to peel")
-    for j in t.diagram.vertices:
-        if long_morphism_dim(j, homs, m) > 0:
-            return j, twist_inv(j, t)
-    raise NotTwistImage(f"no long morphism at the minimal degree {m}")
+    j0 = min(t.summands[m])
+    vertices = t.diagram.vertices
+    j = next((j for j in vertices[: vertices.index(j0)] if long_morphism_dim(j, homs, m) > 0), j0)
+    return j, twist_inv(j, t)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ table-driven complexes.hom_complex is checked; reference_basis lists its
 basis as (summand, slot) pairs, and implied_basis expands a Hom complex's
 offsets into the same pairs.  reference_twist_inv is the inverse twist with
 every contractible pair left to minimize, against which twists.twist_inv's
-bulk cancellation is checked.
+bulk cancellation is checked.  reference_peel_letter is the letter of a scan
+of every vertex for a long morphism, against which reconstruct.peel's scan
+below the smallest bottom label is checked.
 """
 
 from twistlab.braid import BraidWord, LayeredWord
@@ -23,6 +25,7 @@ from twistlab.complexes import (
     minimize,
     shift,
 )
+from twistlab.reconstruct import bottom, long_morphism_dim
 
 
 def direct_sum(x: ProjComplex, y: ProjComplex) -> ProjComplex:
@@ -77,6 +80,12 @@ def reference_twist_inv(i: int, x: ProjComplex) -> ProjComplex:
             mat[(x_rows + r, x_cols + c)] = alg.scalar(neg(a))
         diffs[d] = mat
     return minimize(make_complex(alg, summands, diffs))
+
+
+def reference_peel_letter(t: ProjComplex):
+    """For a minimal T: the smallest vertex j with a long morphism P_j -> T[m] at T's minimal degree m, or None."""
+    m, homs = bottom(t)
+    return next((j for j in t.diagram.vertices if long_morphism_dim(j, homs, m) > 0), None)
 
 
 def key(x: ProjComplex) -> tuple:

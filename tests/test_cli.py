@@ -191,6 +191,19 @@ class TestRecover:
         assert code == 1
         assert "not a twist image" in err
 
+    def test_loop_complex_from_stdin_exits_1(self, capsys, monkeypatch):
+        import io
+
+        # P_1 -> P_1 by the loop, in degrees -1 and 0: minimal, so peel takes
+        # the letter 1 from its bottom label, and a later step rejects it
+        loop = {"src": 1, "tgt": 1, "terms": [{"kind": "loop", "coef": "1"}]}
+        payload = {"degrees": {"-1": [1], "0": [1]}, "diffs": {"-1": [[loop]]}}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+        code, out, err = run_cli(capsys, "--diagram", "A2", "recover")
+        assert code == 1
+        assert out == ""
+        assert "not a twist image" in err
+
     def test_complex_from_stdin_verified(self, capsys, monkeypatch):
         import io
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,12 +7,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 import twistlab
 from twistlab import complexes, reconstruct
+from twistlab.acceptance import all_words
 from twistlab.braid import build_diagram, equivalent, word
 from twistlab.complexes import (
     make_complex,
     minimize,
     profile,
     projective,
+    shift,
     sum_of_projectives,
 )
 from twistlab.fields import GF2, QQ, PrimeField
@@ -27,7 +30,7 @@ from twistlab.reconstruct import (
 from twistlab.twists import is_twist_image, iso_to_sum, twist, twist_inv, twist_word
 from twistlab.zigzag import ZigzagAlgebra
 
-from support import direct_sum, key
+from support import direct_sum, key, reference_peel_letter
 
 A2 = build_diagram("A", 2)
 A3 = build_diagram("A", 3)
@@ -138,6 +141,66 @@ def _brute_long_dim_gf2(t, j, r):
         )
     ]
     return len(long).bit_length() - len(coboundaries(j)).bit_length()
+
+
+def _two_term(algebra, rng):
+    """P_left -> P_right in degrees -1 and 0: one to three summands a side, every basis coefficient drawn from 0..2."""
+    vertices = list(algebra.diagram.vertices)
+    left, right = (tuple(rng.choice(vertices) for _ in range(rng.randint(1, 3))) for _ in range(2))
+    diff = {}
+    for r, c in itertools.product(range(len(right)), range(len(left))):
+        m = None
+        for b in algebra.hom_basis(left[c], right[r]):
+            a = algebra.field.from_int(rng.randrange(3))
+            m = algebra.plus(m, algebra.times(a, b)) if a else m
+        if m is not None:
+            diff[(r, c)] = m
+    return make_complex(algebra, {-1: left, 0: right}, diff)
+
+
+class TestLongMorphismAtEveryBottomLabel:
+    """The loop into a summand P_j of a minimal T's lowest degree m is a long morphism P_j -> T[m],
+    so peel may take the smallest label j0 of T^m unless a vertex below j0 has one."""
+
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["sound", "corrupt"])
+    @pytest.mark.parametrize("field", [GF2, QQ, GF3], ids=["gf2", "qq", "gf3"])
+    @pytest.mark.parametrize("diagram, max_len", [(A3, 4), (D4, 3), (A4, 2)], ids=["A3", "D4", "A4"])
+    def test_bottom_labels_and_peel_letter(self, diagram, max_len, field, corrupt):
+        # twist images and inverse twist images of every word up to max_len,
+        # and two-term objects; those whose minimal degree is not negative are
+        # shifted down to -1, so that peel applies to each of them
+        algebra = ZigzagAlgebra(diagram, field, corrupt_compose=corrupt)
+        lam = sum_of_projectives(algebra)
+        objects = []
+        for letters in all_words(diagram, max_len):
+            objects.append(twist_word(word(diagram, letters), lam))
+            x = lam
+            for j in letters:
+                x = twist_inv(j, x)
+            objects.append(x)
+        rng = random.Random(0)
+        objects.extend(_two_term(algebra, rng) for _ in range(40))
+        below = at_j0 = 0
+        for x in objects:
+            t = minimize(x)
+            if t.is_zero():
+                continue
+            if min(t.summands) >= 0:
+                t = shift(t, min(t.summands) + 1)
+            m, homs = at = bottom(t)
+            for j in set(t.summands[m]):
+                assert long_morphism_dim(j, homs, m) >= 1, (key(t), j)
+            letter = peel(t, at)[0]
+            assert letter == reference_peel_letter(t), key(t)
+            if letter < min(t.summands[m]):
+                below += 1
+            else:
+                at_j0 += 1
+        # In a sound algebra an arrow P_j -> P_l composed with g_{l,j} is l's
+        # loop, no coboundary at m, so only P_j summands carry long morphisms
+        # and the letter is j0; the corrupt algebra drops that product, and
+        # there a vertex below j0 can win.
+        assert at_j0 and (below > 0) == corrupt
 
 
 class TestPeel:
@@ -293,6 +356,35 @@ class TestOneHomComplexPerVertexAndPeel:
             assert step.min_degree in x.summands and set(x.summands) <= {step.min_degree, step.min_degree + 1}
             assert sum(b is x for b in builds) <= diagram.rank
 
+    @pytest.mark.parametrize(
+        "diagram,letters",
+        [(A4, (1, 3, 2, 4, 3, 1, 2, 4)), (D5, (2, 3, 5, 4, 3, 2, 1, 3))],
+        ids=["A4", "D5"],
+    )
+    def test_peel_probes_only_below_the_smallest_bottom_label(self, monkeypatch, diagram, letters):
+        t = twist_word(word(diagram, letters), sum_of_projectives(ZigzagAlgebra(diagram)))
+        original_peel, original_dim = reconstruct.peel, reconstruct.long_morphism_dim
+        peels = []  # per peel: the smallest label j0 of T^m, the vertices probed, the letter
+
+        def peeling(x, at):
+            peels.append((min(x.summands[at[0]]), []))
+            j, rest = original_peel(x, at)
+            peels[-1] += (j,)
+            return j, rest
+
+        def probing(j, homs, r):
+            peels[-1][1].append(j)
+            return original_dim(j, homs, r)
+
+        monkeypatch.setattr(reconstruct, "peel", peeling)
+        monkeypatch.setattr(reconstruct, "long_morphism_dim", probing)
+        rec, _ = recover_trace(t)
+        assert equivalent(rec, word(diagram, letters))
+        assert len(peels) == len(letters)
+        for j0, probed, j in peels:
+            below = [v for v in diagram.vertices if v < j0]
+            assert probed == (below[: below.index(j) + 1] if j < j0 else below)
+
 
 @settings(max_examples=60, deadline=None)
 @given(
@@ -317,6 +409,10 @@ def _assert_degree_local(t):
     for j in t.diagram.vertices:
         assert homs[j].homology_dims().get(m, 0) == prof.get((j, m), 0)
         assert long_morphism_dim(j, homs, m) == long_morphism_dim(j, t, m)
+        if j in t.summands[m]:
+            assert long_morphism_dim(j, homs, m) >= 1
+    if m < 0:
+        assert peel(t, (m, homs))[0] == reference_peel_letter(t)
 
 
 @settings(max_examples=60, deadline=None)
