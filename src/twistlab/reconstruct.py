@@ -15,7 +15,11 @@ compositions that corrupt_compose leaves alone enter, so this holds in
 every ZigzagAlgebra.  Ties break to the smallest vertex with a long
 morphism, so with j0 the smallest label of T^m a peel probes only the
 vertices below j0, in ascending order, and takes j0 when none of them has
-one: the letter that a scan of every vertex would pick.
+one: the letter that a scan of every vertex would pick.  In a sound algebra
+those probes always miss (an arrow P_j -> P_l composed with g_{l,j} is l's
+loop, which no coboundary at m cancels, so only P_j summands carry long
+morphisms); with corrupt_compose, which drops that product, a vertex below
+j0 can win.
 
 Inputs that are not twist images fail with NotTwistImage instead of
 returning garbage, so this module doubles as a validator.

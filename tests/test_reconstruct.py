@@ -143,19 +143,17 @@ def _brute_long_dim_gf2(t, j, r):
     return len(long).bit_length() - len(coboundaries(j)).bit_length()
 
 
-def _two_term(algebra, rng):
-    """P_left -> P_right in degrees -1 and 0: one to three summands a side, every basis coefficient drawn from 0..2."""
-    vertices = list(algebra.diagram.vertices)
-    left, right = (tuple(rng.choice(vertices) for _ in range(rng.randint(1, 3))) for _ in range(2))
+def _two_term(algebra, left, right, coef):
+    """P_left -> P_right in degrees -1 and 0, the coefficient of each basis morphism of each entry drawn by coef()."""
     diff = {}
     for r, c in itertools.product(range(len(right)), range(len(left))):
         m = None
         for b in algebra.hom_basis(left[c], right[r]):
-            a = algebra.field.from_int(rng.randrange(3))
+            a = coef()
             m = algebra.plus(m, algebra.times(a, b)) if a else m
         if m is not None:
             diff[(r, c)] = m
-    return make_complex(algebra, {-1: left, 0: right}, diff)
+    return make_complex(algebra, {-1: left, 0: right}, {-1: diff})
 
 
 class TestLongMorphismAtEveryBottomLabel:
@@ -179,7 +177,9 @@ class TestLongMorphismAtEveryBottomLabel:
                 x = twist_inv(j, x)
             objects.append(x)
         rng = random.Random(0)
-        objects.extend(_two_term(algebra, rng) for _ in range(40))
+        for _ in range(40):
+            left, right = (tuple(rng.choice(diagram.vertices) for _ in range(rng.randint(1, 3))) for _ in range(2))
+            objects.append(_two_term(algebra, left, right, lambda: field.from_int(rng.randrange(3))))
         below = at_j0 = 0
         for x in objects:
             t = minimize(x)
@@ -437,15 +437,7 @@ def test_degree_local_step_on_random_non_images(data):
     coef = st.integers(0, field.p - 1) if field != QQ else st.integers(-2, 2).map(Fraction)
     labels = st.lists(st.sampled_from(list(diagram.vertices)), min_size=1, max_size=3).map(tuple)
     left, right = data.draw(labels), data.draw(labels)
-    diff = {}
-    for r, c in itertools.product(range(len(right)), range(len(left))):
-        m = None
-        for b in algebra.hom_basis(left[c], right[r]):
-            a = data.draw(coef)
-            m = algebra.plus(m, algebra.times(a, b)) if a else m
-        if m is not None:
-            diff[(r, c)] = m
-    x = make_complex(algebra, {-1: left, 0: right}, {-1: diff})
+    x = _two_term(algebra, left, right, lambda: data.draw(coef))
     for i, forward in data.draw(st.lists(st.tuples(st.sampled_from(list(diagram.vertices)), st.booleans()), max_size=3)):
         x = twist(i, x) if forward else twist_inv(i, x)
     t = minimize(x)
