@@ -47,7 +47,6 @@ from .twists import (
 )
 from .reconstruct import (
     NotTwistImage,
-    long_morphism_dim,
     min_degree,
     peel,
     recover_trace,

@@ -139,11 +139,10 @@ def cmd_twist(args) -> int:
 def cmd_recover(args) -> int:
     config = _config(args)
     algebra = ZigzagAlgebra(config.diagram, config.field)
-    lam = sum_of_projectives(algebra)
     source_word = None
     if args.word is not None:
         source_word = _parse_word(config, args.word)
-        t = twist_word(source_word, lam)
+        t = twist_word(source_word, sum_of_projectives(algebra))
     else:
         t = _object_spec(config, algebra, "-")
     try:
@@ -151,7 +150,9 @@ def cmd_recover(args) -> int:
     except NotTwistImage as exc:
         print(f"not a twist image: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    verified = equivalent(rec, source_word) if source_word is not None else is_twist_image(t, rec, lam)
+    # recover_trace returns only once the minimized t_rec^-1(T) is Lambda, which
+    # decides T = t_rec(Lambda); a source word is checked by the braid oracle too
+    verified = source_word is None or equivalent(rec, source_word)
     payload = {
         "word": list(rec.letters),
         "verified": verified,

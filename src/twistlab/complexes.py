@@ -53,9 +53,7 @@ Memoized, for the life of the object that holds it (nothing outlives it):
   is memoized, builds the Hom complexes of i's neighbours only and reads
   its other rows off Y's profile, exactly (profile() says why);
 - a HomComplex keeps the rank of each differential it has ranked.
-Hom complexes themselves are not kept on their complex: a caller that needs
-them more than once holds them in a HomComplexes map.  A recovery step holds
-the map of a two-degree truncation of its complex (see reconstruct.py).
+Hom complexes themselves are not kept on their complex.
 """
 
 from __future__ import annotations
@@ -474,23 +472,6 @@ def hom_dims(j: int, x: ProjComplex) -> Dict[int, int]:
 
 
 HomProfile = Dict[Tuple[int, int], int]
-
-
-class HomComplexes(dict):
-    """vertex j -> hom_complex(j, x), each built on first use, kept while the map lives."""
-
-    def __init__(self, x: ProjComplex) -> None:
-        super().__init__()
-        self.complex = x
-
-    def __missing__(self, j: int) -> HomComplex:
-        hc = self[j] = hom_complex(j, self.complex)
-        return hc
-
-    @classmethod
-    def of(cls, x: Union[ProjComplex, HomComplexes]) -> HomComplexes:
-        """x itself if it is already a map, else a new, empty map of the complex x."""
-        return x if isinstance(x, HomComplexes) else cls(x)
 
 
 def profile(x: ProjComplex) -> HomProfile:

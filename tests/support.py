@@ -8,11 +8,17 @@ table-driven complexes.hom_complex is checked; reference_basis lists its
 basis as (summand, slot) pairs, and implied_basis expands a Hom complex's
 offsets into the same pairs.  reference_twist_inv is the inverse twist with
 every contractible pair left to minimize, against which twists.twist_inv's
-bulk cancellation is checked.  reference_peel_letter is the letter of a scan
-of every vertex for a long morphism, against which reconstruct.peel's scan
-below the smallest bottom label is checked.
+bulk cancellation is checked.
+
+Long morphisms are the paper's notion of a peelable letter: a class in
+H^r(Hom(P_j, T)) killed by precomposition with every neighbour arrow.
+long_morphism_dim measures them on a HomComplexes map (each vertex's Hom
+complex built on first use), and reference_peel_letter is the letter of a
+scan of every vertex for one at T's minimal degree, against which
+reconstruct.peel's smallest bottom label is checked.
 """
 
+from twistlab import linalg
 from twistlab.braid import BraidWord, LayeredWord
 from twistlab.complexes import (
     ChainMap,
@@ -25,7 +31,6 @@ from twistlab.complexes import (
     minimize,
     shift,
 )
-from twistlab.reconstruct import bottom, long_morphism_dim
 
 
 def direct_sum(x: ProjComplex, y: ProjComplex) -> ProjComplex:
@@ -82,9 +87,83 @@ def reference_twist_inv(i: int, x: ProjComplex) -> ProjComplex:
     return minimize(make_complex(alg, summands, diffs))
 
 
+class HomComplexes(dict):
+    """vertex j -> hom_complex(j, x), each built on first use, kept while the map lives."""
+
+    def __init__(self, x: ProjComplex) -> None:
+        super().__init__()
+        self.complex = x
+
+    def __missing__(self, j: int) -> HomComplex:
+        hc = self[j] = hom_complex(j, self.complex)
+        return hc
+
+    @classmethod
+    def of(cls, x) -> "HomComplexes":
+        """x itself if it is already a map, else a new, empty map of the complex x."""
+        return x if isinstance(x, HomComplexes) else cls(x)
+
+
+def _long_space(j: int, homs: HomComplexes, r: int) -> dict:
+    """Constraints cutting {f in Hom^r(P_j, T) : f cocycle, [f g_{k,j}] = 0 for all k} out of Hom^r.
+
+    A sparse matrix with one column per basis element of Hom^r(P_j, T): the
+    cocycle rows, then for each neighbour k the rows that make f g_{k,j} a
+    coboundary.  The basis morphism of summand s at slot, column
+    offsets[r][s] + slot of Hom(P_j, T), composed with g_{k,j} is the one at
+    offsets[r][s] + slot2 of Hom(P_k, T), slot2 read off the Hom table's
+    precomposition rule.
+    """
+    alg = homs.complex.algebra
+    k_field = alg.field
+    labels = homs.complex.summands.get(r, ())
+    table = alg.hom_table(j)
+    one = k_field.one
+    vj = homs[j]
+    vj_offs = vj.offsets[r]
+    rows = dict(vj.mats.get(r, {}))
+    n = vj.dim(r + 1)
+    for nb in alg.diagram.neighbors(j):
+        vk = homs[nb]
+        vk_offs = vk.offsets.get(r)
+        if vk_offs is None:
+            continue
+        # f g_{k,j} in vk's basis, read off the Hom table: row -> {col: coefficient}
+        pre = {}
+        for s, lab in enumerate(labels):
+            offk, offj = vk_offs[s], vj_offs[s]
+            for slot, slot2 in table.precomposition(nb, lab).items():
+                pre.setdefault(offk + slot2, {})[offj + slot] = one
+        bmat = vk.mats.get(r - 1)
+        if bmat is None:
+            annihilators = [{i: one} for i in pre]
+        else:
+            # into a lowest summand a loop is a cocycle, not a coboundary, so
+            # only degrees above the minimum reach this
+            transposed = {(c, i): a for (i, c), a in bmat.items()}
+            annihilators = linalg.kernel_basis(k_field, transposed, vk.dim(r))
+        for y in annihilators:
+            for i, a in y.items():
+                for c, b in pre.get(i, {}).items():
+                    rows[(n, c)] = k_field.add(rows.get((n, c), k_field.zero), k_field.mul(a, b))
+            n += 1
+    return rows
+
+
+def long_morphism_dim(j: int, t, r: int) -> int:
+    """Dimension of the space of long-morphism classes P_j -> T[r]; t is a complex or its HomComplexes map."""
+    homs = HomComplexes.of(t)
+    vj = homs[j]
+    dim_r = vj.dim(r)
+    if dim_r == 0:
+        return 0
+    return dim_r - linalg.rank(vj.field, _long_space(j, homs, r)) - vj.rank_at(r - 1)
+
+
 def reference_peel_letter(t: ProjComplex):
     """For a minimal T: the smallest vertex j with a long morphism P_j -> T[m] at T's minimal degree m, or None."""
-    m, homs = bottom(t)
+    m = min(t.summands)
+    homs = HomComplexes(t)
     return next((j for j in t.diagram.vertices if long_morphism_dim(j, homs, m) > 0), None)
 
 

@@ -224,6 +224,30 @@ class TestRecover:
         assert payload["word"] == [1]
         assert payload["verified"] is True
 
+    def test_stdin_image_inverts_each_letter_once(self, capsys, monkeypatch):
+        import io
+
+        from twistlab import reconstruct, twists
+
+        letters = [1, 2, 3, 4, 5, 3, 2, 1]
+        code, out, _ = run_cli(capsys, "--diagram", "D5", "--field", "q", "twist", ",".join(map(str, letters)))
+        assert code == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(json.loads(out)["complex"])))
+        original, inverted = twists.twist_inv, []
+
+        def counting(j, x):
+            inverted.append(j)
+            return original(j, x)
+
+        # recovery's last step decides T = t_w(Lambda), so nothing inverts the word a second time
+        for module in (twists, reconstruct):
+            monkeypatch.setattr(module, "twist_inv", counting)
+        code, out, _ = run_cli(capsys, "--diagram", "D5", "--field", "q", "recover")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["verified"] is True and len(payload["word"]) == len(letters)
+        assert inverted == payload["word"]
+
 
 class TestBraidEq:
     def test_equal_words(self, capsys):

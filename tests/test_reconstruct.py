@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import twistlab
-from twistlab import complexes, reconstruct
+from twistlab import complexes, reconstruct, twists
 from twistlab.acceptance import all_words
 from twistlab.braid import build_diagram, equivalent, word
 from twistlab.complexes import (
@@ -20,8 +20,6 @@ from twistlab.complexes import (
 from twistlab.fields import GF2, QQ, PrimeField
 from twistlab.reconstruct import (
     NotTwistImage,
-    bottom,
-    long_morphism_dim,
     min_degree,
     peel,
     recover_trace,
@@ -30,7 +28,7 @@ from twistlab.reconstruct import (
 from twistlab.twists import is_twist_image, iso_to_sum, twist, twist_inv, twist_word
 from twistlab.zigzag import ZigzagAlgebra
 
-from support import direct_sum, key, reference_peel_letter
+from support import HomComplexes, direct_sum, key, long_morphism_dim, reference_peel_letter
 
 A2 = build_diagram("A", 2)
 A3 = build_diagram("A", 3)
@@ -91,7 +89,7 @@ class TestLongMorphisms:
                     cases.append((direct_sum(t, pair), m))
         reached = 0
         for t, r in cases:
-            homs = complexes.HomComplexes(t)
+            homs = HomComplexes(t)
             for j in diagram.vertices:
                 if not any(homs[k].dim(r) and homs[k].mats.get(r - 1) for k in diagram.neighbors(j)):
                     continue
@@ -156,51 +154,86 @@ def _two_term(algebra, left, right, coef):
     return make_complex(algebra, {-1: left, 0: right}, {-1: diff})
 
 
+def _bottom_label_corpus(diagram, max_len, algebra):
+    """Twist images and inverse twist images of every word up to max_len, minimized, the zero object left out."""
+    lam = sum_of_projectives(algebra)
+    objects = []
+    for letters in all_words(diagram, max_len):
+        objects.append(twist_word(word(diagram, letters), lam))
+        x = lam
+        for j in letters:
+            x = twist_inv(j, x)
+        objects.append(x)
+    return [t for t in map(minimize, objects) if not t.is_zero()]
+
+
 class TestLongMorphismAtEveryBottomLabel:
-    """The loop into a summand P_j of a minimal T's lowest degree m is a long morphism P_j -> T[m],
-    so peel may take the smallest label j0 of T^m unless a vertex below j0 has one."""
+    """The loop into a summand P_j of a minimal T's lowest degree m is a long morphism P_j -> T[m];
+    in a sound algebra no other vertex has one there, so peel's letter j0 is the scan's."""
 
     @pytest.mark.parametrize("corrupt", [False, True], ids=["sound", "corrupt"])
     @pytest.mark.parametrize("field", [GF2, QQ, GF3], ids=["gf2", "qq", "gf3"])
     @pytest.mark.parametrize("diagram, max_len", [(A3, 4), (D4, 3), (A4, 2)], ids=["A3", "D4", "A4"])
     def test_bottom_labels_and_peel_letter(self, diagram, max_len, field, corrupt):
-        # twist images and inverse twist images of every word up to max_len,
-        # and two-term objects; those whose minimal degree is not negative are
-        # shifted down to -1, so that peel applies to each of them
+        # the corpus plus two-term objects; those whose minimal degree is not
+        # negative are shifted down to -1, so that peel applies to each of them
         algebra = ZigzagAlgebra(diagram, field, corrupt_compose=corrupt)
-        lam = sum_of_projectives(algebra)
-        objects = []
-        for letters in all_words(diagram, max_len):
-            objects.append(twist_word(word(diagram, letters), lam))
-            x = lam
-            for j in letters:
-                x = twist_inv(j, x)
-            objects.append(x)
+        objects = _bottom_label_corpus(diagram, max_len, algebra)
         rng = random.Random(0)
         for _ in range(40):
             left, right = (tuple(rng.choice(diagram.vertices) for _ in range(rng.randint(1, 3))) for _ in range(2))
             objects.append(_two_term(algebra, left, right, lambda: field.from_int(rng.randrange(3))))
-        below = at_j0 = 0
+        below = 0
         for x in objects:
             t = minimize(x)
             if t.is_zero():
                 continue
             if min(t.summands) >= 0:
                 t = shift(t, min(t.summands) + 1)
-            m, homs = at = bottom(t)
+            m = min(t.summands)
+            j0 = min(t.summands[m])
+            homs = HomComplexes(t)
             for j in set(t.summands[m]):
                 assert long_morphism_dim(j, homs, m) >= 1, (key(t), j)
-            letter = peel(t, at)[0]
-            assert letter == reference_peel_letter(t), key(t)
-            if letter < min(t.summands[m]):
-                below += 1
-            else:
-                at_j0 += 1
-        # In a sound algebra an arrow P_j -> P_l composed with g_{l,j} is l's
-        # loop, no coboundary at m, so only P_j summands carry long morphisms
-        # and the letter is j0; the corrupt algebra drops that product, and
-        # there a vertex below j0 can win.
-        assert at_j0 and (below > 0) == corrupt
+            assert peel(t)[0] == j0, key(t)
+            scan = reference_peel_letter(t)
+            # In a sound algebra an arrow P_j -> P_l composed with g_{l,j} is
+            # l's loop, no coboundary at m, so only P_j summands carry long
+            # morphisms; the corrupt algebra drops that product, and there a
+            # vertex below j0 can have one.
+            assert scan == j0 or (corrupt and scan < j0), key(t)
+            below += scan < j0
+        assert (below > 0) == corrupt
+
+
+class TestPeelTerminates:
+    """Degree d of t_j^-1 T is T^d plus copies of P_j for Hom^{d-1}(P_j, T), and every summand
+    labelled j in T^m cancels against its loop slot's copy: so each peel strictly lowers (-m, |T^m|)."""
+
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["sound", "corrupt"])
+    @pytest.mark.parametrize("field", [GF2, QQ, GF3], ids=["gf2", "qq", "gf3"])
+    @pytest.mark.parametrize("diagram, max_len", [(A3, 4), (D4, 3), (A4, 3)], ids=["A3", "D4", "A4"])
+    def test_every_bottom_label_lowers_the_pair(self, monkeypatch, diagram, max_len, field, corrupt):
+        raw = []  # the complex twist_inv hands to minimize, before any pivot
+
+        def capturing(x):
+            raw.append(x)
+            return minimize(x)
+
+        monkeypatch.setattr(twists, "minimize", capturing)
+        cases = 0
+        for t in _bottom_label_corpus(diagram, max_len, ZigzagAlgebra(diagram, field, corrupt_compose=corrupt)):
+            m = min(t.summands)
+            for j in set(t.summands[m]):
+                out = twist_inv(j, t)
+                before = raw.pop()
+                assert min(before.summands) >= m, (key(t), j)
+                assert before.summands.get(m, ()) == tuple(lab for lab in t.summands[m] if lab != j), (key(t), j)
+                assert not out.is_zero()
+                m2 = min(out.summands)
+                assert (-m2, len(out.summands[m2])) < (-m, len(t.summands[m])), (key(t), j)
+                cases += 1
+        assert cases >= len(diagram.vertices) ** max_len
 
 
 class TestPeel:
@@ -217,18 +250,6 @@ class TestPeel:
         j, rest = peel(t)
         assert j == 2
         assert is_twist_image(rest, word(A2, (1,)), lam)
-
-    def test_peel_reads_a_filled_map(self, alg):
-        lam = sum_of_projectives(alg)
-        t = twist_word(word(A2, (2, 1, 2)), lam)
-        m, homs = at = bottom(t)
-        for j in A2.vertices:
-            homs[j]
-        filled = dict(homs)
-        j, rest = peel(t, at)
-        assert dict(homs) == filled  # read, none rebuilt
-        assert j == peel(t)[0] and key(rest) == key(peel(t)[1])
-        assert homs.complex.summands == {d: t.summands[d] for d in (m, m + 1) if d in t.summands}
 
     def test_peel_lambda_fails(self, alg):
         with pytest.raises(NotTwistImage):
@@ -318,9 +339,8 @@ class TestRecover:
             recover_word(bad)
 
 
-class TestOneHomComplexPerVertexAndPeel:
-    """A recovery step builds Hom(P_j, -) at most once per vertex j on the two lowest degrees of T,
-    and one Hom complex on all of T: the peeled letter's, inside the inverse twist."""
+class TestOneHomComplexPerPeel:
+    """A recovery step builds one Hom complex: Hom(P_j, T) for the peeled letter j, inside the inverse twist."""
 
     @pytest.mark.parametrize(
         "diagram,letters",
@@ -330,14 +350,14 @@ class TestOneHomComplexPerVertexAndPeel:
     def test_builds_per_peel(self, monkeypatch, diagram, letters):
         t = twist_word(word(diagram, letters), sum_of_projectives(ZigzagAlgebra(diagram)))
         original_build, original_inv = complexes.hom_complex, reconstruct.twist_inv
-        builds, inverted = [], []  # the complex of each Hom-complex build, and of each inverse twist
+        builds, inverted = [], []  # the (vertex, complex) of each Hom-complex build, and of each inverse twist
 
         def counting(j, x):
-            builds.append(x)
+            builds.append((j, x))
             return original_build(j, x)
 
         def inverting(j, x):
-            inverted.append(x)
+            inverted.append((j, x))
             return original_inv(j, x)
 
         # every module that imported hom_complex by name calls it through its own reference
@@ -347,43 +367,9 @@ class TestOneHomComplexPerVertexAndPeel:
         monkeypatch.setattr(reconstruct, "twist_inv", inverting)
         rec, steps = recover_trace(t)
         assert equivalent(rec, word(diagram, letters))
-        assert len(steps) == len(inverted) == len(letters)
-        for x in inverted:
-            assert sum(b is x for b in builds) == 1
-        truncations = {id(b): b for b in builds if not any(b is x for x in inverted)}
-        assert len(truncations) == len(steps)
-        for x, step in zip(truncations.values(), steps):
-            assert step.min_degree in x.summands and set(x.summands) <= {step.min_degree, step.min_degree + 1}
-            assert sum(b is x for b in builds) <= diagram.rank
-
-    @pytest.mark.parametrize(
-        "diagram,letters",
-        [(A4, (1, 3, 2, 4, 3, 1, 2, 4)), (D5, (2, 3, 5, 4, 3, 2, 1, 3))],
-        ids=["A4", "D5"],
-    )
-    def test_peel_probes_only_below_the_smallest_bottom_label(self, monkeypatch, diagram, letters):
-        t = twist_word(word(diagram, letters), sum_of_projectives(ZigzagAlgebra(diagram)))
-        original_peel, original_dim = reconstruct.peel, reconstruct.long_morphism_dim
-        peels = []  # per peel: the smallest label j0 of T^m, the vertices probed, the letter
-
-        def peeling(x, at):
-            peels.append((min(x.summands[at[0]]), []))
-            j, rest = original_peel(x, at)
-            peels[-1] += (j,)
-            return j, rest
-
-        def probing(j, homs, r):
-            peels[-1][1].append(j)
-            return original_dim(j, homs, r)
-
-        monkeypatch.setattr(reconstruct, "peel", peeling)
-        monkeypatch.setattr(reconstruct, "long_morphism_dim", probing)
-        rec, _ = recover_trace(t)
-        assert equivalent(rec, word(diagram, letters))
-        assert len(peels) == len(letters)
-        for j0, probed, j in peels:
-            below = [v for v in diagram.vertices if v < j0]
-            assert probed == (below[: below.index(j) + 1] if j < j0 else below)
+        assert len(steps) == len(inverted) == len(builds) == len(letters)
+        for (j, x), (jb, b) in zip(inverted, builds):
+            assert jb == j and b is x
 
 
 @settings(max_examples=60, deadline=None)
@@ -401,18 +387,17 @@ def test_recover_inverts_twist(case, field):
 
 
 def _assert_degree_local(t):
-    """A recovery step's reads of sigma_{<=m+1} T are the ones it would make of the minimal T itself."""
+    """A recovery step reads T's lowest summands: their degree is the profile's lowest, and each label
+    there carries a long morphism; the letter it peels is the scan's."""
     t = minimize(t)
     prof = profile(t)
-    m, homs = bottom(t)
+    m = min_degree(t)
     assert m == min(d for (_, d) in prof)
-    for j in t.diagram.vertices:
-        assert homs[j].homology_dims().get(m, 0) == prof.get((j, m), 0)
-        assert long_morphism_dim(j, homs, m) == long_morphism_dim(j, t, m)
-        if j in t.summands[m]:
-            assert long_morphism_dim(j, homs, m) >= 1
+    homs = HomComplexes(t)
+    for j in set(t.summands[m]):
+        assert long_morphism_dim(j, homs, m) >= 1
     if m < 0:
-        assert peel(t, (m, homs))[0] == reference_peel_letter(t)
+        assert peel(t)[0] == min(t.summands[m]) == reference_peel_letter(t)
 
 
 @settings(max_examples=60, deadline=None)
