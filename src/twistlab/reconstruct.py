@@ -49,7 +49,11 @@ class NotTwistImage(Exception):
 
 def min_degree(t: ProjComplex) -> int:
     """Smallest k with Hom^k(Lambda, T) nonzero: the lowest summand degree of the minimal T."""
-    t = minimize(t)
+    return _lowest_degree(minimize(t))
+
+
+def _lowest_degree(t: ProjComplex) -> int:
+    """min_degree of a minimal T."""
     if t.is_zero():
         raise NotTwistImage("zero object has no extremal degree")
     return min(t.summands)
@@ -63,7 +67,7 @@ def peel(t: ProjComplex) -> Tuple[int, ProjComplex]:
     (the empty word is the caller's base case).
     """
     t = minimize(t)
-    m = min_degree(t)
+    m = _lowest_degree(t)
     if m >= 0:
         raise NotTwistImage("minimal degree is non-negative: nothing to peel")
     j = min(t.summands[m])
@@ -92,7 +96,7 @@ def recover_trace(t: ProjComplex) -> Tuple[BraidWord, Tuple[PeelStep, ...]]:
     current = minimize(t)
     previous: Optional[Tuple[int, int]] = None
     while not iso_to_sum(current, lam):
-        m = min_degree(current)
+        m = _lowest_degree(current)
         potential = (-m, len(current.summands[m]))
         if previous is not None and potential >= previous:
             raise NotTwistImage("peeling failed to make progress")

@@ -214,6 +214,7 @@ class TestPeelTerminates:
     @pytest.mark.parametrize("field", [GF2, QQ, GF3], ids=["gf2", "qq", "gf3"])
     @pytest.mark.parametrize("diagram, max_len", [(A3, 4), (D4, 3), (A4, 3)], ids=["A3", "D4", "A4"])
     def test_every_bottom_label_lowers_the_pair(self, monkeypatch, diagram, max_len, field, corrupt):
+        corpus = _bottom_label_corpus(diagram, max_len, ZigzagAlgebra(diagram, field, corrupt_compose=corrupt))
         raw = []  # the complex twist_inv hands to minimize, before any pivot
 
         def capturing(x):
@@ -222,11 +223,12 @@ class TestPeelTerminates:
 
         monkeypatch.setattr(twists, "minimize", capturing)
         cases = 0
-        for t in _bottom_label_corpus(diagram, max_len, ZigzagAlgebra(diagram, field, corrupt_compose=corrupt)):
+        for t in corpus:
             m = min(t.summands)
             for j in set(t.summands[m]):
                 out = twist_inv(j, t)
-                before = raw.pop()
+                (before,) = raw
+                raw.clear()
                 assert min(before.summands) >= m, (key(t), j)
                 assert before.summands.get(m, ()) == tuple(lab for lab in t.summands[m] if lab != j), (key(t), j)
                 assert not out.is_zero()
@@ -326,6 +328,7 @@ class TestRecover:
             ({0: (1,)}, {}),                       # P_1 alone
             ({-3: (2,)}, {}),                      # a lone shifted stalk
             ({2: (1,)}, {}),                       # positive degrees only
+            ({}, {}),                              # the zero object
         ],
     )
     def test_non_images_are_rejected(self, alg, summands, diffs):
