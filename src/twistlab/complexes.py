@@ -29,25 +29,32 @@ cone() is the checked entry point for chain maps from outside the package
 call.  The check composes nonzero entries only, so it costs in proportion
 to the nonzero entries of the blocks and differentials, not to their
 cells.  cone() builds the cone complex alone, not the maps Y -> C -> X[1].
-The twist writes its cone of evaluation itself and runs the same check
-there (see twists.py).
+The twist writes its cone of evaluation into the elimination index itself
+and runs the same check before it does (see twists.py).
 
 minimize() strips contractible summand pairs by Gaussian elimination: any
 entry P_i -> P_i whose identity coefficient is a unit can be split off, the
 parallel block picking up the correction delta - gamma phi^{-1} beta.  Pivot
 order is deterministic (lowest degree, then lowest row, then lowest column)
-so outputs are reproducible.  It works on indexes alone: each degree's
-entries sit in a row index (row -> {col: entry}) and a column index (col ->
-{row: entry}), and the output is read back from the row index.  A degree
-that lost no summand keeps its label tuple and its positions, and a
-differential between two such degrees, which no pivot touched, is the
-input's own matrix (complexes are immutable, so they may share it).  A
-pivot costs its row and column plus one correction per pair of other
-entries in them, and phi is inverted only when there is such a pair: most
-pivots of the twist path have none.
+so outputs are reproducible.  The elimination works on indexes alone: each
+degree's entries sit in a row index (row -> {col: entry}) and a column
+index (col -> {row: entry}), and the output is read back from the row
+index.  It has one front and one core.  minimize() is the front for a
+complex: it builds both indexes and the list of unit entries from the
+complex's differentials.  eliminate() is the core, and the twists write
+their cones straight into its indexes instead (see twists.py), so a cone
+is never built as a complex first.  A degree that lost no summand keeps
+its label tuple and its positions.  A differential between two such
+degrees, which no pivot touched, is the input's own matrix (complexes are
+immutable, so they may share it) only when minimize() built the index
+itself; a twist's is read back from the index.  A pivot costs its row and
+column plus one correction per pair of other entries in them, and phi is
+inverted only when there is such a pair: most pivots of the twist path
+have none.
 
 Memoized, for the life of the object that holds it (nothing outlives it):
-- minimize() marks its output minimal and returns a minimal input unchanged;
+- eliminate() marks its output minimal, and minimize() returns a minimal
+  input unchanged;
 - a complex keeps its profile(), and hands out a fresh copy on each call;
   the profile of t_i(Y), made by twists.twist while Y lives and Y's profile
   is memoized, builds the Hom complexes of i's neighbours only and reads
@@ -71,6 +78,7 @@ from .fields import Field, Scalar
 from .zigzag import Entry, ZigzagAlgebra
 
 Matrix = Dict[Tuple[int, int], Entry]
+Index = Dict[int, Dict[int, Entry]]  # one degree's entries, row -> {col: entry} or col -> {row: entry}
 
 
 @dataclass(eq=False)
@@ -268,38 +276,60 @@ def cone(f: ChainMap) -> ProjComplex:
 def minimize(x: ProjComplex) -> ProjComplex:
     """Strip contractible pairs until no unit identity entry remains.
 
-    Entries keep their input (row, col) positions until the end: removing
-    summands never reorders the ones that stay, so a heap of unit entries
-    keyed by (degree, row, col) pops pivots in the order of the module
-    docstring.  Each degree holds its entries twice, by row (row -> {col:
-    entry}) and by column (col -> {row: entry}), so a pivot reads its row
-    and its column, and drops the summands it removes, without a scan.
-    Only an entry between equal labels can be a unit, so only those are
-    asked.  A pivot whose row or column holds no other entry makes no
-    correction, and then phi is not inverted at all.  Stale heap items
-    (entries since removed or changed) are skipped when popped; every entry
-    that becomes a unit is pushed again.  The output is marked minimal, and
-    a minimal input is returned as is.
+    Indexes each differential by row and by column, queues every unit entry
+    between equal labels, and hands all of it to eliminate(), which shares
+    the differentials that no pivot touched with x.  The output is marked
+    minimal, and a minimal input is returned as is.
     """
     if x._minimal:
         return x
-    alg = x.algebra
-    is_unit, compose, plus = alg.is_unit, alg.compose, alg.plus
-    neg_one = alg.field.neg(alg.field.one)
+    is_unit = x.algebra.is_unit
     labels = x.summands
-    by_row: Dict[int, Dict[int, Dict[int, Entry]]] = {}  # degree -> row -> {col: entry}
-    by_col: Dict[int, Dict[int, Dict[int, Entry]]] = {}  # degree -> col -> {row: entry}
-    queue: List[Tuple[int, int, int]] = []
+    by_row: Dict[int, Index] = {}
+    by_col: Dict[int, Index] = {}
+    units: List[Tuple[int, int, int]] = []
     for d, mat in x.diffs.items():
-        rr: Dict[int, Dict[int, Entry]] = {}
-        cc: Dict[int, Dict[int, Entry]] = {}
+        rr: Index = {}
+        cc: Index = {}
         rows, cols = labels[d + 1], labels[d]
         for (r, c), m in mat.items():
             rr.setdefault(r, {})[c] = m
             cc.setdefault(c, {})[r] = m
             if rows[r] == cols[c] and is_unit(cols[c], rows[r], m):
-                queue.append((d, r, c))
+                units.append((d, r, c))
         by_row[d], by_col[d] = rr, cc
+    return eliminate(x.algebra, labels, by_row, by_col, units, x.diffs)
+
+
+def eliminate(
+    alg: ZigzagAlgebra,
+    labels: Mapping[int, Tuple[int, ...]],
+    by_row: Dict[int, Index],
+    by_col: Dict[int, Index],
+    units: List[Tuple[int, int, int]],
+    shared: Optional[Mapping[int, Matrix]] = None,
+) -> ProjComplex:
+    """The minimal complex left by Gaussian elimination on an indexed complex, which it consumes.
+
+    labels maps each degree to its nonempty label tuple; by_row[d] and
+    by_col[d] hold the nonzero entries of the differential d -> d+1 by row
+    and by column (a degree with no entries may have empty indexes or
+    none); units lists (degree, row, col) of every unit entry between
+    equal labels.  Entries keep their input (row, col) positions
+    until the end: removing summands never reorders the ones that stay, so
+    a heap of units keyed by (degree, row, col) pops pivots in the order of
+    the module docstring, and a pivot reads its row and its column, and
+    drops the summands it removes, without a scan.  A pivot whose row or
+    column holds no other entry makes no correction, and then phi is not
+    inverted at all.  Stale heap items (entries since removed or changed)
+    are skipped when popped; every entry that becomes a unit is pushed
+    again.  The output is read back from the row index, except that a
+    differential between two degrees that lost no summand is shared[d],
+    when the caller passes the matrices it indexed.
+    """
+    is_unit, compose, plus = alg.is_unit, alg.compose, alg.plus
+    neg_one = alg.field.neg(alg.field.one)
+    queue = units
     heapq.heapify(queue)
 
     dropped: Dict[int, set] = {d: set() for d in labels}
@@ -351,8 +381,7 @@ def minimize(x: ProjComplex) -> ProjComplex:
         dropped[d].add(pc)
         dropped[d + 1].add(pr)
 
-    # a degree that lost no summand keeps its tuple and its positions, and a
-    # differential between two such degrees is the input's, untouched
+    # a degree that lost no summand keeps its tuple and its positions
     summands: Dict[int, Tuple[int, ...]] = {}
     position: Dict[int, Union[range, Dict[int, int]]] = {}  # degree -> input index -> output index
     for d, labs in labels.items():
@@ -366,11 +395,11 @@ def minimize(x: ProjComplex) -> ProjComplex:
             position[d] = {s: n for n, s in enumerate(keep)}
     diffs: Dict[int, Matrix] = {}
     for d, rr in by_row.items():
-        if dropped[d] or dropped[d + 1]:
+        if shared is not None and not dropped[d] and not dropped[d + 1]:
+            mat = shared[d]
+        else:
             at_row, at_col = position.get(d + 1), position.get(d)
             mat = {(at_row[r], at_col[c]): m for r, row in rr.items() for c, m in row.items()}
-        else:
-            mat = x.diffs[d]
         if mat:
             diffs[d] = mat
     out = ProjComplex(alg, summands, diffs)

@@ -2,15 +2,15 @@
 
 A matrix maps (row, col) to a scalar; absent keys (and zero values) are zero
 entries, so only the nonzero scalars cost anything.  This is the format of
-the Hom complexes' matrices, and the transpose of a matrix is the same dict
-with its keys swapped.  One routine, _reduce, row-reduces a matrix to
-reduced echelon form; rank and kernel_basis are its two views.  The same
-field arithmetic serves every field: no fast path, no floating point.
+the Hom complexes' matrices.  rank brings a matrix to echelon form, one row
+at a time, and counts its pivots; nothing in the package needs a reduced
+echelon form or a kernel.  The same field arithmetic serves every field: no
+fast path, no floating point.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 from .fields import Field, Scalar
 
@@ -28,49 +28,28 @@ def _axpy(field: Field, row: Row, factor: Scalar, pivot_row: Row) -> None:
             row[c] = v
 
 
-def _reduce(field: Field, mat: Matrix) -> Dict[int, Row]:
-    """Reduced row echelon form of mat: pivot column -> its row, 1 at the pivot.
+def rank(field: Field, mat: Matrix) -> int:
+    """Rank of a sparse matrix: the pivots of an echelon form of its rows.
 
-    Rows are inserted one at a time.  Each pivot row is zero in every other
-    pivot column, so a new row is cleared by subtracting the pivot rows of its
-    own pivot columns once each; if anything is left, its lowest column
-    becomes a new pivot and is cleared from the older pivot rows.
+    Each pivot row's lowest column is its pivot, and no two share one.  A
+    new row is cleared lowest column first: while that column holds a
+    pivot, the pivot row times the ratio of the two entries is subtracted,
+    which empties the column and leaves entries in higher columns only.  A
+    row that is not cleared away becomes the pivot of its lowest column.
+    Rows are never normalized, and older pivot rows are never reduced
+    against newer ones.
     """
     rows: Dict[int, Row] = {}
     for (r, c), a in mat.items():
         if not field.is_zero(a):
             rows.setdefault(r, {})[c] = a
-    pivots: Dict[int, Row] = {}
+    pivots: Dict[int, Row] = {}  # pivot column -> its row
     for row in rows.values():
-        for p in [c for c in row if c in pivots]:
-            _axpy(field, row, row[p], pivots[p])
-        if not row:
-            continue
-        p = min(row)
-        inv = field.inv(row[p])
-        row = {c: field.mul(inv, a) for c, a in row.items()}
-        for other in pivots.values():
-            if p in other:
-                _axpy(field, other, other[p], row)
-        pivots[p] = row
-    return pivots
-
-
-def rank(field: Field, mat: Matrix) -> int:
-    """Rank of a sparse matrix."""
-    return len(_reduce(field, mat))
-
-
-def kernel_basis(field: Field, mat: Matrix, ncols: int) -> List[Row]:
-    """Basis of {x : A x = 0} for A with columns 0..ncols-1, as sparse vectors.
-
-    One vector per free column f: 1 at f, and minus the pivot rows' entries
-    in column f at their pivots.  Swap the keys of A for its left kernel.
-    """
-    pivots = _reduce(field, mat)
-    basis = {f: {f: field.one} for f in range(ncols) if f not in pivots}
-    for p, row in pivots.items():
-        for f, a in row.items():
-            if f != p:
-                basis[f][p] = field.neg(a)
-    return list(basis.values())
+        while row:
+            p = min(row)
+            pivot_row = pivots.get(p)
+            if pivot_row is None:
+                pivots[p] = row
+                break
+            _axpy(field, row, field.mul(row[p], field.inv(pivot_row[p])), pivot_row)
+    return len(pivots)

@@ -20,18 +20,23 @@ identity, for each nonzero scalar a, read straight from its entries.  JSON
 views are the only dense form.  Each functor builds the one Hom complex
 Hom(P_i, X) it needs.
 
-twist writes the cone of evaluation itself.  Degree d holds the copies for
-the basis of Hom^{d+1}, then X^d.  Its entries are -a times the identity
-between copies, the basis morphism from each copy to its summand, and X's
-own differential, at the (row, col) positions that cone() gives them.  No
-source complex and no chain map are built.  The check that cone() makes
-still runs, in _check_evaluation, before the cone is written.  It makes the
-checks of ChainMap.is_valid: every evaluation entry is a basis entry of the
-Hom table, and the table types each of those once, when it is built (a
-mistyped one raises ValueError there); and in each degree d,
-ev_{d+1} o d_src = d_X o ev_d is composed entry by entry.  A failure raises
-cone()'s ValueError.  cone() itself stays the checked entry point for chain
-maps from outside (see complexes.py).
+twist writes the cone of evaluation straight into the row and column
+indexes of the elimination core, complexes.eliminate.  Degree d holds the
+copies for the basis of Hom^{d+1}, then X^d.  Its entries are -a times the
+identity between copies, the basis morphism from each copy to its summand,
+and X's own differential, each indexed at the (row, col) position that
+cone() gives it.  Every entry between equal labels is asked whether it is
+a unit, and the units seed the core's pivots.  No source complex, no chain
+map and no cone complex are built, and nothing is indexed twice.  The check
+that cone() makes still runs, in _check_evaluation, before the cone is
+written.  It makes the checks of ChainMap.is_valid: every evaluation entry
+is a basis entry of the Hom table, and the table types each of those once,
+when it is built (a mistyped one raises ValueError there); and in each
+degree d, ev_{d+1} o d_src = d_X o ev_d is composed entry by entry.  A
+failure raises cone()'s ValueError.  cone() itself stays the checked entry
+point for chain maps from outside (see complexes.py), and
+tests/test_twists.py checks twist entry for entry against minimize(cone())
+of evaluation built as a ChainMap.
 
 twist leaves a link on its output: the letter i and a weak reference to X.
 complexes.profile reads it to compute only the rows of i's neighbours when
@@ -40,7 +45,7 @@ and drops it once its own memo is set.  The reference is weak, so a twist
 chain keeps none of its intermediates alive.  twist_inv leaves no link:
 nothing on a hot path profiles an inverse image.
 
-The inverse twist cancels its predictable pivots before minimize sees
+The inverse twist cancels its predictable pivots before the core sees
 them.  Each summand s of X^d labelled i has two slots, the identity
 (slot 0) and the loop (slot 1), and the dual of the loop slot is the
 identity: s maps to its loop slot's copy by a unit.  These pairs form an
@@ -49,10 +54,11 @@ the loop slot's copy of s gets an entry from X^d at s alone, and s sends
 entries to its own two copies alone.  So eliminating them all is one
 Schur-complement step D' = D - C B with no inverse, C the other entries
 of the pivot columns and B those of the pivot rows, and it equals the
-pivot-by-pivot elimination in exact arithmetic.  twist_inv builds that
+pivot-by-pivot elimination in exact arithmetic.  twist_inv writes that
 reduced complex, without the summands labelled i or their loop copies,
-and minimize eliminates the rest.  Summands that stay keep their order, so
-on minimal complexes the output matches, entry for entry, that of
+into the core's indexes as twist does, leaving out every cell whose terms
+cancel, and the core eliminates the rest.  Summands that stay keep their
+order, so on minimal complexes the output matches, entry for entry, that of
 minimizing the whole unreduced complex: tests/test_twists.py checks it
 against such a reference and pins a digest of a corpus of outputs.
 
@@ -70,8 +76,10 @@ from typing import Dict, Iterable, Optional, Tuple
 from .braid import BraidWord
 from .complexes import (
     HomComplex,
+    Index,
     Matrix,
     ProjComplex,
+    eliminate,
     hom_complex,
     hom_dims,
     make_complex,
@@ -83,36 +91,54 @@ from .zigzag import Entry, ZigzagAlgebra
 
 
 def twist(i: int, x: ProjComplex) -> ProjComplex:
-    """t_i(X): the cone of evaluation P_i (x) Hom(P_i, X) -> X, checked, written in place and minimized.
+    """t_i(X): the cone of evaluation P_i (x) Hom(P_i, X) -> X, checked, indexed for elimination and minimized.
 
     Each entry sits where cone() would put it (see the module docstring):
     -a times the identity between copies for each scalar a of hc, the
     basis morphism basis[l][slot] from the copy at offsets[s] + slot to
-    its summand s, labelled l, and X's own differential.  The output
+    its summand s, labelled l, and X's own differential.  Every entry
+    between equal labels is asked whether it is a unit.  The output
     carries the link (i, weak reference to X) that profile() reads.
     """
     alg = x.algebra
     hc = hom_complex(i, x)
     basis = alg.hom_table(i).basis
     _check_evaluation(i, x, hc, basis)
-    neg, scalar = alg.field.neg, alg.scalar
-    summands: Dict[int, Tuple[int, ...]] = {}
-    diffs: Dict[int, Matrix] = {}
-    for d in set(x.summands) | {d - 1 for d in hc.offsets}:
+    is_unit, neg, scalar = alg.is_unit, alg.field.neg, alg.scalar
+    xs = x.summands
+    labels = {d: (i,) * hc.dim(d + 1) + xs.get(d, ()) for d in set(xs) | {d - 1 for d in hc.offsets}}
+    by_row: Dict[int, Index] = {}
+    by_col: Dict[int, Index] = {}
+    units = []
+    for d in labels:
         # rows: the copies for Hom^{d+2}, then X^{d+1}; columns: the copies for Hom^{d+1}, then X^d
         row_x, col_x = hc.dim(d + 2), hc.dim(d + 1)
-        summands[d] = (i,) * col_x + x.summands.get(d, ())
-        mat = {rc: scalar(neg(a)) for rc, a in hc.mats.get(d + 1, {}).items()}
+        rr: Index = {}
+        cc: Index = {}
         if col_x:
+            # each copy column holds one evaluation entry, written first
             offs = hc.offsets[d + 1]
-            for s, lab in enumerate(x.summands[d + 1]):
-                n = offs[s]
+            for s, lab in enumerate(xs[d + 1]):
+                n, r = offs[s], row_x + s
+                row = rr[r] = {}
                 for slot, e in enumerate(basis[lab]):
-                    mat[(row_x + s, n + slot)] = e
-        for (r, c), g in x.diffs.get(d, {}).items():
-            mat[(row_x + r, col_x + c)] = g
-        diffs[d] = mat
-    out = minimize(make_complex(alg, summands, diffs))
+                    row[n + slot] = e
+                    cc[n + slot] = {r: e}
+                    if lab == i and is_unit(i, i, e):
+                        units.append((d, r, n + slot))
+            for (r, c), a in hc.mats.get(d + 1, {}).items():
+                m = rr.setdefault(r, {})[c] = cc[c][r] = scalar(neg(a))
+                if is_unit(i, i, m):
+                    units.append((d, r, c))
+        mat = x.diffs.get(d)
+        if mat:
+            rows, cols = xs[d + 1], xs[d]
+            for (r, c), g in mat.items():
+                rr.setdefault(row_x + r, {})[col_x + c] = cc.setdefault(col_x + c, {})[row_x + r] = g
+                if rows[r] == cols[c] and is_unit(cols[c], rows[r], g):
+                    units.append((d, row_x + r, col_x + c))
+        by_row[d], by_col[d] = rr, cc
+    out = eliminate(alg, labels, by_row, by_col, units)
     out._twist_of = (i, weakref.ref(x))
     return out
 
@@ -172,7 +198,7 @@ def twist_inv(i: int, x: ProjComplex) -> ProjComplex:
     hc = hom_complex(i, x)
     alg = x.algebra
     dual = alg.hom_table(i).dual
-    times, plus, neg = alg.times, alg.plus, alg.field.neg
+    times, plus, neg, is_unit = alg.times, alg.plus, alg.field.neg, alg.is_unit
     loop = dual[i][0]
     # new position of each summand of X that stays: those not labelled i
     x_at = {
@@ -198,32 +224,48 @@ def twist_inv(i: int, x: ProjComplex) -> ProjComplex:
                 for p in range(n, offs[s + 1]):
                     at[p] = len(at)
         copy_at[d], loop_of[d], loop_row[d] = at, lo, lr
-    summands: Dict[int, Tuple[int, ...]] = {}
-    degs = set(x.summands) | {d + 1 for d in hc.offsets}
-    for d in degs:
-        summands[d] = tuple(lab for lab in x.summands.get(d, ()) if lab != i) + (i,) * len(copy_at.get(d - 1, ()))
+    labels: Dict[int, Tuple[int, ...]] = {}
+    for d in set(x.summands) | {d + 1 for d in hc.offsets}:
+        labs = tuple(lab for lab in x.summands.get(d, ()) if lab != i) + (i,) * len(copy_at.get(d - 1, ()))
+        if labs:
+            labels[d] = labs
     # rows: X^{d+1} then the copies for Hom^d; columns: X^d then the
     # copies for Hom^{d-1}, each part in its order above
-    diffs: Dict[int, Matrix] = {}
-    for d in degs:
+    by_row: Dict[int, Index] = {}
+    by_col: Dict[int, Index] = {}
+    units = []
+    for d, cols in labels.items():
+        rows = labels.get(d + 1, ())
         row_x, col_x = x_at.get(d + 1, {}), x_at.get(d, {})
         row_copy, col_copy = copy_at.get(d, {}), copy_at.get(d - 1, {})
         x_rows, x_cols = len(row_x), len(col_x)
-        mat: Dict[Tuple[int, int], Optional[Entry]] = {}
+        rr: Index = {}
+        cc: Index = {}
         out_of: Dict[int, list] = {}  # s labelled i -> X's differential out of s, in the new rows
         for (r, c), g in x.diffs.get(d, {}).items():
             if r in row_x:
                 if c in col_x:
-                    mat[(row_x[r], col_x[c])] = g
+                    r, c = row_x[r], col_x[c]
+                    rr.setdefault(r, {})[c] = cc.setdefault(c, {})[r] = g
+                    if rows[r] == cols[c] and is_unit(cols[c], rows[r], g):
+                        units.append((d, r, c))
                 else:
                     out_of.setdefault(c, []).append((row_x[r], g))
         if row_copy:
+            # a summand not labelled i to its copies, never between equal
+            # labels; each of those copy rows holds this one entry so far
             offs = hc.offsets[d]
             for s, lab in enumerate(x.summands[d]):
                 if lab != i:
-                    n, col = offs[s], col_x[s]
+                    n, c = offs[s], col_x[s]
+                    col = cc.setdefault(c, {})
                     for slot, e in enumerate(dual[lab]):
-                        mat[(x_rows + row_copy[n + slot], col)] = e
+                        r = x_rows + row_copy[n + slot]
+                        rr[r] = {c: e}
+                        col[r] = e
+        # the copy columns sum several terms in a cell, so they are added up
+        # first and only the cells that do not cancel are written
+        acc: Dict[Tuple[int, int], Optional[Entry]] = {}
         owners, loops = loop_of.get(d, {}), loop_row.get(d, {})
         for (r, c), a in hc.mats.get(d - 1, {}).items():
             if c not in col_copy:
@@ -231,15 +273,21 @@ def twist_inv(i: int, x: ProjComplex) -> ProjComplex:
             col = x_cols + col_copy[c]
             if r in row_copy:
                 cell = (x_rows + row_copy[r], col)
-                mat[cell] = plus(mat.get(cell), alg.scalar(neg(a)))
+                acc[cell] = plus(acc.get(cell), alg.scalar(neg(a)))
                 continue
             s = owners[r]
             for row, g in out_of.get(s, ()):
-                mat[(row, col)] = plus(mat.get((row, col)), times(a, g))
+                acc[(row, col)] = plus(acc.get((row, col)), times(a, g))
             cell = (x_rows + loops[s], col)
-            mat[cell] = plus(mat.get(cell), times(a, loop))
-        diffs[d] = {rc: m for rc, m in mat.items() if m is not None}
-    return minimize(make_complex(alg, summands, diffs))
+            acc[cell] = plus(acc.get(cell), times(a, loop))
+        for (r, c), m in acc.items():
+            if m is not None:
+                rr.setdefault(r, {})[c] = cc.setdefault(c, {})[r] = m
+                # copy rows are labelled i, as copy columns are
+                if r >= x_rows and is_unit(i, i, m):
+                    units.append((d, r, c))
+        by_row[d], by_col[d] = rr, cc
+    return eliminate(alg, labels, by_row, by_col, units)
 
 
 def twist_word(w: BraidWord, x: ProjComplex) -> ProjComplex:

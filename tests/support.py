@@ -6,9 +6,15 @@ the entry-by-entry Hom complex (compose each basis morphism with each
 differential entry, read the coordinates of the product), against which the
 table-driven complexes.hom_complex is checked; reference_basis lists its
 basis as (summand, slot) pairs, and implied_basis expands a Hom complex's
-offsets into the same pairs.  reference_twist_inv is the inverse twist with
+offsets into the same pairs.  reference_twist is the twist through the
+public path (a ChainMap of evaluation, the checked cone(), minimize),
+against which twists.twist's cone written into the elimination index is
+checked; reference_twist_inv is the inverse twist with
 every contractible pair left to minimize, against which twists.twist_inv's
-bulk cancellation is checked.
+bulk cancellation is checked.  _reduce brings a sparse scalar matrix to
+reduced echelon form and kernel_basis reads a basis of its kernel off that
+form; linalg.rank stops at an echelon form, and only long_morphism_dim
+needs a kernel.
 
 Long morphisms are the paper's notion of a peelable letter: a class in
 H^r(Hom(P_j, T)) killed by precomposition with every neighbour arrow.
@@ -17,6 +23,8 @@ complex built on first use), and reference_peel_letter is the letter of a
 scan of every vertex for one at T's minimal degree, against which
 reconstruct.peel's smallest bottom label is checked.
 """
+
+from typing import Dict, List
 
 from twistlab import linalg
 from twistlab.braid import BraidWord, LayeredWord
@@ -31,6 +39,8 @@ from twistlab.complexes import (
     minimize,
     shift,
 )
+from twistlab.fields import Field
+from twistlab.linalg import Row, _axpy
 
 
 def direct_sum(x: ProjComplex, y: ProjComplex) -> ProjComplex:
@@ -60,6 +70,28 @@ def cone_triangle(f: ChainMap) -> tuple[ProjComplex, ChainMap, ChainMap]:
     inclusion = ChainMap(y, cone_complex, inc_blocks)
     projection = ChainMap(cone_complex, shift(x, 1), proj_blocks)
     return cone_complex, inclusion, projection
+
+
+def reference_twist(i: int, x: ProjComplex) -> ProjComplex:
+    """The twist as the minimized cone() of evaluation P_i (x) Hom(P_i, X) -> X, a ChainMap checked there."""
+    hc = hom_complex(i, x)
+    alg = x.algebra
+    # the source: a copy of P_i per Hom-complex basis slot, summand s's slot k
+    # at offsets[d][s] + k, with a times the identity for each scalar a of hc
+    src = make_complex(
+        alg,
+        {d: (i,) * hc.dim(d) for d in hc.degrees()},
+        {d: {rc: alg.scalar(a) for rc, a in mat.items()} for d, mat in hc.mats.items()},
+    )
+    blocks = {
+        d: {
+            (s, offs[s] + slot): e
+            for s, lab in enumerate(x.summands[d])
+            for slot, e in enumerate(alg.hom_basis(i, lab))
+        }
+        for d, offs in hc.offsets.items()
+    }
+    return minimize(cone(ChainMap(src, x, blocks)))
 
 
 def reference_twist_inv(i: int, x: ProjComplex) -> ProjComplex:
@@ -141,13 +173,56 @@ def _long_space(j: int, homs: HomComplexes, r: int) -> dict:
             # into a lowest summand a loop is a cocycle, not a coboundary, so
             # only degrees above the minimum reach this
             transposed = {(c, i): a for (i, c), a in bmat.items()}
-            annihilators = linalg.kernel_basis(k_field, transposed, vk.dim(r))
+            annihilators = kernel_basis(k_field, transposed, vk.dim(r))
         for y in annihilators:
             for i, a in y.items():
                 for c, b in pre.get(i, {}).items():
                     rows[(n, c)] = k_field.add(rows.get((n, c), k_field.zero), k_field.mul(a, b))
             n += 1
     return rows
+
+
+def _reduce(field: Field, mat: linalg.Matrix) -> Dict[int, Row]:
+    """Reduced row echelon form of mat: pivot column -> its row, 1 at the pivot.
+
+    Rows are inserted one at a time.  Each pivot row is zero in every other
+    pivot column, so a new row is cleared by subtracting the pivot rows of its
+    own pivot columns once each; if anything is left, its lowest column
+    becomes a new pivot and is cleared from the older pivot rows.
+    """
+    rows: Dict[int, Row] = {}
+    for (r, c), a in mat.items():
+        if not field.is_zero(a):
+            rows.setdefault(r, {})[c] = a
+    pivots: Dict[int, Row] = {}
+    for row in rows.values():
+        for p in [c for c in row if c in pivots]:
+            _axpy(field, row, row[p], pivots[p])
+        if not row:
+            continue
+        p = min(row)
+        inv = field.inv(row[p])
+        row = {c: field.mul(inv, a) for c, a in row.items()}
+        for other in pivots.values():
+            if p in other:
+                _axpy(field, other, other[p], row)
+        pivots[p] = row
+    return pivots
+
+
+def kernel_basis(field: Field, mat: linalg.Matrix, ncols: int) -> List[Row]:
+    """Basis of {x : A x = 0} for A with columns 0..ncols-1, as sparse vectors.
+
+    One vector per free column f: 1 at f, and minus the pivot rows' entries
+    in column f at their pivots.  Swap the keys of A for its left kernel.
+    """
+    pivots = _reduce(field, mat)
+    basis = {f: {f: field.one} for f in range(ncols) if f not in pivots}
+    for p, row in pivots.items():
+        for f, a in row.items():
+            if f != p:
+                basis[f][p] = field.neg(a)
+    return list(basis.values())
 
 
 def long_morphism_dim(j: int, t, r: int) -> int:

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from twistlab.fields import GF2, QQ, PrimeField
-from twistlab.linalg import kernel_basis, rank
+from twistlab.linalg import rank
+
+from support import kernel_basis
 
 GF3 = PrimeField(3)
 GF5 = PrimeField(5)
@@ -71,6 +73,30 @@ def random_cases(field, seed, trials=60):
 def test_rank_matches_generic_elimination(field):
     for rows, ncols in random_cases(field, 1):
         assert rank(field, sparse(rows)) == dense_rank(field, rows, ncols)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=["gf2", "gf3", "qq"])
+def test_rank_clears_a_row_in_several_rounds(field):
+    # p0, p1, p2 are pivot rows of columns 0, 1, 2, each reaching into the next
+    # column.  Clearing x p0 + y p1 + z p2 subtracts p0 at column 0, which
+    # leaves y p1 + z p2: that meets p1 at column 1, and what is left meets p2.
+    # The row cancels after three rounds; with e4 added, e4 is left.
+    one, o = field.one, field.zero
+    c = one if field == GF2 else field.from_int(2)
+    x, y, z = (one, one, one) if field == GF2 else (field.from_int(3), c, field.neg(one))
+    p0, p1, p2 = [one, c, o, o, o], [o, one, c, o, o], [o, o, one, c, o]
+
+    def combination(*terms):
+        out = [o] * 5
+        for k, row in terms:
+            out = [field.add(a, field.mul(k, b)) for a, b in zip(out, row)]
+        return out
+
+    cleared = combination((x, p0), (y, p1), (z, p2))
+    left = combination((x, p0), (y, p1), (z, p2), (one, [o, o, o, o, one]))
+    rows = [p0, p1, p2, cleared, left]
+    assert rank(field, sparse(rows[:4])) == 3 == dense_rank(field, rows[:4], 5)
+    assert rank(field, sparse(rows)) == 4 == dense_rank(field, rows, 5)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)

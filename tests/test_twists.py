@@ -40,7 +40,7 @@ from twistlab.twists import (
 )
 from twistlab.zigzag import ZigzagAlgebra
 
-from support import direct_sum, key, reference_twist_inv
+from support import direct_sum, key, reference_twist, reference_twist_inv
 
 A2 = build_diagram("A", 2)
 A3 = build_diagram("A", 3)
@@ -148,6 +148,31 @@ class TestTwist:
         assert sum(map(len, t.summands.values())) == 843
         digest = hashlib.sha256(json.dumps(complex_to_json_obj(t), sort_keys=True).encode()).hexdigest()
         assert digest == "9daadeab82d9cc212e3f882e57001d09a684a6384493edcea4cf9b23c564350b"
+
+
+class TestTwistMatchesTheCheckedCone:
+    """twist writes its cone into the elimination index; the public path builds a ChainMap, cone() and minimize."""
+
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["sound", "corrupt"])
+    @pytest.mark.parametrize("field", ["f2", "q", "f3"])
+    @pytest.mark.parametrize("name, max_len", [("A3", 3), ("D4", 2), ("A4", 2)])
+    def test_entry_for_entry(self, name, max_len, field, corrupt):
+        alg = ZigzagAlgebra(diagram_from_name(name), field_from_name(field), corrupt_compose=corrupt)
+        one = alg.scalar(alg.field.one)
+        # cone(id_{P_k}): P_k in degree -1 onto P_k in degree 0 by the identity,
+        # a unit in X's own block, the only input that puts one there
+        units = [cone(ChainMap(projective(alg, k), projective(alg, k), {0: {(0, 0): one}}))
+                 for k in alg.diagram.vertices]
+        corpus = twist_corpus(alg, max_len)
+        checked = 0
+        for w, t in corpus.items():
+            m = min(t.summands)
+            for x in (t, *(direct_sum(t, shift(u, -m)) for u in units)):
+                for i in alg.diagram.vertices:
+                    assert key(twist(i, x)) == key(reference_twist(i, x)), (name, field, corrupt, w, key(x), i)
+                    checked += 1
+        rank = alg.diagram.rank
+        assert checked == len(corpus) * (1 + rank) * rank
 
 
 class TestTwistInverse:
