@@ -9,12 +9,11 @@ basis as (summand, slot) pairs, and implied_basis expands a Hom complex's
 offsets into the same pairs.  reference_twist is the twist through the
 public path (a ChainMap of evaluation, the checked cone(), minimize),
 against which twists.twist's cone written into the elimination index is
-checked; reference_twist_inv is the inverse twist with
-every contractible pair left to minimize, against which twists.twist_inv's
-bulk cancellation is checked.  _reduce brings a sparse scalar matrix to
-reduced echelon form and kernel_basis reads a basis of its kernel off that
-form; linalg.rank stops at an echelon form, and only long_morphism_dim
-needs a kernel.
+checked; reference_twist_inv is the inverse twist with every contractible
+pair left to minimize, against which twists.twist_inv's bulk cancellation
+is checked.  _reduce brings a sparse scalar matrix to reduced echelon form
+and kernel_basis reads a basis of its kernel off that form; linalg.rank
+stops at an echelon form, and only long_morphism_dim needs a kernel.
 
 Long morphisms are the paper's notion of a peelable letter: a class in
 H^r(Hom(P_j, T)) killed by precomposition with every neighbour arrow.
