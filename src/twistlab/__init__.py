@@ -25,7 +25,6 @@ from .complexes import (
     make_complex,
     minimize,
     profile,
-    profile_key,
     projective,
     shift,
     sum_of_projectives,

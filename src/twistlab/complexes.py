@@ -56,18 +56,15 @@ Memoized, for the life of the object that holds it (nothing outlives it):
 - eliminate() marks its output minimal, and minimize() returns a minimal
   input unchanged;
 - a complex keeps its profile(), and hands out a fresh copy on each call;
-  the profile of t_i(Y), made by twists.twist while Y lives and Y's profile
-  is memoized, builds the Hom complexes of i's neighbours only and reads
-  its other rows off Y's profile, exactly (profile() says why);
 - a HomComplex keeps the rank of each differential it has ranked.
-Hom complexes themselves are not kept on their complex.
+Hom complexes themselves are not kept on their complex.  A ProjComplex is
+frozen; the two memo fields are set here alone, through object.__setattr__.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import heapq
-import weakref
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -81,18 +78,16 @@ Matrix = Dict[Tuple[int, int], Entry]
 Index = Dict[int, Dict[int, Entry]]  # one degree's entries, row -> {col: entry} or col -> {row: entry}
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ProjComplex:
-    """A bounded complex; treat instances as immutable.
+    """A bounded complex, frozen; its dicts are not to be changed either.
 
     summands maps degree -> the ordered vertex labels of the summands in that
     degree; diffs maps degree d -> the nonzero entries of the differential
     d -> d+1.  Degrees without summands and empty matrices are dropped on
     normalization (see make_complex); zero morphisms are no entries at all
     (see zigzag.py).  _minimal and _profile are the memos of minimize() and
-    profile().  _twist_of is the link twists.twist leaves on its output, the
-    letter i and a weak reference to the complex it twisted; profile() reads
-    it and drops it.
+    profile(), which eliminate() and profile() set.
     """
 
     algebra: ZigzagAlgebra
@@ -100,7 +95,6 @@ class ProjComplex:
     diffs: Dict[int, Matrix]
     _minimal: bool = dataclasses.field(default=False, init=False, repr=False)
     _profile: Optional[HomProfile] = dataclasses.field(default=None, init=False, repr=False)
-    _twist_of: Optional[Tuple[int, weakref.ref]] = dataclasses.field(default=None, init=False, repr=False)
 
     @property
     def diagram(self) -> DynkinDiagram:
@@ -403,7 +397,7 @@ def eliminate(
         if mat:
             diffs[d] = mat
     out = ProjComplex(alg, summands, diffs)
-    out._minimal = True
+    object.__setattr__(out, "_minimal", True)
     return out
 
 
@@ -506,62 +500,14 @@ HomProfile = Dict[Tuple[int, int], int]
 def profile(x: ProjComplex) -> HomProfile:
     """(vertex, degree) -> dim Hom^degree(P_vertex, X), an invariant of X up to isomorphism.
 
-    Keys run by vertex, then by degree.  Computed once per complex; every
-    call returns a fresh dict, so callers cannot alter the memo.  When X =
-    t_i(Y) came out of twists.twist, Y is still alive and Y's profile is
-    already memoized, only the rows of i's neighbours are computed; the
-    others are read off Y's profile, and are exact, not estimates:
-    - for j neither i nor a neighbour of i, Hom(P_j, P_i) = 0, so the
-      copies of P_i in the cone add no basis to Hom(P_j, cone), which is
-      Hom(P_j, Y) entry for entry; minimize is a homotopy equivalence, so
-      row j of X is row j of Y;
-    - for j = i, the identity slots of the copies map onto Hom(P_i, Y) by
-      the identity, so Hom(P_i, t_i Y) is homotopy equivalent to the loop
-      slots' copy of Hom(P_i, Y), shifted by one: H^d(P_i, X) = H^{d+1}(P_i, Y).
-    Both hold in any algebra of this form, the corrupt_compose one too.  Y
-    is never profiled from here, and X drops the link once its own memo is
-    set, so a twist chain keeps none of its intermediates alive.
+    Keys run by vertex, then by degree.  Computed once per complex, one Hom
+    complex per vertex; every call returns a fresh dict, so callers cannot
+    alter the memo.
     """
     if x._profile is None:
-        x._profile = _profile_rows(x)
-        x._twist_of = None
+        rows = {(j, d): h for j in x.diagram.vertices for d, h in hom_dims(j, x).items()}
+        object.__setattr__(x, "_profile", rows)
     return dict(x._profile)
-
-
-def _profile_rows(x: ProjComplex) -> HomProfile:
-    """The profile of x: every row from its Hom complex, or, through the twist link, the neighbours' rows alone."""
-    vertices = x.diagram.vertices
-    parent = x._twist_of[1]() if x._twist_of else None
-    known = parent._profile if parent is not None else None
-    if known is None:
-        return {(j, d): h for j in vertices for d, h in hom_dims(j, x).items()}
-    i = x._twist_of[0]
-    near = x.diagram.neighbors(i)
-    rows: Dict[int, HomProfile] = {j: {} for j in vertices}  # the parent's profile, row by row
-    for key, h in known.items():
-        rows[key[0]][key] = h
-    out: HomProfile = {}
-    for j in vertices:
-        if j in near:
-            out.update(((j, d), h) for d, h in hom_dims(j, x).items())
-        elif j == i:
-            out.update(((j, d - 1), h) for (_, d), h in rows[j].items())
-        else:
-            out.update(rows[j])
-    return out
-
-
-def profile_key(x: ProjComplex) -> tuple:
-    """Hash bucket: the minimized summand lists and the hom profile.
-
-    Unequal keys prove two objects are not isomorphic; equal keys prove
-    nothing (twists.is_twist_image decides).
-    """
-    m = minimize(x)
-    summand_part = tuple((d, tuple(sorted(m.summands[d]))) for d in m.degrees())
-    prof = profile(m)
-    prof_part = tuple(sorted(prof.items()))
-    return (summand_part, prof_part)
 
 
 # -- serialization -------------------------------------------------------------

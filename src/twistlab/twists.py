@@ -38,13 +38,6 @@ point for chain maps from outside (see complexes.py), and
 tests/test_twists.py checks twist entry for entry against minimize(cone())
 of evaluation built as a ChainMap.
 
-twist leaves a link on its output: the letter i and a weak reference to X.
-complexes.profile reads it to compute only the rows of i's neighbours when
-X's profile is already memoized (see there why the other rows are exact),
-and drops it once its own memo is set.  The reference is weak, so a twist
-chain keeps none of its intermediates alive.  twist_inv leaves no link:
-nothing on a hot path profiles an inverse image.
-
 The inverse twist cancels its predictable pivots before the core sees
 them.  Each summand s of X^d labelled i has two slots, the identity
 (slot 0) and the loop (slot 1), and the dual of the loop slot is the
@@ -68,7 +61,6 @@ projectives are concentrated in degree 0, so no twist carries a shift.
 
 from __future__ import annotations
 
-import weakref
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
@@ -97,8 +89,7 @@ def twist(i: int, x: ProjComplex) -> ProjComplex:
     -a times the identity between copies for each scalar a of hc, the
     basis morphism basis[l][slot] from the copy at offsets[s] + slot to
     its summand s, labelled l, and X's own differential.  Every entry
-    between equal labels is asked whether it is a unit.  The output
-    carries the link (i, weak reference to X) that profile() reads.
+    between equal labels is asked whether it is a unit.
     """
     alg = x.algebra
     hc = hom_complex(i, x)
@@ -138,9 +129,7 @@ def twist(i: int, x: ProjComplex) -> ProjComplex:
                 if rows[r] == cols[c] and is_unit(cols[c], rows[r], g):
                     units.append((d, row_x + r, col_x + c))
         by_row[d], by_col[d] = rr, cc
-    out = eliminate(alg, labels, by_row, by_col, units)
-    out._twist_of = (i, weakref.ref(x))
-    return out
+    return eliminate(alg, labels, by_row, by_col, units)
 
 
 def _check_evaluation(i: int, x: ProjComplex, hc: HomComplex, basis: Dict[int, Tuple[Entry, ...]]) -> None:

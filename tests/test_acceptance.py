@@ -8,8 +8,10 @@ budgets, which sit far above the measured times.
 import pytest
 
 from twistlab import acceptance
-from twistlab.acceptance import Scale
-from twistlab.fields import GF2
+from twistlab.acceptance import Scale, profile_partition, selftest_scale
+from twistlab.braid import BraidWord, canonical_form, diagram_from_name
+from twistlab.fields import GF2, field_from_name
+from twistlab.zigzag import ZigzagAlgebra
 
 SCALE = Scale()
 
@@ -58,3 +60,22 @@ def test_criterion_8_mesh():
 
 def test_criterion_9_characteristic_independence():
     report(acceptance.criterion_characteristic_independence(SCALE))
+
+
+@pytest.mark.parametrize("diagram", ["A4", "A5", "D5", "D6", "E6", "E7"])
+def test_criterion_8_off_the_full_scale(diagram):
+    """layer may move a letter of the other colour ahead of the first one; chi seeds at the first slice."""
+    report(acceptance.criterion_mesh(GF2, selftest_scale(diagram, 2)))
+
+
+SWEEP_CORPORA = (("A2", 6), ("A3", 5), ("D4", 4), ("A4", 4), ("D5", 3), ("E6", 3))
+
+
+@pytest.mark.parametrize("field", ["f2", "q", "f3"])
+def test_profile_partition_is_the_normal_form_partition(field):
+    """The benchmark's corpus-sweep check: equal keys exactly on equal braids, on each of its corpora."""
+    for name, max_len in SWEEP_CORPORA:
+        d = diagram_from_name(name)
+        keys = profile_partition(ZigzagAlgebra(d, field_from_name(field)), max_len)
+        normal_forms = {w: canonical_form(BraidWord(d, w)) for w in keys}
+        assert acceptance._groups(keys) == acceptance._groups(normal_forms), (name, max_len)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistlab import linalg
+from twistlab.acceptance import _shape_key
 from twistlab.braid import build_diagram, word
 from twistlab.complexes import (
     ChainMap,
@@ -17,7 +19,6 @@ from twistlab.complexes import (
     make_complex,
     minimize,
     profile,
-    profile_key,
     projective,
     shift,
     sum_of_projectives,
@@ -421,7 +422,7 @@ class TestHomComplex:
         assert hc.mats == {} and hc.dim(0) == 0
 
     def test_homology_dims_run_in_ascending_degree_order(self):
-        """profile and profile_key list each vertex's row in the order homology_dims yields it."""
+        """profile lists each vertex's row in the order homology_dims yields it."""
         for fld in (GF2, QQ):
             algebra = ZigzagAlgebra(A3, fld)
             t = twist_word(word(A3, (1, 2, 3, 2, 1, 3, 2)), sum_of_projectives(algebra))
@@ -557,10 +558,17 @@ class TestProfiles:
         assert profile(c) == expected
         assert profile(c) is not profile(c)
 
-    def test_profile_key_ignores_summand_order(self, alg):
+    def test_shape_key_ignores_summand_order(self, alg):
         a = direct_sum(projective(alg, 1), projective(alg, 2))
         b = direct_sum(projective(alg, 2), projective(alg, 1))
-        assert profile_key(a) == profile_key(b)
+        assert _shape_key(a) == _shape_key(b) == ((0, (1, 2)),)
+        assert _shape_key(a) != _shape_key(direct_sum(a, projective(alg, 1)))
+
+    def test_complex_fields_cannot_be_assigned(self, alg):
+        c = arrow_cone(alg, 1, 2)
+        for name, value in (("summands", {}), ("diffs", {}), ("_minimal", True), ("_profile", {})):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(c, name, value)
 
 
 class TestSerialization:
