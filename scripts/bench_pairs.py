@@ -15,8 +15,11 @@ more than half on one side only.
 
 The output holds both revisions, the Python version and the CPU count, and
 per workload and end-to-end metric the runs, median and quartiles of both
-sides (statistics.quantiles, n=4), the pairs the change wins and the ratio
-of the medians.  Standard library only.
+sides (statistics.quantiles, n=4), the pairs the change wins, the ratio of
+the medians and gain_rule_met: whether a gain may be claimed, that is, the
+change wins at least nine tenths of the pairs (a tie wins for neither side)
+and its median is better than the parent's by more than the parent's
+q3 - q1.  Standard library only.
 """
 
 from __future__ import annotations
@@ -49,6 +52,13 @@ def summarize(parent: Sequence[float], change: Sequence[float], better: str, uni
     row["change_better_in_pairs"] = sum(wins)
     row["median_ratio"] = row["change"]["median"] / row["parent"]["median"]
     return row
+
+
+def gain_rule_met(row: dict, better: str) -> bool:
+    """A summarized row shows a gain: wins in at least 9/10 of the pairs, and a median gap past the parent's q3 - q1."""
+    parent, change = row["parent"], row["change"]
+    gap = parent["median"] - change["median"] if better == "lower" else change["median"] - parent["median"]
+    return 10 * row["change_better_in_pairs"] >= 9 * len(parent["runs"]) and gap > parent["q3"] - parent["q1"]
 
 
 def _git(*args: str) -> bytes:
@@ -91,7 +101,9 @@ def bench_workload(trees: Dict[str, str], spec: dict, workload: str, pairs: int)
     metrics = {}
     for name, value in runs["parent"][0]["metrics"].items():
         series = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
-        metrics[name] = summarize(series["parent"], series["change"], better.get(name, "lower"), value["unit"])
+        direction = better.get(name, "lower")
+        row = metrics[name] = summarize(series["parent"], series["change"], direction, value["unit"])
+        row["gain_rule_met"] = gain_rule_met(row, direction)
     traced = {side: run_once(trees[side], workload, seconds, True)["metrics"] for side in SIDES}
     # a layer row that reads 0 on both sides shows nothing
     layers = {

@@ -19,18 +19,20 @@ The scalar matrices of Hom complexes are sparse the same way, with nonzero
 scalars as entries, which is the format linalg reduces.  A Hom complex
 numbers its basis by position: summand s's slot k, a slot naming a basis
 morphism of the algebra, sits at s's offset plus k, so no basis element is
-stored.  hom_complex reads each differential entry once through the
-algebra's Hom table (zigzag.HomTable), which says where postcomposition with
-it sends each basis slot and how many slots each label has; it composes
-nothing.
+stored; hom_offsets numbers them, for hom_complex and for the twists.
+hom_complex reads each differential entry once through the algebra's Hom
+table (zigzag.HomTable), which says where postcomposition with it sends
+each basis slot and how many slots each label has; it composes nothing.
 
 cone() is the checked entry point for chain maps from outside the package
 (a ChainMap built by a caller): it checks that f is a chain map on every
 call.  The check composes nonzero entries only, so it costs in proportion
 to the nonzero entries of the blocks and differentials, not to their
 cells.  cone() builds the cone complex alone, not the maps Y -> C -> X[1].
-The twist writes its cone of evaluation into the elimination index itself
-and runs the same check before it does (see twists.py).
+The twist writes its cone of evaluation into the elimination index itself,
+reading Hom(P_i, X) off X's differential through the same Hom table
+instead of building a HomComplex, and makes the same check entry by entry
+in that pass (see twists.py).
 
 minimize() strips contractible summand pairs by Gaussian elimination: any
 entry P_i -> P_i whose identity coefficient is a unit can be split off, the
@@ -461,15 +463,17 @@ class HomComplex:
         return out
 
 
+def hom_offsets(j: int, x: ProjComplex) -> Dict[int, List[int]]:
+    """The position numbering of Hom(P_j, X)'s basis, HomComplex.offsets: degrees of dimension 0 have none."""
+    width = x.algebra.hom_table(j).width.__getitem__
+    offsets = {d: list(accumulate(map(width, labels), initial=0)) for d, labels in x.summands.items()}
+    return {d: offs for d, offs in offsets.items() if offs[-1]}
+
+
 def hom_complex(j: int, x: ProjComplex) -> HomComplex:
     """Hom(P_j, X), each differential entry read once through the Hom table of j."""
     table = x.algebra.hom_table(j)
-    width = table.width.__getitem__
-    offsets: Dict[int, List[int]] = {}
-    for d, labels in x.summands.items():
-        offs = list(accumulate(map(width, labels), initial=0))
-        if offs[-1]:
-            offsets[d] = offs
+    offsets = hom_offsets(j, x)
     mats: Dict[int, Dict[Tuple[int, int], Scalar]] = {}
     for d, diff in x.diffs.items():
         col0, row0 = offsets.get(d), offsets.get(d + 1)

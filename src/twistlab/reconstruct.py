@@ -15,8 +15,8 @@ coboundary (T^{m-1} = 0), and l_j g_{k,j} = 0 for every neighbour k.  In a
 sound algebra only P_j summands carry long morphisms (an arrow P_j -> P_l
 composed with g_{l,j} is l's loop, which no coboundary at m cancels), so
 j0 is also the smallest vertex a scan for long morphisms would pick.
-tests/support.py keeps that scan as the reference.  Nothing here builds a
-Hom complex: the one of a step, Hom(P_j0, T), is built inside twist_inv.
+tests/support.py keeps that scan as the reference.  No step builds a Hom
+complex: twist_inv reads Hom(P_j0, T) straight off T's differential.
 
 Why the loop ends.  Degree d of t_j^-1 T holds T^d plus one copy of P_j
 per basis element of Hom^{d-1}(P_j, T).  T^{m-1} = 0, so nothing lands

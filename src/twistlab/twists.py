@@ -9,34 +9,36 @@ degree higher, and X maps into them by the trace-pairing dual basis
 stays small.  The complexes and two-term connecting maps built here hold
 nonzero entries only, in the sparse Matrix format of complexes, and every
 entry comes from the algebra: the Hom complex's basis element at position
-offsets[d][s] + slot, slot slot of summand s labelled l, is evaluated by
-hom_basis(i, l)[slot] and coevaluated by dual_basis(i, l)[slot], both read
-from the algebra's Hom table of i (zigzag.HomTable), not rebuilt per slot.
-Positions are computed from the offsets, never looked up; only the
-chain-map check, which must know the summand that owns a position, lists
-the owners of one degree.  The Hom complex's scalar matrices are sparse
-too, so the copies of P_i get a differential entry scalar(a), a times the
-identity, for each nonzero scalar a, read straight from its entries.  JSON
-views are the only dense form.  Each functor builds the one Hom complex
-Hom(P_i, X) it needs.
+offsets[d][s] + slot (complexes.hom_offsets), slot slot of summand s
+labelled l, is evaluated by hom_basis(i, l)[slot] and coevaluated by
+dual_basis(i, l)[slot], both read from the algebra's Hom table of i
+(zigzag.HomTable), not rebuilt per slot.  Positions are computed from the
+offsets, never looked up.  Neither functor builds the Hom complex: the
+scalar a that its differential holds at (offsets[d+1][r] + slot2,
+offsets[d][c] + slot) is g[k] for X's entry g at (r, c) and a triple
+(slot, slot2, k) of the Hom-table rule for g's labels, and each functor
+reads these straight off X's differential, in the pass that writes its
+cone, giving the copies of P_i the entry scalar(a), a times the identity,
+for each nonzero a.  JSON views are the only dense form.
 
 twist writes the cone of evaluation straight into the row and column
-indexes of the elimination core, complexes.eliminate.  Degree d holds the
-copies for the basis of Hom^{d+1}, then X^d.  Its entries are -a times the
-identity between copies, the basis morphism from each copy to its summand,
-and X's own differential, each indexed at the (row, col) position that
-cone() gives it.  Every entry between equal labels is asked whether it is
-a unit, and the units seed the core's pivots.  No source complex, no chain
-map and no cone complex are built, and nothing is indexed twice.  The check
-that cone() makes still runs, in _check_evaluation, before the cone is
-written.  It makes the checks of ChainMap.is_valid: every evaluation entry
-is a basis entry of the Hom table, and the table types each of those once,
-when it is built (a mistyped one raises ValueError there); and in each
-degree d, ev_{d+1} o d_src = d_X o ev_d is composed entry by entry.  A
-failure raises cone()'s ValueError.  cone() itself stays the checked entry
-point for chain maps from outside (see complexes.py), and
-tests/test_twists.py checks twist entry for entry against minimize(cone())
-of evaluation built as a ChainMap.
+indexes of the elimination core, complexes.eliminate, in one pass over
+X's differential.  Degree d holds the copies for the basis of Hom^{d+1},
+then X^d.  Its entries are -a times the identity between copies, the
+basis morphism from each copy to its summand, and X's own differential,
+each indexed at the (row, col) position that cone() gives it.  Every entry
+between equal labels is asked whether it is a unit, and the units seed the
+core's pivots.  No source complex, no chain map and no cone complex are
+built, and nothing is indexed twice.  The check that cone() makes runs in
+the same pass.  It makes the checks of ChainMap.is_valid: every evaluation
+entry is a basis entry of the Hom table, and the table types each of those
+once, when it is built (a mistyped one raises ValueError there); and
+ev_{d+1} o d_src = d_X o ev_d, whose cells (r, offsets[d][c] + slot)
+depend on X's entry at (r, c) alone, is composed entry by entry as that
+entry is written.  A failure raises cone()'s ValueError.  cone() itself
+stays the checked entry point for chain maps from outside (see
+complexes.py), and tests/test_twists.py checks twist entry for entry
+against minimize(cone()) of evaluation built as a ChainMap.
 
 The inverse twist cancels its predictable pivots before the core sees
 them.  Each summand s of X^d labelled i has two slots, the identity
@@ -67,13 +69,12 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from .braid import BraidWord
 from .complexes import (
-    HomComplex,
     Index,
     Matrix,
     ProjComplex,
     eliminate,
-    hom_complex,
     hom_dims,
+    hom_offsets,
     make_complex,
     matrix_to_json_obj,
     minimize,
@@ -86,89 +87,66 @@ def twist(i: int, x: ProjComplex) -> ProjComplex:
     """t_i(X): the cone of evaluation P_i (x) Hom(P_i, X) -> X, checked, indexed for elimination and minimized.
 
     Each entry sits where cone() would put it (see the module docstring):
-    -a times the identity between copies for each scalar a of hc, the
-    basis morphism basis[l][slot] from the copy at offsets[s] + slot to
-    its summand s, labelled l, and X's own differential.  Every entry
-    between equal labels is asked whether it is a unit.
+    the basis morphism basis[l][slot] from the copy at offsets[s] + slot to
+    its summand s, labelled l, X's own differential, and, for each entry g
+    of it and each triple (slot, slot2, k) of its Hom-table rule with g[k]
+    nonzero, -g[k] times the identity between copies.  Every entry between
+    equal labels is asked whether it is a unit.
     """
     alg = x.algebra
-    hc = hom_complex(i, x)
-    basis = alg.hom_table(i).basis
-    _check_evaluation(i, x, hc, basis)
+    table = alg.hom_table(i)
+    basis = table.basis
+    offsets = hom_offsets(i, x)
     is_unit, neg, scalar = alg.is_unit, alg.field.neg, alg.scalar
+    compose, plus = alg.compose, alg.plus
     xs = x.summands
-    labels = {d: (i,) * hc.dim(d + 1) + xs.get(d, ()) for d in set(xs) | {d - 1 for d in hc.offsets}}
-    by_row: Dict[int, Index] = {}
-    by_col: Dict[int, Index] = {}
+    dim = {d: offs[-1] for d, offs in offsets.items()}
+    labels = {d: (i,) * dim.get(d + 1, 0) + xs.get(d, ()) for d in set(xs) | {d - 1 for d in offsets}}
+    # degree d: rows are the copies for Hom^{d+2}, then X^{d+1}; columns the copies for Hom^{d+1}, then X^d
+    by_row: Dict[int, Index] = {d: {} for d in labels}
+    by_col: Dict[int, Index] = {d: {} for d in labels}
     units = []
-    for d in labels:
-        # rows: the copies for Hom^{d+2}, then X^{d+1}; columns: the copies for Hom^{d+1}, then X^d
-        row_x, col_x = hc.dim(d + 2), hc.dim(d + 1)
-        rr: Index = {}
-        cc: Index = {}
-        if col_x:
-            # each copy column holds one evaluation entry, written first
-            offs = hc.offsets[d + 1]
-            for s, lab in enumerate(xs[d + 1]):
-                n, r = offs[s], row_x + s
-                row = rr[r] = {}
-                for slot, e in enumerate(basis[lab]):
-                    row[n + slot] = e
-                    cc[n + slot] = {r: e}
-                    if lab == i and is_unit(i, i, e):
-                        units.append((d, r, n + slot))
-            for (r, c), a in hc.mats.get(d + 1, {}).items():
-                m = rr.setdefault(r, {})[c] = cc[c][r] = scalar(neg(a))
-                if is_unit(i, i, m):
-                    units.append((d, r, c))
-        mat = x.diffs.get(d)
-        if mat:
-            rows, cols = xs[d + 1], xs[d]
-            for (r, c), g in mat.items():
-                rr.setdefault(row_x + r, {})[col_x + c] = cc.setdefault(col_x + c, {})[row_x + r] = g
-                if rows[r] == cols[c] and is_unit(cols[c], rows[r], g):
-                    units.append((d, row_x + r, col_x + c))
-        by_row[d], by_col[d] = rr, cc
-    return eliminate(alg, labels, by_row, by_col, units)
-
-
-def _check_evaluation(i: int, x: ProjComplex, hc: HomComplex, basis: Dict[int, Tuple[Entry, ...]]) -> None:
-    """Raise ValueError, as cone() does, unless evaluation P_i (x) Hom(P_i, X) -> X is a chain map.
-
-    The checks are those of ChainMap.is_valid.  Every evaluation entry is
-    a basis entry of the Hom table, which typed each of them once, when it
-    was built.  So what is left is, per degree d of the Hom complex, that
-    ev_{d+1} o d_src - d_X o ev_d vanish, summed from compositions of
-    nonzero entries.
-    """
-    alg = x.algebra
-    compose, plus, times, scalar = alg.compose, alg.plus, alg.times, alg.scalar
-    neg_one = alg.field.neg(alg.field.one)
-    for d, offs in hc.offsets.items():
-        acc: Dict[Tuple[int, int], Optional[Entry]] = {}
-        labels_above = x.summands.get(d + 1, ())
-        mat = hc.mats.get(d)
-        if mat:
-            # ev_{d+1} o d_src: the copy k above belongs to summand s, which it evaluates into
-            above = hc.offsets[d + 1]
-            owner = [s for s, n in enumerate(above[1:]) for _ in range(n - above[s])]
-            for (k, c), a in mat.items():
-                s = owner[k]
-                lab = labels_above[s]
-                term = compose(i, i, lab, basis[lab][k - above[s]], scalar(a))
-                if term is not None:
-                    acc[(s, c)] = plus(acc.get((s, c)), term)
-        # -d_X o ev_d: each entry of X's differential out of s meets the copies of s
-        labels = x.summands[d]
-        for (r, s), g in x.diffs.get(d, {}).items():
-            lab, n = labels[s], offs[s]
+    for d, offs in offsets.items():
+        # each copy column holds one evaluation entry, written first
+        rr, cc, row_x = by_row[d - 1], by_col[d - 1], dim.get(d + 1, 0)
+        for s, lab in enumerate(xs[d]):
+            n, r = offs[s], row_x + s
+            row = rr[r] = {}
             for slot, e in enumerate(basis[lab]):
-                term = compose(i, lab, labels_above[r], g, e)
-                if term is not None:
-                    c = n + slot
-                    acc[(r, c)] = plus(acc.get((r, c)), times(neg_one, term))
-        if any(m is not None for m in acc.values()):
-            raise ValueError("cone of an invalid chain map")
+                row[n + slot] = e
+                cc[n + slot] = {r: e}
+                if lab == i and is_unit(i, i, e):
+                    units.append((d - 1, r, n + slot))
+    for d, mat in x.diffs.items():
+        rows, cols = xs[d + 1], xs[d]
+        row_x, col_x = dim.get(d + 2, 0), dim.get(d + 1, 0)
+        rr, cc, below_r, below_c = by_row[d], by_col[d], by_row.get(d - 1), by_col.get(d - 1)
+        col0, row0 = offsets.get(d), offsets.get(d + 1)
+        for (r, c), g in mat.items():
+            lr, lc = rows[r], cols[c]
+            rr.setdefault(row_x + r, {})[col_x + c] = cc.setdefault(col_x + c, {})[row_x + r] = g
+            if lr == lc and is_unit(lc, lr, g):
+                units.append((d, row_x + r, col_x + c))
+            if not basis[lc]:
+                continue
+            # the copies of c map to those of r in degree d - 1, and the chain-map
+            # check's cells (r, col0[c] + slot) are this entry's alone: in each,
+            # ev o d_src, summed over the rule, must equal d_X o ev = g o basis
+            acc: Dict[int, Optional[Entry]] = {}
+            for slot, slot2, k in table[lc, lr]:
+                a = g[k]
+                if a:
+                    at_r, at_c = row0[r] + slot2, col0[c] + slot
+                    m = below_r.setdefault(at_r, {})[at_c] = below_c.setdefault(at_c, {})[at_r] = scalar(neg(a))
+                    if is_unit(i, i, m):
+                        units.append((d - 1, at_r, at_c))
+                    term = compose(i, i, lr, basis[lr][slot2], scalar(a))
+                    if term is not None:
+                        acc[slot] = plus(acc.get(slot), term)
+            for slot, e in enumerate(basis[lc]):
+                if acc.get(slot) != compose(i, lc, lr, g, e):
+                    raise ValueError("cone of an invalid chain map")
+    return eliminate(alg, labels, by_row, by_col, units)
 
 
 def twist_inv(i: int, x: ProjComplex) -> ProjComplex:
@@ -177,16 +155,18 @@ def twist_inv(i: int, x: ProjComplex) -> ProjComplex:
     Degree d holds X^d then the copies of P_i for Hom^{d-1}; the
     differential sends X^d to X^{d+1} by X's own, each summand s to its
     copies, at offsets[s] + slot, by dual slots, and copies to copies by
-    -hc.  Every summand s labelled i (and none else) meets the copy of its
-    loop slot, at offsets[s] + 1, by the identity; the module docstring
-    says why all of these pairs cancel at once.  A copy column c with
-    a = hc[offsets[s] + 1, c] picks up a times X's differential out of s
-    in each row of X, and a times the loop in the row of the copy at
-    offsets[s].
+    minus the Hom complex's differential, read off X's (see the module
+    docstring).  Every summand s labelled i (and none else) meets the copy
+    of its loop slot, at offsets[s] + 1, by the identity; the module
+    docstring says why all of these pairs cancel at once.  A copy column c
+    whose scalar in the row offsets[s] + 1 is a picks up a times X's
+    differential out of s in each row of X, and a times the loop in the row
+    of the copy at offsets[s].
     """
-    hc = hom_complex(i, x)
     alg = x.algebra
-    dual = alg.hom_table(i).dual
+    table = alg.hom_table(i)
+    dual = table.dual
+    offsets = hom_offsets(i, x)
     times, plus, neg, is_unit = alg.times, alg.plus, alg.field.neg, alg.is_unit
     loop = dual[i][0]
     # new position of each summand of X that stays: those not labelled i
@@ -201,7 +181,7 @@ def twist_inv(i: int, x: ProjComplex) -> ProjComplex:
     copy_at: Dict[int, Dict[int, int]] = {}
     loop_of: Dict[int, Dict[int, int]] = {}
     loop_row: Dict[int, Dict[int, int]] = {}
-    for d, offs in hc.offsets.items():
+    for d, offs in offsets.items():
         at: Dict[int, int] = {}
         lo, lr = {}, {}
         for s, lab in enumerate(x.summands[d]):
@@ -214,7 +194,7 @@ def twist_inv(i: int, x: ProjComplex) -> ProjComplex:
                     at[p] = len(at)
         copy_at[d], loop_of[d], loop_row[d] = at, lo, lr
     labels: Dict[int, Tuple[int, ...]] = {}
-    for d in set(x.summands) | {d + 1 for d in hc.offsets}:
+    for d in set(x.summands) | {d + 1 for d in offsets}:
         labs = tuple(lab for lab in x.summands.get(d, ()) if lab != i) + (i,) * len(copy_at.get(d - 1, ()))
         if labs:
             labels[d] = labs
@@ -243,7 +223,7 @@ def twist_inv(i: int, x: ProjComplex) -> ProjComplex:
         if row_copy:
             # a summand not labelled i to its copies, never between equal
             # labels; each of those copy rows holds this one entry so far
-            offs = hc.offsets[d]
+            offs = offsets[d]
             for s, lab in enumerate(x.summands[d]):
                 if lab != i:
                     n, c = offs[s], col_x[s]
@@ -253,22 +233,28 @@ def twist_inv(i: int, x: ProjComplex) -> ProjComplex:
                         rr[r] = {c: e}
                         col[r] = e
         # the copy columns sum several terms in a cell, so they are added up
-        # first and only the cells that do not cancel are written
+        # first and only the cells that do not cancel are written; the scalar
+        # a of Hom(P_i, X)'s differential at (r, c) is read off the Hom-table
+        # rule of X's entry that owns it
         acc: Dict[Tuple[int, int], Optional[Entry]] = {}
         owners, loops = loop_of.get(d, {}), loop_row.get(d, {})
-        for (r, c), a in hc.mats.get(d - 1, {}).items():
-            if c not in col_copy:
-                continue
-            col = x_cols + col_copy[c]
-            if r in row_copy:
-                cell = (x_rows + row_copy[r], col)
-                acc[cell] = plus(acc.get(cell), alg.scalar(neg(a)))
-                continue
-            s = owners[r]
-            for row, g in out_of.get(s, ()):
-                acc[(row, col)] = plus(acc.get((row, col)), times(a, g))
-            cell = (x_rows + loops[s], col)
-            acc[cell] = plus(acc.get(cell), times(a, loop))
+        if col_copy:
+            srcs, tgts, col0, row0 = x.summands[d - 1], x.summands.get(d, ()), offsets[d - 1], offsets.get(d)
+            for (xr, xc), g in x.diffs.get(d - 1, {}).items():
+                for slot, slot2, k in table[srcs[xc], tgts[xr]]:
+                    a, c = g[k], col0[xc] + slot
+                    if not a or c not in col_copy:
+                        continue
+                    col, r = x_cols + col_copy[c], row0[xr] + slot2
+                    if r in row_copy:
+                        cell = (x_rows + row_copy[r], col)
+                        acc[cell] = plus(acc.get(cell), alg.scalar(neg(a)))
+                        continue
+                    s = owners[r]
+                    for row, e in out_of.get(s, ()):
+                        acc[(row, col)] = plus(acc.get((row, col)), times(a, e))
+                    cell = (x_rows + loops[s], col)
+                    acc[cell] = plus(acc.get(cell), times(a, loop))
         for (r, c), m in acc.items():
             if m is not None:
                 rr.setdefault(r, {})[c] = cc.setdefault(c, {})[r] = m

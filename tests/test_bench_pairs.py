@@ -39,3 +39,26 @@ def test_summary_counts_wins_by_direction():
     # a tie is no win
     assert (lower["change_better_in_pairs"], higher["change_better_in_pairs"]) == (1, 1)
     assert lower["median_ratio"] == 1.0 and lower["parent"]["median"] == 2.0
+
+
+# ten pairs: the parent's q3 - q1 is 0.25, and the change is 1.0 lower in every pair
+PARENT = [10.0, 10.2, 10.4, 10.1, 10.3, 10.0, 10.2, 10.4, 10.1, 10.3]
+FASTER = [p - 1.0 for p in PARENT]
+
+
+def test_gain_rule_met_when_nine_tenths_win_past_the_spread():
+    tool = _load_tool()
+    row = tool.summarize(PARENT, FASTER, "lower", "s")
+    assert row["change_better_in_pairs"] == 10
+    assert tool.gain_rule_met(row, "lower")
+    # the same runs read as a rate that should rise show a loss
+    assert not tool.gain_rule_met(tool.summarize(PARENT, FASTER, "higher", "1/s"), "higher")
+
+
+def test_gain_rule_not_met_on_eight_wins_of_ten():
+    tool = _load_tool()
+    row = tool.summarize(PARENT, [11.0, 11.0] + FASTER[2:], "lower", "s")
+    # the medians still differ by more than the parent's spread
+    assert row["change_better_in_pairs"] == 8
+    assert row["parent"]["median"] - row["change"]["median"] > row["parent"]["q3"] - row["parent"]["q1"]
+    assert not tool.gain_rule_met(row, "lower")

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import twistlab
 from twistlab import complexes, reconstruct, twists
 from twistlab.acceptance import all_words
 from twistlab.braid import build_diagram, equivalent, word
@@ -343,37 +342,49 @@ class TestRecover:
             recover_word(bad)
 
 
-class TestOneHomComplexPerPeel:
-    """A recovery step builds one Hom complex: Hom(P_j, T) for the peeled letter j, inside the inverse twist."""
+def _hom_complexes_built(monkeypatch) -> list:
+    """A list that gains the vertex of every HomComplex constructed from now on, whoever builds it."""
+    built, original = [], complexes.HomComplex.__init__
+
+    def counting(self, field, vertex, *args, **kwargs):
+        built.append(vertex)
+        original(self, field, vertex, *args, **kwargs)
+
+    monkeypatch.setattr(complexes.HomComplex, "__init__", counting)
+    return built
+
+
+class TestNoHomComplexOnTheTwistPath:
+    """Both twists read Hom(P_i, X) straight off X's differential: a recovery step or a twist builds no Hom complex."""
 
     @pytest.mark.parametrize(
         "diagram,letters",
         [(A4, (1, 3, 2, 4, 3, 1, 2, 4)), (D5, (2, 3, 5, 4, 3, 2, 1, 3))],
         ids=["A4", "D5"],
     )
-    def test_builds_per_peel(self, monkeypatch, diagram, letters):
+    def test_builds_none_per_peel(self, monkeypatch, diagram, letters):
         t = twist_word(word(diagram, letters), sum_of_projectives(ZigzagAlgebra(diagram)))
-        original_build, original_inv = complexes.hom_complex, reconstruct.twist_inv
-        builds, inverted = [], []  # the (vertex, complex) of each Hom-complex build, and of each inverse twist
-
-        def counting(j, x):
-            builds.append((j, x))
-            return original_build(j, x)
+        original_inv = reconstruct.twist_inv
+        inverted = []  # the vertex of each inverse twist
 
         def inverting(j, x):
-            inverted.append((j, x))
+            inverted.append(j)
             return original_inv(j, x)
 
-        # every module that imported hom_complex by name calls it through its own reference
-        for module in vars(twistlab).values():
-            if getattr(module, "hom_complex", None) is original_build:
-                monkeypatch.setattr(module, "hom_complex", counting)
         monkeypatch.setattr(reconstruct, "twist_inv", inverting)
+        built = _hom_complexes_built(monkeypatch)
         rec, steps = recover_trace(t)
         assert equivalent(rec, word(diagram, letters))
-        assert len(steps) == len(inverted) == len(builds) == len(letters)
-        for (j, x), (jb, b) in zip(inverted, builds):
-            assert jb == j and b is x
+        assert len(steps) == len(inverted) == len(letters)
+        assert built == []
+
+    def test_twist_word_builds_none(self, monkeypatch):
+        letters = (1, 3, 2, 4, 3, 1, 2, 4, 5, 3)
+        lam = sum_of_projectives(ZigzagAlgebra(D5))
+        built = _hom_complexes_built(monkeypatch)
+        t = twist_word(word(D5, letters), lam)
+        assert sum(map(len, t.summands.values())) > len(letters)
+        assert built == []
 
 
 @settings(max_examples=60, deadline=None)

@@ -95,28 +95,39 @@ class TestTwist:
             t.check()
 
     @pytest.mark.parametrize("field", ["f2", "f3"])
-    def test_evaluation_is_checked_against_the_hom_complex(self, monkeypatch, field):
-        # each scalar of Hom(P_2, X)'s differential in turn is dropped (GF(2)) or
-        # negated (GF(3)): evaluation is then no chain map, and twist must say so
+    def test_evaluation_is_checked_against_the_hom_complex(self, field):
+        # each triple of vertex 2's Hom-table rules that X's entries use is in
+        # turn dropped, or pointed at the other slot of its target (of its
+        # source, when the target has one slot): Hom(P_2, X)'s differential
+        # is then wrong, evaluation is no chain map, and twist must say so
         algebra = ZigzagAlgebra(A3, field_from_name(field))
-        neg = algebra.field.neg
         x = twist_word(word(A3, (2, 1, 3)), sum_of_projectives(algebra))
-        real = twists.hom_complex
-        cells = [(d, rc) for d, mat in real(2, x).mats.items() for rc in mat]
-        assert len(cells) >= 4
-        for d, rc in cells:
-
-            def changed(j, y, d=d, rc=rc):
-                hc = real(j, y)
-                mat = hc.mats[d] = dict(hc.mats[d])
-                a = mat.pop(rc)
-                if neg(a) != a:
-                    mat[rc] = neg(a)
-                return hc
-
-            monkeypatch.setattr(twists, "hom_complex", changed)
-            with pytest.raises(ValueError, match="cone of an invalid chain map"):
-                twist(2, x)
+        table = algebra.hom_table(2)
+        used = {
+            (pair, n)
+            for d, mat in x.diffs.items()
+            for (r, c), g in mat.items()
+            for pair in [(x.summands[d][c], x.summands[d + 1][r])]
+            for n, (_, _, k) in enumerate(table[pair])
+            if g[k]
+        }
+        cases = []
+        for pair, n in sorted(used):
+            rule = table[pair]
+            slot, slot2, k = rule[n]
+            wrong = (slot, 1 - slot2, k) if table.width[pair[1]] == 2 else (1 - slot, slot2, k)
+            cases.append((pair, rule[:n] + rule[n + 1:]))
+            cases.append((pair, rule[:n] + (wrong,) + rule[n + 1:]))
+        assert len(cases) >= 4
+        for pair, changed in cases:
+            rule = table[pair]
+            table[pair] = changed
+            try:
+                with pytest.raises(ValueError, match="cone of an invalid chain map"):
+                    twist(2, x)
+            finally:
+                table[pair] = rule
+        assert key(twist(2, x)) == key(reference_twist(2, x))
 
     @pytest.mark.parametrize("pair, mistyped", [((1, 2), "loop on an arrow"), ((1, 3), "arrow between non-neighbours")])
     def test_mistyped_hom_basis_is_rejected(self, monkeypatch, pair, mistyped):
@@ -211,10 +222,11 @@ CORPUS_DIGESTS = [
 ]
 
 
-def _corpus_algebras(max_lens):
+def _corpus_algebras(max_lens, corrupt=False):
     for name, max_len in max_lens:
         for field in ("f2", "q", "f3"):
-            yield name, max_len, field, ZigzagAlgebra(diagram_from_name(name), field_from_name(field))
+            alg = ZigzagAlgebra(diagram_from_name(name), field_from_name(field), corrupt_compose=corrupt)
+            yield name, max_len, field, alg
 
 
 class TestTwistInvOutputs:
@@ -231,14 +243,17 @@ class TestTwistInvOutputs:
         assert h.hexdigest() == digest
 
     def test_matches_minimizing_the_whole_complex(self):
+        # the corrupt algebra's Hom tables differ from the sound ones, and
+        # twist_inv reads its copy columns straight off them
         checked = 0
-        for name, max_len, field, alg in _corpus_algebras((("A3", 3), ("D4", 2))):
-            for w, t in twist_corpus(alg, max_len).items():
-                for i in alg.diagram.vertices:
-                    got = complex_to_json_obj(twist_inv(i, t))
-                    assert got == complex_to_json_obj(reference_twist_inv(i, t)), (name, field, w, i)
-                    checked += 1
-        assert checked == 3 * (40 * 3 + 21 * 4)
+        for corrupt in (False, True):
+            for name, max_len, field, alg in _corpus_algebras((("A3", 3), ("D4", 2)), corrupt):
+                for w, t in twist_corpus(alg, max_len).items():
+                    for i in alg.diagram.vertices:
+                        got = complex_to_json_obj(twist_inv(i, t))
+                        assert got == complex_to_json_obj(reference_twist_inv(i, t)), (name, field, corrupt, w, i)
+                        checked += 1
+        assert checked == 2 * 3 * (40 * 3 + 21 * 4)
 
 
 def _full_profile(x):
