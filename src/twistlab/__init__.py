@@ -31,12 +31,10 @@ from .complexes import (
 )
 from .twists import (
     TwoTermObject,
-    TwoTermPrediction,
     is_left_proper,
     is_right_proper,
     is_twist_image,
-    reflect_minus,
-    reflect_plus,
+    reflect,
     twist,
     twist_inv,
     twist_inv_word,

@@ -52,8 +52,7 @@ from .twists import (
     is_right_proper,
     is_twist_image,
     iso_to_sum,
-    reflect_minus,
-    reflect_plus,
+    reflect,
     twist,
     twist_inv,
     twist_word,
@@ -411,15 +410,15 @@ def _arrow_coefficients(tt: TwoTermObject) -> Dict[Tuple[int, int], Scalar]:
     return {(r, c): alg.coordinates(tt.left_order[c], tt.right_order[r], m)[0] for (r, c), m in tt.phi.items()}
 
 
-def _right_proper_direct(tt: TwoTermObject) -> bool:
+def _proper_direct(tt: TwoTermObject, right: bool) -> bool:
     # Definition-level check: the rows of phi landing in the copies of each
-    # P_l must be linearly independent (no split epi annihilates phi).
-    return _independent_at(tt.algebra.field, tt.right_order, _arrow_coefficients(tt))
-
-
-def _left_proper_direct(tt: TwoTermObject) -> bool:
-    coefs = {(c, r): a for (r, c), a in _arrow_coefficients(tt).items()}
-    return _independent_at(tt.algebra.field, tt.left_order, coefs)
+    # right label (right-proper), or its columns leaving those of each left
+    # label (left-proper), must be linearly independent (no split epi or
+    # split mono annihilates phi).
+    coefs = _arrow_coefficients(tt)
+    if not right:
+        coefs = {(c, r): a for (r, c), a in coefs.items()}
+    return _independent_at(tt.algebra.field, tt.right_order if right else tt.left_order, coefs)
 
 
 def _enumerate_chains(d: DynkinDiagram, depth: int):
@@ -469,24 +468,20 @@ def criterion_two_term(field: Field = GF2, scale: Scale = Scale(), corrupt: bool
             d = alg.diagram
             for tt in _two_term_candidates(alg):
                 rp, lp = is_right_proper(tt), is_left_proper(tt)
-                if rp != _right_proper_direct(tt) or lp != _left_proper_direct(tt):
+                if rp != _proper_direct(tt, right=True) or lp != _proper_direct(tt, right=False):
                     return False, f"{name}: dimension criterion disagrees on {tt.left_order}->{tt.right_order}"
                 properness_checks += 1
-                v_next = frozenset(j for j in d.vertices if d.color(j) == (tt.side + 1) % 2)
-                v_here = frozenset(j for j in d.vertices if d.color(j) == tt.side % 2)
-                if rp and tt.rsupp():
-                    for delta in _supersets(tt.rsupp(), v_next):
+                # forward (t^+) along supersets of rsupp, then backward (t^-) along supersets of lsupp
+                directions = ((rp, tt.rsupp(), (tt.side + 1) % 2, True), (lp, tt.lsupp(), tt.side, False))
+                for proper, supp, color, forward in directions:
+                    if not (proper and supp):
+                        continue
+                    for delta in _supersets(supp, frozenset(j for j in d.vertices if d.color(j) == color)):
                         pred = two_term_reflect(tt, delta)
-                        got = two_term_of(reflect_plus(tt, delta))
-                        if got is None or got.left != pred.left_dict() or got.right != pred.right_dict():
-                            return False, f"{name}: forward reflection mismatch on {tt.left_order}->{tt.right_order}, delta={sorted(delta)}"
-                        reflections += 1
-                if lp and tt.lsupp():
-                    for delta in _supersets(tt.lsupp(), v_here):
-                        pred = two_term_reflect(tt, delta)
-                        got = two_term_of(reflect_minus(tt, delta))
-                        if got is None or got.left != pred.left_dict() or got.right != pred.right_dict():
-                            return False, f"{name}: backward reflection mismatch on {tt.left_order}->{tt.right_order}, delta={sorted(delta)}"
+                        got = two_term_of(reflect(tt.assemble(), delta, forward))
+                        if got is None or (got.left, got.right) != pred:
+                            direction = "forward" if forward else "backward"
+                            return False, f"{name}: {direction} reflection mismatch on {tt.left_order}->{tt.right_order}, delta={sorted(delta)}"
                         reflections += 1
         # chains: repeatedly reflected projectives carry the chi multiplicities
         chains = 0
@@ -501,9 +496,7 @@ def criterion_two_term(field: Field = GF2, scale: Scale = Scale(), corrupt: bool
             chi = chi_of_layered(LayeredWord(d, tuple(slices)))
             cu = projective(alg, i)
             for u in range(1, len(chain)):
-                for kv in sorted(chain[u]):
-                    cu = twist_inv(kv, cu)
-                cu = minimize(shift(cu, 1))
+                cu = reflect(cu, chain[u], forward=False)
                 tt = two_term_of(cu)
                 expect_left = {j: chi[(u - 1 + offset, j)] for j in chain[u - 1] if chi[(u - 1 + offset, j)]}
                 expect_right = {j: chi[(u + offset, j)] for j in chain[u] if chi[(u + offset, j)]}
@@ -574,38 +567,30 @@ def criterion_mesh(field: Field = GF2, scale: Scale = Scale(), corrupt: bool = F
                         return False, f"{name}: chi != theta on {letters}"
                     chi_checked += 1
                 theta_multiset = sorted(s.theta.values())
-                # every legal commutation
-                for v in sorted(s.vertices):
-                    for direction in (1, -1):
-                        try:
-                            s2 = commute_move(s, v, direction)
-                        except MeshError:
-                            continue
-                        if not check_mesh_relations(s2):
-                            return False, f"{name}: commutation broke mesh relations on {letters}"
-                        if sorted(s2.theta.values()) != theta_multiset:
-                            return False, f"{name}: commutation changed the theta multiset on {letters}"
-                        if not equivalent(word_of(s2), w):
-                            return False, f"{name}: commutation changed the word on {letters}"
-                        moves_checked += 1
-                # every legal braiding
-                for a in sorted(s.vertices):
-                    n, j = a
-                    for k in d.neighbors(j):
-                        b, c = (n + 1, k), (n + 2, j)
-                        if b not in s.vertices or c not in s.vertices:
-                            continue
-                        try:
-                            s2 = braid_move(s, a, b, c)
-                        except MeshError:
-                            continue
-                        if not check_mesh_relations(s2):
-                            return False, f"{name}: braiding broke mesh relations on {letters}"
-                        if sorted(s2.theta.values()) != theta_multiset:
-                            return False, f"{name}: braiding changed the theta multiset on {letters}"
-                        if not equivalent(word_of(s2), w):
-                            return False, f"{name}: braiding changed the word on {letters}"
-                        moves_checked += 1
+                # every legal commutation, then every legal braiding
+                candidates = [
+                    ("commutation", commute_move, (s, v, direction))
+                    for v in sorted(s.vertices)
+                    for direction in (1, -1)
+                ]
+                candidates += [
+                    ("braiding", braid_move, (s, (n, j), (n + 1, k), (n + 2, j)))
+                    for n, j in sorted(s.vertices)
+                    for k in d.neighbors(j)
+                    if (n + 1, k) in s.vertices and (n + 2, j) in s.vertices
+                ]
+                for kind, move, args in candidates:
+                    try:
+                        s2 = move(*args)
+                    except MeshError:
+                        continue
+                    if not check_mesh_relations(s2):
+                        return False, f"{name}: {kind} broke mesh relations on {letters}"
+                    if sorted(s2.theta.values()) != theta_multiset:
+                        return False, f"{name}: {kind} changed the theta multiset on {letters}"
+                    if not equivalent(word_of(s2), w):
+                        return False, f"{name}: {kind} changed the word on {letters}"
+                    moves_checked += 1
                 # divisor-solver instances
                 zeros = [v for v in s.vertices if s.theta[v] == 0]
                 if len(zeros) == 1 and all(t >= 0 for t in s.theta.values()):

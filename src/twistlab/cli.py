@@ -254,6 +254,8 @@ def cmd_selftest(args) -> int:
     words = sum(config.diagram.rank**k for k in range(min(config.max_len, 11) + 1))
     if words > MAX_SELFTEST_WORDS:
         raise InputError(f"--max-len {config.max_len} gives more than {MAX_SELFTEST_WORDS} words")
+    if args.sample_longer > MAX_SELFTEST_WORDS:
+        raise InputError(f"--sample-longer {args.sample_longer} asks for more than {MAX_SELFTEST_WORDS} words")
     scale = acceptance.selftest_scale(config.diagram.name(), config.max_len)
     scale = replace(scale, seed=seed, sample_longer=args.sample_longer)
     results = acceptance.run_all(config.field, scale, corrupt=args.debug_corrupt_compose)

@@ -46,10 +46,7 @@ complex: it builds both indexes and the list of unit entries from the
 complex's differentials.  eliminate() is the core, and the twists write
 their cones straight into its indexes instead (see twists.py), so a cone
 is never built as a complex first.  A degree that lost no summand keeps
-its label tuple and its positions.  A differential between two such
-degrees, which no pivot touched, is the input's own matrix (complexes are
-immutable, so they may share it) only when minimize() built the index
-itself; a twist's is read back from the index.  A pivot costs its row and
+its label tuple and its positions.  A pivot costs its row and
 column plus one correction per pair of other entries in them, and phi is
 inverted only when there is such a pair: most pivots of the twist path
 have none.
@@ -57,8 +54,7 @@ have none.
 Memoized, for the life of the object that holds it (nothing outlives it):
 - eliminate() marks its output minimal, and minimize() returns a minimal
   input unchanged;
-- a complex keeps its profile(), and hands out a fresh copy on each call;
-- a HomComplex keeps the rank of each differential it has ranked.
+- a complex keeps its profile(), and hands out a fresh copy on each call.
 Hom complexes themselves are not kept on their complex.  A ProjComplex is
 frozen; the two memo fields are set here alone, through object.__setattr__.
 """
@@ -294,7 +290,7 @@ def minimize(x: ProjComplex) -> ProjComplex:
             if rows[r] == cols[c] and is_unit(cols[c], rows[r], m):
                 units.append((d, r, c))
         by_row[d], by_col[d] = rr, cc
-    return eliminate(x.algebra, labels, by_row, by_col, units, x.diffs)
+    return eliminate(x.algebra, labels, by_row, by_col, units)
 
 
 def eliminate(
@@ -303,7 +299,6 @@ def eliminate(
     by_row: Dict[int, Index],
     by_col: Dict[int, Index],
     units: List[Tuple[int, int, int]],
-    shared: Optional[Mapping[int, Matrix]] = None,
 ) -> ProjComplex:
     """The minimal complex left by Gaussian elimination on an indexed complex, which it consumes.
 
@@ -319,9 +314,7 @@ def eliminate(
     column holds no other entry makes no correction, and then phi is not
     inverted at all.  Stale heap items (entries since removed or changed)
     are skipped when popped; every entry that becomes a unit is pushed
-    again.  The output is read back from the row index, except that a
-    differential between two degrees that lost no summand is shared[d],
-    when the caller passes the matrices it indexed.
+    again.  The output is read back from the row index.
     """
     is_unit, compose, plus = alg.is_unit, alg.compose, alg.plus
     neg_one = alg.field.neg(alg.field.one)
@@ -391,11 +384,8 @@ def eliminate(
             position[d] = {s: n for n, s in enumerate(keep)}
     diffs: Dict[int, Matrix] = {}
     for d, rr in by_row.items():
-        if shared is not None and not dropped[d] and not dropped[d + 1]:
-            mat = shared[d]
-        else:
-            at_row, at_col = position.get(d + 1), position.get(d)
-            mat = {(at_row[r], at_col[c]): m for r, row in rr.items() for c, m in row.items()}
+        at_row, at_col = position.get(d + 1), position.get(d)
+        mat = {(at_row[r], at_col[c]): m for r, row in rr.items() for c, m in row.items()}
         if mat:
             diffs[d] = mat
     out = ProjComplex(alg, summands, diffs)
@@ -419,14 +409,13 @@ class HomComplex:
     differential from degree d to d+1, rows and columns numbered by those
     positions in degrees d+1 and d.  It maps (row, col) to a nonzero scalar
     (the linalg format), and a degree whose differential is zero has no
-    matrix.  _ranks memoizes rank_at.
+    matrix.
     """
 
     field: Field
     vertex: int
     offsets: Dict[int, List[int]]
     mats: Dict[int, Dict[Tuple[int, int], Scalar]]
-    _ranks: Dict[int, int] = dataclasses.field(default_factory=dict, init=False, repr=False)
 
     def dim(self, d: int) -> int:
         offs = self.offsets.get(d)
@@ -436,14 +425,9 @@ class HomComplex:
         return sorted(self.offsets)
 
     def rank_at(self, d: int) -> int:
-        """Rank of the differential from degree d, computed once."""
+        """Rank of the differential from degree d."""
         mat = self.mats.get(d)
-        if mat is None:
-            return 0
-        r = self._ranks.get(d)
-        if r is None:
-            r = self._ranks[d] = linalg.rank(self.field, mat)
-        return r
+        return 0 if mat is None else linalg.rank(self.field, mat)
 
     def homology_dims(self) -> Dict[int, int]:
         """degree -> dim H^degree, nonzero ones only, in ascending degree order.

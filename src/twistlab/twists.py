@@ -350,21 +350,6 @@ class TwoTermObject:
         }
 
 
-@dataclass(frozen=True)
-class TwoTermPrediction:
-    """Predicted multiplicities for a reflected two-term object."""
-
-    side: int
-    left: Tuple[Tuple[int, int], ...]
-    right: Tuple[Tuple[int, int], ...]
-
-    def left_dict(self) -> Dict[int, int]:
-        return {j: m for j, m in self.left if m}
-
-    def right_dict(self) -> Dict[int, int]:
-        return {j: m for j, m in self.right if m}
-
-
 def two_term_of(x: ProjComplex) -> Optional[TwoTermObject]:
     """Read a minimized complex as a two-term object, if it is one.
 
@@ -408,43 +393,44 @@ def two_term_of(x: ProjComplex) -> Optional[TwoTermObject]:
     )
 
 
-def _total_hom_dim(l: int, x: ProjComplex) -> int:
-    return sum(hom_dims(l, x).values())
+def _is_proper(tt: TwoTermObject, color: int, other: Dict[int, int]) -> bool:
+    """For each vertex l of the given colour, dim Hom*(P_l, X) = the sum of other's multiplicities at l's neighbours."""
+    d = tt.algebra.diagram
+    x = tt.assemble()
+    return all(
+        sum(hom_dims(l, x).values()) == sum(other.get(k, 0) for k in d.neighbors(l))
+        for l in d.vertices
+        if d.color(l) == color
+    )
 
 
 def is_right_proper(tt: TwoTermObject) -> bool:
-    """No right summand splits off: dim Hom*(X, P_l) = sum of neighbour left mults."""
-    d = tt.algebra.diagram
-    assembled = tt.assemble()
-    left = tt.left
-    for l in d.vertices:
-        if d.color(l) == (tt.side + 1) % 2:
-            expected = sum(left.get(k, 0) for k in d.neighbors(l))
-            if _total_hom_dim(l, assembled) != expected:
-                return False
-    return True
+    """No right summand splits off: for each l of the right side's colour, dim Hom*(P_l, X) = sum of neighbour left mults.
+
+    Hom*(P_l, X) is hom_dims(l, X).  Criterion 7 checks this against the
+    definition, independent rows of phi into each label, on every candidate.
+    """
+    return _is_proper(tt, (tt.side + 1) % 2, tt.left)
 
 
 def is_left_proper(tt: TwoTermObject) -> bool:
-    """No left summand splits off: dim Hom*(X, P_l) = sum of neighbour right mults."""
-    d = tt.algebra.diagram
-    assembled = tt.assemble()
-    right = tt.right
-    for l in d.vertices:
-        if d.color(l) == tt.side % 2:
-            expected = sum(right.get(k, 0) for k in d.neighbors(l))
-            if _total_hom_dim(l, assembled) != expected:
-                return False
-    return True
+    """No left summand splits off: for each l of the left side's colour, dim Hom*(P_l, X) = sum of neighbour right mults.
+
+    Hom*(P_l, X) is hom_dims(l, X).  Criterion 7 checks this against the
+    definition, independent columns of phi out of each label, on every candidate.
+    """
+    return _is_proper(tt, tt.side, tt.right)
 
 
-def two_term_reflect(tt: TwoTermObject, delta: Iterable[int]) -> TwoTermPrediction:
-    """Predicted multiplicities of the reflected object t_Delta^{+/-} X.
+def two_term_reflect(tt: TwoTermObject, delta: Iterable[int]) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """Predicted (left, right) multiplicities of the reflected object t_Delta^{+/-} X, zeros left out.
 
     Delta of color side+1 reflects a right-proper object forward (t^+);
-    Delta of color side reflects a left-proper object backward (t^-).  In
-    both directions the new multiplicity at k in Delta is the sum of the
-    old multiplicities at the neighbours of k minus the old one at k.
+    Delta of color side reflects a left-proper object backward (t^-).  The
+    reflection replaces the side of Delta's colour: its new multiplicity at
+    k in Delta is the sum of the other side's multiplicities at the
+    neighbours of k minus its old one at k.  The shift then swaps the
+    sides, so forward gives (new, old left) and backward (old right, new).
     """
     d = tt.algebra.diagram
     delta = frozenset(delta)
@@ -453,56 +439,29 @@ def two_term_reflect(tt: TwoTermObject, delta: Iterable[int]) -> TwoTermPredicti
     colors = {d.color(j) for j in delta}
     if len(colors) != 1:
         raise ValueError("reflection set must be single-colored")
-    color = colors.pop()
-    u = tt.side
-    if color == (u + 1) % 2:
-        if not is_right_proper(tt):
-            raise ValueError("object is not right-proper")
-        if not tt.rsupp() <= delta:
-            raise ValueError("rsupp must be contained in the reflection set")
-        left = tt.left
-        right = tt.right
-        new = {}
-        for k in delta:
-            new[k] = sum(left.get(j, 0) for j in d.neighbors(k)) - right.get(k, 0)
-            if new[k] < 0:
-                raise ValueError("negative predicted multiplicity (properness violated)")
-        return TwoTermPrediction(
-            (u + 1) % 2,
-            tuple(sorted(new.items())),
-            tuple(sorted(left.items())),
-        )
-    if color == u % 2:
-        if not is_left_proper(tt):
-            raise ValueError("object is not left-proper")
-        if not tt.lsupp() <= delta:
-            raise ValueError("lsupp must be contained in the reflection set")
-        left = tt.left
-        right = tt.right
-        new = {}
-        for j in delta:
-            new[j] = sum(right.get(k, 0) for k in d.neighbors(j)) - left.get(j, 0)
-            if new[j] < 0:
-                raise ValueError("negative predicted multiplicity (properness violated)")
-        return TwoTermPrediction(
-            (u + 1) % 2,
-            tuple(sorted(right.items())),
-            tuple(sorted(new.items())),
-        )
-    raise ValueError("unreachable")
+    (color,) = colors
+    forward = color != tt.side
+    side, other, old = ("right", tt.left, tt.right) if forward else ("left", tt.right, tt.left)
+    if not _is_proper(tt, color, other):
+        raise ValueError(f"object is not {side}-proper")
+    if not old.keys() <= delta:
+        raise ValueError(f"{side[0]}supp must be contained in the reflection set")
+    new = {}
+    for k in sorted(delta):
+        m = sum(other.get(j, 0) for j in d.neighbors(k)) - old.get(k, 0)
+        if m < 0:
+            raise ValueError("negative predicted multiplicity (properness violated)")
+        if m:
+            new[k] = m
+    return (new, other) if forward else (other, new)
 
 
-def reflect_plus(tt: TwoTermObject, delta: Iterable[int]) -> ProjComplex:
-    """The actual object t_Delta^+ X = (prod of twists over Delta)(X)[-1], minimized."""
-    out = tt.assemble()
+def reflect(x: ProjComplex, delta: Iterable[int], forward: bool) -> ProjComplex:
+    """Forward t_Delta^+ X = (prod of twists over Delta)(X)[-1], else t_Delta^- X = (prod of inverse twists)(X)[1], minimized.
+
+    The product applies Delta's letters in ascending order.
+    """
+    step = twist if forward else twist_inv
     for k in sorted(set(delta)):
-        out = twist(k, out)
-    return minimize(shift(out, -1))
-
-
-def reflect_minus(tt: TwoTermObject, delta: Iterable[int]) -> ProjComplex:
-    """The actual object t_Delta^- X = (prod of inverse twists over Delta)(X)[1], minimized."""
-    out = tt.assemble()
-    for k in sorted(set(delta)):
-        out = twist_inv(k, out)
-    return minimize(shift(out, 1))
+        x = step(k, x)
+    return minimize(shift(x, -1 if forward else 1))

@@ -30,16 +30,12 @@ label l (each basis entry typed once, when the table is built), the slot
 width of each basis, and, for each pair (i, l), the rule by which
 postcomposition with an entry e: P_i -> P_l moves the basis slots of
 Hom(P_j, P_i) to those of Hom(P_j, P_l).  A rule is a tuple of triples
-(slot, slot2, k): e o basis[slot] has coefficient e[k] at slot2.  The
-table also holds precomposition rules: for a neighbour k of j and a label
-l, the slot of Hom(P_k, P_l) to which precomposition with the arrow
-g_{k,j} sends each basis slot of Hom(P_j, P_l), unless the product is
-zero.  Rules are derived from compose on basis entries, the first time
-each pair is asked for, so a corrupt_compose algebra gets its own corrupt
-rules.  An algebra keeps its tables, at most one per vertex, each of at
-most 2 rank^2 rules.  With them a Hom complex is read off a differential's
-entries, and a morphism's precomposition with an arrow off its basis
-slots, without composing any of them.
+(slot, slot2, k): e o basis[slot] has coefficient e[k] at slot2.  Rules
+are derived from compose on basis entries, the first time each pair is
+asked for, so a corrupt_compose algebra gets its own corrupt rules.  An
+algebra keeps its tables, at most one per vertex, each of at most rank^2
+rules.  With them a Hom complex is read off a differential's entries
+without composing any of them.
 
 This is the only module that knows the entry format: the rest of the package
 builds, combines and reads entries through ZigzagAlgebra's methods and Hom
@@ -237,7 +233,6 @@ class HomTable(dict):
             if not all(algebra.in_hom(j, l, e) for e in entries):
                 raise ValueError(f"hom_basis({j}, {l}) holds an entry outside Hom(P_{j}, P_{l})")
         self.width = {l: len(b) for l, b in self.basis.items()}
-        self._pre: Dict[Tuple[int, int], Dict[int, int]] = {}
 
     def __missing__(self, key: Tuple[int, int]) -> Tuple[Tuple[int, int, int], ...]:
         i, l = key
@@ -247,23 +242,6 @@ class HomTable(dict):
             for k, g in enumerate(alg.hom_basis(i, l)):
                 rule.extend((slot, slot2, k) for slot2 in _product_slots(alg, j, i, l, g, f))
         self[key] = rule = tuple(rule)
-        return rule
-
-    def precomposition(self, k: int, l: int) -> Dict[int, int]:
-        """slot -> slot2 where basis[l][slot] o g_{k,j} is the basis morphism slot2 of Hom(P_k, P_l).
-
-        k is a neighbour of j; slots whose product is zero are absent.  Each
-        rule is derived on first use and kept.
-        """
-        rule = self._pre.get((k, l))
-        if rule is None:
-            alg = self.algebra
-            (arrow,) = alg.hom_basis(k, self.vertex)
-            rule = self._pre[(k, l)] = {
-                slot: slot2
-                for slot, f in enumerate(self.basis[l])
-                for slot2 in _product_slots(alg, k, self.vertex, l, f, arrow)
-            }
         return rule
 
 

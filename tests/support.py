@@ -18,12 +18,13 @@ stops at an echelon form, and only long_morphism_dim needs a kernel.
 Long morphisms are the paper's notion of a peelable letter: a class in
 H^r(Hom(P_j, T)) killed by precomposition with every neighbour arrow.
 long_morphism_dim measures them on a HomComplexes map (each vertex's Hom
-complex built on first use), and reference_peel_letter is the letter of a
+complex built on first use), composing with the arrows through the slot
+rules of _precomposition, and reference_peel_letter is the letter of a
 scan of every vertex for one at T's minimal degree, against which
 reconstruct.peel's smallest bottom label is checked.
 """
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from twistlab import linalg
 from twistlab.braid import BraidWord, LayeredWord
@@ -40,6 +41,7 @@ from twistlab.complexes import (
 )
 from twistlab.fields import Field
 from twistlab.linalg import Row, _axpy
+from twistlab.zigzag import HomTable, ZigzagAlgebra, _product_slots
 
 
 def direct_sum(x: ProjComplex, y: ProjComplex) -> ProjComplex:
@@ -135,6 +137,26 @@ class HomComplexes(dict):
         return x if isinstance(x, HomComplexes) else cls(x)
 
 
+_PRE: Dict[Tuple[ZigzagAlgebra, int, int, int], Dict[int, int]] = {}
+
+
+def _precomposition(table: HomTable, k: int, l: int) -> Dict[int, int]:
+    """slot -> slot2 where table.basis[l][slot] o g_{k,j} is the basis morphism slot2 of Hom(P_k, P_l), j = table.vertex.
+
+    k is a neighbour of j; slots whose product is zero are absent.  Each
+    rule is derived on first use and kept in _PRE.
+    """
+    alg, j = table.algebra, table.vertex
+    key = (alg, j, k, l)
+    rule = _PRE.get(key)
+    if rule is None:
+        (arrow,) = alg.hom_basis(k, j)
+        rule = _PRE[key] = {
+            slot: slot2 for slot, f in enumerate(table.basis[l]) for slot2 in _product_slots(alg, k, j, l, f, arrow)
+        }
+    return rule
+
+
 def _long_space(j: int, homs: HomComplexes, r: int) -> dict:
     """Constraints cutting {f in Hom^r(P_j, T) : f cocycle, [f g_{k,j}] = 0 for all k} out of Hom^r.
 
@@ -142,8 +164,7 @@ def _long_space(j: int, homs: HomComplexes, r: int) -> dict:
     cocycle rows, then for each neighbour k the rows that make f g_{k,j} a
     coboundary.  The basis morphism of summand s at slot, column
     offsets[r][s] + slot of Hom(P_j, T), composed with g_{k,j} is the one at
-    offsets[r][s] + slot2 of Hom(P_k, T), slot2 read off the Hom table's
-    precomposition rule.
+    offsets[r][s] + slot2 of Hom(P_k, T), slot2 read off _precomposition.
     """
     alg = homs.complex.algebra
     k_field = alg.field
@@ -163,7 +184,7 @@ def _long_space(j: int, homs: HomComplexes, r: int) -> dict:
         pre = {}
         for s, lab in enumerate(labels):
             offk, offj = vk_offs[s], vj_offs[s]
-            for slot, slot2 in table.precomposition(nb, lab).items():
+            for slot, slot2 in _precomposition(table, nb, lab).items():
                 pre.setdefault(offk + slot2, {})[offj + slot] = one
         bmat = vk.mats.get(r - 1)
         if bmat is None:

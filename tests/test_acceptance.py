@@ -5,6 +5,8 @@ per criterion.  Everything is exact; the only tolerances are the runtime
 budgets, which sit far above the measured times.
 """
 
+import dataclasses
+
 import pytest
 
 from twistlab import acceptance
@@ -51,11 +53,15 @@ def test_criterion_6_degree_bounds():
 
 
 def test_criterion_7_two_term():
-    report(acceptance.criterion_two_term(GF2, SCALE), budget_seconds=300.0)
+    result = acceptance.criterion_two_term(GF2, SCALE)
+    report(result, budget_seconds=300.0)
+    assert result.details == "2068 properness checks, 2324 reflections, 25 chain stages"
 
 
 def test_criterion_8_mesh():
-    report(acceptance.criterion_mesh(GF2, SCALE), budget_seconds=300.0)
+    result = acceptance.criterion_mesh(GF2, SCALE)
+    report(result, budget_seconds=300.0)
+    assert result.details == "9158 moves, 650 chi checks, 141 solver instances"
 
 
 def test_criterion_9_characteristic_independence():
@@ -66,6 +72,37 @@ def test_criterion_9_characteristic_independence():
 def test_criterion_8_off_the_full_scale(diagram):
     """layer may move a letter of the other colour ahead of the first one; chi seeds at the first slice."""
     report(acceptance.criterion_mesh(GF2, selftest_scale(diagram, 2)))
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_criterion_7_catches_a_wrong_prediction_in_one_direction(monkeypatch, direction):
+    real = acceptance.two_term_reflect
+
+    def wrong(tt, delta):
+        left, right = real(tt, delta)
+        k = min(delta)
+        if (tt.algebra.diagram.color(k) != tt.side) == (direction == "forward"):
+            left = {**left, k: left.get(k, 0) + 1}
+        return left, right
+
+    monkeypatch.setattr(acceptance, "two_term_reflect", wrong)
+    result = acceptance.criterion_two_term(GF2, SCALE)
+    assert not result.passed
+    assert f": {direction} reflection mismatch on " in result.details
+
+
+@pytest.mark.parametrize("kind, move", [("commutation", "commute_move"), ("braiding", "braid_move")])
+def test_criterion_8_catches_a_wrong_theta_from_one_move_kind(monkeypatch, kind, move):
+    real = getattr(acceptance, move)
+
+    def wrong(s, *args):
+        s2 = real(s, *args)
+        return dataclasses.replace(s2, theta={v: t + 1 for v, t in s2.theta.items()})
+
+    monkeypatch.setattr(acceptance, move, wrong)
+    result = acceptance.criterion_mesh(GF2, SCALE)
+    assert not result.passed
+    assert f": {kind} " in result.details
 
 
 SWEEP_CORPORA = (("A2", 6), ("A3", 5), ("D4", 4), ("A4", 4), ("D5", 3), ("E6", 3))

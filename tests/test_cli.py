@@ -372,6 +372,13 @@ class TestSelftest:
         assert code == 2 and out == ""
         assert err.startswith("input error: ") and "--max-len" in err
 
+    def test_oversized_sample_exits_2_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "--diagram", "A2", "selftest", "--sample-longer", "1000000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("input error: ") and "--sample-longer" in err
+
     def test_seeded_sampling(self, capsys, monkeypatch):
         monkeypatch.setenv("TWISTLAB_SEED", "7")
         code, out, _ = run_cli(

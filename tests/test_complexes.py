@@ -440,7 +440,7 @@ class TestHomComplex:
         assert hom_dims(1, c) == {-1: 1}
         assert hom_dims(2, c) == {0: 1}
 
-    def test_memoized_rank_equals_fresh_rank(self):
+    def test_rank_at_equals_linalg_rank(self):
         for fld in (GF2, QQ):
             algebra = ZigzagAlgebra(A3, fld)
             t = twist_word(word(A3, (1, 2, 3, 2, 1, 3)), sum_of_projectives(algebra))
@@ -448,9 +448,7 @@ class TestHomComplex:
                 hc = hom_complex(j, t)
                 assert hc.mats
                 for d, mat in hc.mats.items():
-                    fresh = linalg.rank(fld, mat)
-                    assert hc.rank_at(d) == fresh
-                    assert hc.rank_at(d) == fresh  # the second read comes from the memo
+                    assert hc.rank_at(d) == linalg.rank(fld, mat)
 
     @pytest.mark.parametrize("diagram", [A3, D4], ids=["A3", "D4"])
     @pytest.mark.parametrize("fld", [GF2, QQ], ids=["gf2", "qq"])

@@ -26,8 +26,7 @@ from twistlab.twists import (
     is_right_proper,
     is_twist_image,
     iso_to_sum,
-    reflect_minus,
-    reflect_plus,
+    reflect,
     twist,
     twist_inv,
     twist_inv_word,
@@ -372,19 +371,18 @@ class TestReflection:
     def test_left_proper_stalk_reflects_to_arrow_cone(self, alg):
         tt = two_term_of(projective(alg, 2))
         pred = two_term_reflect(tt, {1})
-        assert pred.left_dict() == {2: 1}
-        assert pred.right_dict() == {1: 1}
-        computed = reflect_minus(tt, {1})
+        assert pred == ({2: 1}, {1: 1})
+        computed = reflect(tt.assemble(), {1}, forward=False)
         assert iso_to_sum(twist(1, shift(computed, -1)), projective(alg, 2))  # computed = t_1^-1(P_2)[1]
         got = two_term_of(computed)
-        assert got.left == pred.left_dict() and got.right == pred.right_dict()
+        assert (got.left, got.right) == pred
 
     def test_right_proper_cone_reflects_to_stalk(self, alg):
         tt = two_term(alg, 0, (1,), (2,), arrows={(0, 0)})
         pred = two_term_reflect(tt, {2})
-        assert pred.left_dict() == {} and pred.right_dict() == {1: 1}
-        got = two_term_of(reflect_plus(tt, {2}))
-        assert got.left == pred.left_dict() and got.right == pred.right_dict()
+        assert pred == ({}, {1: 1})
+        got = two_term_of(reflect(tt.assemble(), {2}, forward=True))
+        assert (got.left, got.right) == pred
 
     def test_d4_branch_reflection(self):
         algebra = ZigzagAlgebra(D4)
@@ -392,9 +390,9 @@ class TestReflection:
         # color(2) = 1 under the fixed coloring, so the stalk sits on side 0
         assert tt.side == 0
         pred = two_term_reflect(tt, {1, 3, 4})
-        assert pred.right_dict() == {1: 1, 3: 1, 4: 1}
-        got = two_term_of(reflect_minus(tt, {1, 3, 4}))
-        assert got.left == pred.left_dict() and got.right == pred.right_dict()
+        assert pred == ({2: 1}, {1: 1, 3: 1, 4: 1})
+        got = two_term_of(reflect(tt.assemble(), {1, 3, 4}, forward=False))
+        assert (got.left, got.right) == pred
 
     def test_unsupported_delta_rejected(self, alg):
         tt = two_term_of(projective(alg, 2))
