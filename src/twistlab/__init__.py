@@ -44,6 +44,7 @@ from .twists import (
 )
 from .reconstruct import (
     NotTwistImage,
+    isomorphic_images,
     min_degree,
     peel,
     recover_trace,

@@ -45,8 +45,8 @@ from .meshbraid import (
     to_dot,
     word_of,
 )
-from .reconstruct import NotTwistImage, recover_trace
-from .twists import is_twist_image, twist_word
+from .reconstruct import NotTwistImage, isomorphic_images, recover_trace
+from .twists import twist_word
 from .zigzag import ZigzagAlgebra
 
 EXIT_OK = 0
@@ -175,7 +175,11 @@ def cmd_braid_eq(args) -> int:
         verdicts["oracle"] = equivalent(w1, w2)
     if args.mode in ("category", "both"):
         lam = sum_of_projectives(ZigzagAlgebra(config.diagram, config.field))
-        verdicts["category"] = is_twist_image(twist_word(w2, lam), w1, lam)
+        try:
+            verdicts["category"] = isomorphic_images(twist_word(w1, lam), twist_word(w2, lam))
+        except NotTwistImage as exc:
+            print(f"a twist image does not recover (invariant breach): {exc}", file=sys.stderr)
+            return EXIT_BREACH
     payload.update(verdicts)
     if len(verdicts) == 2 and verdicts["oracle"] != verdicts["category"]:
         payload["equal"] = None

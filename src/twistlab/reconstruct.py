@@ -112,3 +112,19 @@ def recover_trace(t: ProjComplex) -> Tuple[BraidWord, Tuple[PeelStep, ...]]:
 def recover_word(t: ProjComplex) -> BraidWord:
     """The positive word whose twist image is T (up to monoid equality)."""
     return recover_trace(t)[0]
+
+
+def isomorphic_images(t1: ProjComplex, t2: ProjComplex) -> bool:
+    """Decide T1 = T2 up to isomorphism, for twist images of Lambda, by comparing their peel sequences.
+
+    T1 = T2 gives equal sequences: each letter is read off the minimal
+    complex, which is unique up to isomorphism (Khovanov-Seidel 2002), and
+    twist_inv is a functor.  Equal sequences v give T1 = t_v(Lambda) = T2,
+    because recovery certifies each end with iso_to_sum.  So the cost is two
+    recoveries, each a strictly falling run of peels, and never an inverse
+    chain along a word that may be wrong.  Raises NotTwistImage when either
+    complex does not recover.
+    """
+    if t1.algebra != t2.algebra:
+        raise ValueError("the complexes live over different algebras")
+    return recover_word(t1).letters == recover_word(t2).letters

@@ -301,7 +301,14 @@ def iso_to_sum(m: ProjComplex, base: ProjComplex) -> bool:
 
 
 def is_twist_image(t: ProjComplex, w: BraidWord, base: ProjComplex) -> bool:
-    """The one place that decides isomorphism: t = t_w(base) exactly when the minimized t_w^-1(t) is base."""
+    """Decide t = t_w(base) for a given word w: exactly when the minimized t_w^-1(t) is base.
+
+    The cost is an inverse chain along w, which is cheap when w is t's word
+    and can grow without bound when it is not.  So it serves where the word
+    is known to be right, or where base is not Lambda; images of Lambda
+    under words not known to be equal are compared by their peel sequences
+    (reconstruct.isomorphic_images).  Both routes end in iso_to_sum.
+    """
     return iso_to_sum(minimize(twist_inv_word(w, t)), base)
 
 

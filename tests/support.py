@@ -22,11 +22,19 @@ complex built on first use), composing with the arrows through the slot
 rules of _precomposition, and reference_peel_letter is the letter of a
 scan of every vertex for one at T's minimal degree, against which
 reconstruct.peel's smallest bottom label is checked.
+
+_image_classes is the reference decider for isomorphism of corpus images:
+it buckets the images by their summand labels per degree and runs the
+inverse chain along each bucket member's word (is_twist_image).  The
+acceptance criteria partition by peel sequences instead
+(reconstruct.isomorphic_images), and the tests check the two partitions
+against each other.
 """
 
 from typing import Dict, List, Tuple
 
 from twistlab import linalg
+from twistlab.acceptance import _shape_key
 from twistlab.braid import BraidWord, LayeredWord
 from twistlab.complexes import (
     ChainMap,
@@ -41,6 +49,7 @@ from twistlab.complexes import (
 )
 from twistlab.fields import Field
 from twistlab.linalg import Row, _axpy
+from twistlab.twists import is_twist_image
 from twistlab.zigzag import HomTable, ZigzagAlgebra, _product_slots
 
 
@@ -324,3 +333,16 @@ def reference_hom_complex(j: int, x: ProjComplex) -> HomComplex:
         if mat:
             mats[d] = mat
     return HomComplex(alg.field, j, offsets, mats)
+
+
+def _image_classes(corpus: Dict[Tuple[int, ...], ProjComplex]) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
+    """word -> the first corpus word with an isomorphic image: shape keys bucket, is_twist_image decides."""
+    lam = corpus[()]
+    reps: Dict[tuple, List[Tuple[int, ...]]] = {}
+    classes: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+    for w, t in corpus.items():
+        bucket = reps.setdefault(_shape_key(t), [])
+        classes[w] = next((r for r in bucket if is_twist_image(t, BraidWord(lam.diagram, r), lam)), w)
+        if classes[w] == w:
+            bucket.append(w)
+    return classes

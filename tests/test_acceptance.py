@@ -15,6 +15,8 @@ from twistlab.braid import BraidWord, canonical_form, diagram_from_name
 from twistlab.fields import GF2, field_from_name
 from twistlab.zigzag import ZigzagAlgebra
 
+from support import _image_classes
+
 SCALE = Scale()
 
 
@@ -116,3 +118,38 @@ def test_profile_partition_is_the_normal_form_partition(field):
         keys = profile_partition(ZigzagAlgebra(d, field_from_name(field)), max_len)
         normal_forms = {w: canonical_form(BraidWord(d, w)) for w in keys}
         assert acceptance._groups(keys) == acceptance._groups(normal_forms), (name, max_len)
+
+
+CROSS_CHECK_CORPORA = (("A2", 6), ("A3", 5), ("D4", 4))
+
+
+@pytest.mark.parametrize("field", ["f2", "q", "f3"])
+def test_peel_partition_is_the_reference_partition(field):
+    """The two deciders check each other: criterion 4's peel sequences against the inverse chains of _image_classes."""
+    for name, max_len in CROSS_CHECK_CORPORA:
+        corpus, peels = acceptance._recovered_corpus(name, field_from_name(field), False, max_len)
+        assert acceptance._groups(peels) == acceptance._groups(_image_classes(corpus)), (name, max_len)
+
+
+@pytest.mark.parametrize(
+    "criterion, text",
+    [
+        (acceptance.criterion_faithfulness, "A3 l<=3: the image of (1, 2) does not recover"),
+        (acceptance.criterion_reconstruction, "A3: the image of (1, 2) does not recover: "),
+        (acceptance.criterion_characteristic_independence, "exception: NotTwistImage("),
+    ],
+    ids=["4", "5", "9"],
+)
+def test_a_word_that_does_not_recover_fails_the_criterion(criterion, text):
+    scale = selftest_scale("A3", 3)
+    result = criterion(scale=scale, corrupt=True)
+    assert not result.passed
+    assert result.details.startswith(text)
+
+
+def test_sampled_words_stay_out_of_the_shared_corpus():
+    scale = dataclasses.replace(selftest_scale("A2", 2), faithfulness_corpora=(("A2", 2),), sample_longer=5)
+    report(acceptance.criterion_reconstruction(GF2, scale))
+    corpus, peels = acceptance._recovered_corpus("A2", GF2, False, 2)
+    assert len(corpus) == len(peels) == 7
+    assert acceptance.criterion_reconstruction(GF2, scale).details == "12 round trips"

@@ -6,6 +6,7 @@ import pytest
 from twistlab import acceptance, cli
 from twistlab.braid import diagram_from_name
 from twistlab.cli import main
+from twistlab.reconstruct import NotTwistImage
 
 
 def run_cli(capsys, *argv):
@@ -269,6 +270,27 @@ class TestBraidEq:
         code, out, _ = run_cli(capsys, "--diagram", "A2", "braid-eq", "1", "1", "--mode", "oracle")
         payload = json.loads(out)
         assert code == 0 and "category" not in payload
+
+    def test_one_changed_letter_of_a_40_letter_word(self, capsys):
+        # the first 40 letters of the 60-letter A4 word that CI recovers, and the
+        # same word with its first letter 2 changed to 3: an inverse chain along
+        # the wrong word grows without bound, the two recoveries stay linear
+        w = "2,2,3,4,1,1,4,3,2,2,4,4,4,2,2,2,4,1,1,2,1,3,1,3,4,4,4,4,4,2,3,1,1,2,4,2,3,4,3,4"
+        u = "3" + w[1:]
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "--diagram", "A4", "braid-eq", w, u, "--mode", "category")
+        assert time.perf_counter() - start < 20.0
+        assert code == 1
+        assert json.loads(out)["equal"] is False
+
+    def test_an_image_that_does_not_recover_is_a_breach(self, capsys, monkeypatch):
+        def stuck(t1, t2):
+            raise NotTwistImage("peeling failed to make progress")
+
+        monkeypatch.setattr(cli, "isomorphic_images", stuck)
+        code, out, err = run_cli(capsys, "--diagram", "A2", "braid-eq", "1,2", "2,1", "--mode", "category")
+        assert code == 3 and out == ""
+        assert "does not recover" in err and "peeling failed to make progress" in err
 
 
 class TestMeshSolve:

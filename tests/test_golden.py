@@ -4,9 +4,10 @@ Each case runs one command through ``twistlab.cli.main`` and compares the exit
 code and the sha256 of its standard output with a pinned value.  The words
 cover A2, A4, D4, D5 and E6 over GF(2), QQ and GF(3); each word is twisted,
 recovered from its image (``recover --word``) and compared with a second word
-by ``braid-eq --mode category``.  ``mesh-solve`` runs on its own words, on
-which the mesh hypotheses hold (plus two on which they fail, exit 2), in all
-three output formats.  A change to the engine that alters a single byte of
+by ``braid-eq --mode category``, which recovers both words' images and
+compares the peel sequences.  ``mesh-solve`` runs on its own words, on which
+the mesh hypotheses hold (plus two on which they fail, exit 2), in all three
+output formats.  A change to the engine that alters a single byte of
 any output fails here.
 """
 

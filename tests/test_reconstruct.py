@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from twistlab import complexes, reconstruct, twists
-from twistlab.acceptance import all_words
+from twistlab.acceptance import all_words, twist_corpus
 from twistlab.braid import build_diagram, equivalent, word
 from twistlab.complexes import (
     eliminate,
@@ -20,6 +20,7 @@ from twistlab.complexes import (
 from twistlab.fields import GF2, QQ, PrimeField
 from twistlab.reconstruct import (
     NotTwistImage,
+    isomorphic_images,
     min_degree,
     peel,
     recover_trace,
@@ -261,7 +262,7 @@ class TestPeel:
         algebra = ZigzagAlgebra(A3)
         lam = sum_of_projectives(algebra)
         from twistlab.braid import left_divisible_by
-        from twistlab.acceptance import all_words
+        from twistlab.acceptance import all_words, twist_corpus
 
         for letters in all_words(A3, 3):
             if not letters:
@@ -294,7 +295,7 @@ class TestRecover:
     def test_length_preserved_on_sweep(self):
         algebra = ZigzagAlgebra(D4)
         lam = sum_of_projectives(algebra)
-        from twistlab.acceptance import all_words
+        from twistlab.acceptance import all_words, twist_corpus
 
         for letters in all_words(D4, 2):
             t = twist_word(word(D4, letters), lam)
@@ -467,3 +468,66 @@ class TestWordsEqual:
             category_equal(word(A2, (1,)), word(A3, (1,)))
         with pytest.raises(ValueError):
             category_equal(word(A3, (1,)), word(A2, (1,)))
+
+
+def _presented_otherwise(t, rng, units):
+    """T with its summands permuted within each degree and each one rescaled by a unit from units.
+
+    Summand s of degree d goes to position pos[d][s], and scaling it by u
+    conjugates the differential: the entry from c to r picks up u_r / u_c.
+    """
+    alg, field = t.algebra, t.algebra.field
+    pos, scale = {}, {}
+    for d, labels in t.summands.items():
+        order = list(range(len(labels)))
+        rng.shuffle(order)
+        pos[d] = {old: new for new, old in enumerate(order)}
+        scale[d] = [rng.choice(units) for _ in labels]
+    summands = {d: tuple(labels[old] for old in sorted(pos[d], key=pos[d].get)) for d, labels in t.summands.items()}
+    diffs = {
+        d: {
+            (pos[d + 1][r], pos[d][c]): alg.times(field.mul(scale[d + 1][r], field.inv(scale[d][c])), e)
+            for (r, c), e in mat.items()
+        }
+        for d, mat in t.diffs.items()
+    }
+    return make_complex(alg, summands, diffs)
+
+
+@pytest.mark.parametrize(
+    "field, units",
+    [(GF2, (1,)), (QQ, tuple(Fraction(n, k) for n in (1, -1, 2, -3) for k in (1, 5))), (GF3, (1, 2))],
+    ids=["gf2", "qq", "gf3"],
+)
+def test_peel_sequence_does_not_depend_on_the_presentation(field, units):
+    rng = random.Random(0)
+    for diagram, max_len in ((A3, 4), (D4, 3)):
+        for w, t in twist_corpus(ZigzagAlgebra(diagram, field), max_len).items():
+            other = _presented_otherwise(t, rng, units)
+            other.check()
+            assert recover_word(other).letters == recover_word(t).letters, w
+
+
+class TestIsomorphicImages:
+    def test_braid_relation(self, alg):
+        lam = sum_of_projectives(alg)
+        assert isomorphic_images(twist_word(word(A2, (1, 2, 1)), lam), twist_word(word(A2, (2, 1, 2)), lam))
+
+    def test_inequivalent_words(self, alg):
+        lam = sum_of_projectives(alg)
+        assert not isomorphic_images(twist_word(word(A2, (1, 2)), lam), twist_word(word(A2, (2, 1)), lam))
+        assert not isomorphic_images(lam, twist_word(word(A2, (1,)), lam))
+
+    def test_agrees_with_the_oracle_on_a_corpus(self):
+        corpus = twist_corpus(ZigzagAlgebra(A3, GF3), 3)
+        words = list(corpus)
+        for w1, w2 in itertools.combinations(words, 2):
+            assert isomorphic_images(corpus[w1], corpus[w2]) == equivalent(word(A3, w1), word(A3, w2)), (w1, w2)
+
+    def test_different_algebras(self):
+        with pytest.raises(ValueError):
+            isomorphic_images(sum_of_projectives(ZigzagAlgebra(A2)), sum_of_projectives(ZigzagAlgebra(A3)))
+
+    def test_non_image_raises(self, alg):
+        with pytest.raises(NotTwistImage):
+            isomorphic_images(sum_of_projectives(alg), shift(projective(alg, 1), 1))
