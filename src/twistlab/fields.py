@@ -1,9 +1,10 @@
 """Exact coefficient fields: prime fields GF(p) and arbitrary-precision rationals.
 
-Scalars are plain Python values (int residues for GF(p), Fraction for the
-rationals); the field object supplies the arithmetic.  No floating point
-anywhere.  parse reads only what format writes, up to a sign: an optional
-sign, digits, and optionally a slash and more digits.
+Scalars are plain Python values: int residues for GF(p); for the rationals
+an int when the value is integral and a Fraction only when its denominator
+is greater than 1.  The field object supplies the arithmetic.  No floating
+point anywhere.  parse reads only what format writes, up to a sign: an
+optional sign, digits, and optionally a slash and more digits.
 """
 
 from __future__ import annotations
@@ -14,9 +15,6 @@ from fractions import Fraction
 from typing import Tuple, Union
 
 Scalar = Union[int, Fraction]
-
-# the rationals' zero and one, shared: a Fraction is immutable
-_QQ_ZERO, _QQ_ONE = Fraction(0), Fraction(1)
 
 # field_from_name's bound on p: trial division up to sqrt(p) stays fast
 MAX_FIELD_ORDER = 2**31
@@ -30,6 +28,13 @@ def _ratio(s: str) -> Tuple[int, int]:
         raise ValueError(f"malformed coefficient {s!r}")
     num, _, den = s.partition("/")
     return int(num), int(den or 1)
+
+
+def _integral(a: Scalar) -> Scalar:
+    """A rational in canonical form: an int when integral (an int comes back unchanged), else its Fraction."""
+    if type(a) is int or a.denominator != 1:
+        return a
+    return a.numerator
 
 
 def _is_prime(n: int) -> bool:
@@ -99,50 +104,57 @@ class PrimeField:
 
 @dataclass(frozen=True)
 class RationalField:
-    """The rationals, backed by fractions.Fraction."""
+    """The rationals: an integral value is an int, any other a fractions.Fraction.
+
+    Twist images over QQ hold only the scalars 1 and -1, so nearly every
+    operation stays on ints; a result becomes a Fraction only when it is
+    not integral.
+    """
 
     @property
-    def zero(self) -> Fraction:
-        return _QQ_ZERO
+    def zero(self) -> int:
+        return 0
 
     @property
-    def one(self) -> Fraction:
-        return _QQ_ONE
+    def one(self) -> int:
+        return 1
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
+    def from_int(self, n: int) -> int:
+        return n
 
-    def add(self, a: Fraction, b: Fraction) -> Fraction:
-        return a + b
+    def add(self, a: Scalar, b: Scalar) -> Scalar:
+        return _integral(a + b)
 
-    def sub(self, a: Fraction, b: Fraction) -> Fraction:
-        return a - b
+    def sub(self, a: Scalar, b: Scalar) -> Scalar:
+        return _integral(a - b)
 
-    def mul(self, a: Fraction, b: Fraction) -> Fraction:
-        return a * b
+    def mul(self, a: Scalar, b: Scalar) -> Scalar:
+        return _integral(a * b)
 
-    def neg(self, a: Fraction) -> Fraction:
+    def neg(self, a: Scalar) -> Scalar:
         return -a
 
-    def inv(self, a: Fraction) -> Fraction:
+    def inv(self, a: Scalar) -> Scalar:
+        if a == 1 or a == -1:
+            return int(a)
         if a == 0:
             raise ZeroDivisionError("inverting 0")
-        return 1 / a
+        return _integral(Fraction(1, a))
 
-    def is_zero(self, a: Fraction) -> bool:
+    def is_zero(self, a: Scalar) -> bool:
         return a == 0
 
-    def format(self, a: Fraction) -> str:
+    def format(self, a: Scalar) -> str:
         a = Fraction(a)
         if a.denominator == 1:
             return str(a.numerator)
         return f"{a.numerator}/{a.denominator}"
 
-    def parse(self, s: str) -> Fraction:
+    def parse(self, s: str) -> Scalar:
         num, den = _ratio(s)
         if den == 0:
             raise ValueError(f"coefficient {s!r} has a zero denominator")
-        return Fraction(num, den)
+        return _integral(Fraction(num, den))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return "QQ"

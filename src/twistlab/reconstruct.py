@@ -36,7 +36,8 @@ off T's summands.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from itertools import zip_longest
+from typing import Iterator, Optional, Tuple
 
 from .braid import BraidWord
 from .complexes import ProjComplex, minimize, sum_of_projectives
@@ -80,18 +81,16 @@ class PeelStep:
     min_degree: int
 
 
-def recover_trace(t: ProjComplex) -> Tuple[BraidWord, Tuple[PeelStep, ...]]:
-    """recover_word plus the per-step peel log.
+def _peel_log(t: ProjComplex) -> Iterator[PeelStep]:
+    """The peel steps of T, each yielded as soon as it is made, until what is left is isomorphic to Lambda.
 
     Termination guard: a genuine image of a nonempty word has strictly
     negative minimal degree, and each peel strictly decreases the pair
     (-min degree, number of summands at the minimal degree)
     lexicographically (the module docstring says why).  Any violation marks
-    the input as not a twist image, so the loop is finite on arbitrary
+    the input as not a twist image, so the log is finite on arbitrary
     complexes.
     """
-    letters: List[int] = []
-    steps: List[PeelStep] = []
     lam = sum_of_projectives(t.algebra)
     current = minimize(t)
     previous: Optional[Tuple[int, int]] = None
@@ -103,10 +102,14 @@ def recover_trace(t: ProjComplex) -> Tuple[BraidWord, Tuple[PeelStep, ...]]:
         if m >= 0:
             raise NotTwistImage("minimal degree is non-negative but the object is not the projective sum")
         j, current = peel(current)
-        letters.append(j)
-        steps.append(PeelStep(j, m))
+        yield PeelStep(j, m)
         previous = potential
-    return BraidWord(t.diagram, tuple(letters)), tuple(steps)
+
+
+def recover_trace(t: ProjComplex) -> Tuple[BraidWord, Tuple[PeelStep, ...]]:
+    """recover_word plus the per-step peel log."""
+    steps = tuple(_peel_log(t))
+    return BraidWord(t.diagram, tuple(s.vertex for s in steps)), steps
 
 
 def recover_word(t: ProjComplex) -> BraidWord:
@@ -115,16 +118,29 @@ def recover_word(t: ProjComplex) -> BraidWord:
 
 
 def isomorphic_images(t1: ProjComplex, t2: ProjComplex) -> bool:
-    """Decide T1 = T2 up to isomorphism, for twist images of Lambda, by comparing their peel sequences.
+    """Decide T1 = T2 up to isomorphism, for twist images of Lambda, by comparing their peel logs.
 
-    T1 = T2 gives equal sequences: each letter is read off the minimal
-    complex, which is unique up to isomorphism (Khovanov-Seidel 2002), and
-    twist_inv is a functor.  Equal sequences v give T1 = t_v(Lambda) = T2,
-    because recovery certifies each end with iso_to_sum.  So the cost is two
-    recoveries, each a strictly falling run of peels, and never an inverse
-    chain along a word that may be wrong.  Raises NotTwistImage when either
-    complex does not recover.
+    T1 = T2 gives equal logs: each step (letter and minimal degree) is read
+    off the minimal complex, which is unique up to isomorphism
+    (Khovanov-Seidel 2002), and twist_inv is a functor.  Equal logs, of
+    letters v, give T1 = t_v(Lambda) = T2, because each log ends only where
+    iso_to_sum certifies Lambda.  So the cost is two peel logs walked side
+    by side, each a strictly falling run of peels, and never an inverse
+    chain along a word that may be wrong.  The walk stops at the first step
+    where the logs differ, so unequal images cost only the peels of their
+    common prefix and one more each.  When one log ends first, the other
+    complex is still peeled to its end.  Raises NotTwistImage when a
+    complex fails to recover before the logs part.
     """
     if t1.algebra != t2.algebra:
         raise ValueError("the complexes live over different algebras")
-    return recover_word(t1).letters == recover_word(t2).letters
+    logs = _peel_log(t1), _peel_log(t2)
+    for s1, s2 in zip_longest(*logs):
+        if s1 is None or s2 is None:
+            # one complex is Lambda after a prefix of the other's log: the other must still recover
+            for _ in logs[0] if s2 is None else logs[1]:
+                pass
+            return False
+        if s1 != s2:
+            return False
+    return True

@@ -63,6 +63,7 @@ projectives are concentrated in degree 0, so no twist carries a shift.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
@@ -315,13 +316,15 @@ def is_twist_image(t: ProjComplex, w: BraidWord, base: ProjComplex) -> bool:
 # -- two-term objects --------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class TwoTermObject:
     """Cone data of a map from color-u projectives to color-(u+1) projectives.
 
     left_order / right_order list the summands (sorted by vertex); phi is the
     connecting matrix (rows indexed by right summands), with arrow-only
-    entries since the two sides have opposite colors.
+    entries since the two sides have opposite colors.  The object is frozen,
+    and phi is not to be changed either; _proper is the memo of _is_proper,
+    colour -> verdict.
     """
 
     algebra: ZigzagAlgebra
@@ -329,6 +332,7 @@ class TwoTermObject:
     left_order: Tuple[int, ...]
     right_order: Tuple[int, ...]
     phi: Matrix
+    _proper: Dict[int, bool] = dataclasses.field(default_factory=dict, init=False, repr=False)
 
     @property
     def left(self) -> Dict[int, int]:
@@ -400,15 +404,24 @@ def two_term_of(x: ProjComplex) -> Optional[TwoTermObject]:
     )
 
 
-def _is_proper(tt: TwoTermObject, color: int, other: Dict[int, int]) -> bool:
-    """For each vertex l of the given colour, dim Hom*(P_l, X) = the sum of other's multiplicities at l's neighbours."""
-    d = tt.algebra.diagram
-    x = tt.assemble()
-    return all(
-        sum(hom_dims(l, x).values()) == sum(other.get(k, 0) for k in d.neighbors(l))
-        for l in d.vertices
-        if d.color(l) == color
-    )
+def _is_proper(tt: TwoTermObject, color: int) -> bool:
+    """For each vertex l of the given colour, dim Hom*(P_l, X) = the sum of the other side's multiplicities at l's neighbours.
+
+    The other side is the one not of that colour: the right side for the
+    left side's colour, and the left side for the right side's.  Decided
+    once per colour and kept on tt.
+    """
+    verdict = tt._proper.get(color)
+    if verdict is None:
+        d = tt.algebra.diagram
+        x = tt.assemble()
+        other = tt.right if color == tt.side else tt.left
+        verdict = tt._proper[color] = all(
+            sum(hom_dims(l, x).values()) == sum(other.get(k, 0) for k in d.neighbors(l))
+            for l in d.vertices
+            if d.color(l) == color
+        )
+    return verdict
 
 
 def is_right_proper(tt: TwoTermObject) -> bool:
@@ -417,7 +430,7 @@ def is_right_proper(tt: TwoTermObject) -> bool:
     Hom*(P_l, X) is hom_dims(l, X).  Criterion 7 checks this against the
     definition, independent rows of phi into each label, on every candidate.
     """
-    return _is_proper(tt, (tt.side + 1) % 2, tt.left)
+    return _is_proper(tt, (tt.side + 1) % 2)
 
 
 def is_left_proper(tt: TwoTermObject) -> bool:
@@ -426,7 +439,7 @@ def is_left_proper(tt: TwoTermObject) -> bool:
     Hom*(P_l, X) is hom_dims(l, X).  Criterion 7 checks this against the
     definition, independent columns of phi out of each label, on every candidate.
     """
-    return _is_proper(tt, tt.side, tt.right)
+    return _is_proper(tt, tt.side)
 
 
 def two_term_reflect(tt: TwoTermObject, delta: Iterable[int]) -> Tuple[Dict[int, int], Dict[int, int]]:
@@ -449,7 +462,7 @@ def two_term_reflect(tt: TwoTermObject, delta: Iterable[int]) -> Tuple[Dict[int,
     (color,) = colors
     forward = color != tt.side
     side, other, old = ("right", tt.left, tt.right) if forward else ("left", tt.right, tt.left)
-    if not _is_proper(tt, color, other):
+    if not _is_proper(tt, color):
         raise ValueError(f"object is not {side}-proper")
     if not old.keys() <= delta:
         raise ValueError(f"{side[0]}supp must be contained in the reflection set")

@@ -21,8 +21,9 @@ basis above, cut to the dimension of Hom(P_i, P_j): slot 0 is e_i or g_{i,j},
 slot 1 is l_i.  An entry does not know i and j; the summand labels of its
 row and column do, and every method below that needs them takes them.  A
 zero morphism is no entry at all: matrices leave its cell out, and compose
-and plus return None for it.  Scalars are canonical (a residue in range(p)
-or a Fraction), so zero is the only falsy scalar.
+and plus return None for it.  Scalars are canonical (a residue in range(p),
+or a rational that is an int when integral and a Fraction otherwise), so
+zero is the only falsy scalar.
 
 Hom tables.  hom_table(j) holds, for one vertex j, what Hom(P_j, -) does
 on the projectives: the bases hom_basis(j, l) and dual_basis(j, l) of every

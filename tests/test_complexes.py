@@ -577,6 +577,14 @@ class TestSerialization:
         back = complex_from_json_obj(alg, json.loads(text))
         assert key(back) == key(c)
 
+    def test_qq_fraction_coefficient_roundtrips(self):
+        algebra = ZigzagAlgebra(A2, QQ)
+        cell = {"src": 1, "tgt": 2, "terms": [{"kind": "arrow", "coef": "1/2"}]}
+        obj = {"degrees": {"-1": [1], "0": [2]}, "diffs": {"-1": [[cell]]}}
+        c = complex_from_json_obj(algebra, obj)
+        assert c.diffs[-1][(0, 0)] == (Fraction(1, 2), 0)
+        assert complex_to_json_obj(c) == obj
+
     def test_entry_typing_checked(self, alg):
         obj = {
             "degrees": {"-1": [1], "0": [2]},

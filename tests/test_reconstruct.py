@@ -524,6 +524,19 @@ class TestIsomorphicImages:
         for w1, w2 in itertools.combinations(words, 2):
             assert isomorphic_images(corpus[w1], corpus[w2]) == equivalent(word(A3, w1), word(A3, w2)), (w1, w2)
 
+    def test_stops_where_the_logs_part(self, monkeypatch):
+        alg = ZigzagAlgebra(A4)
+        lam = sum_of_projectives(alg)
+        t1, t2 = (twist_word(word(A4, w), lam) for w in ((2, 3, 1, 4, 2, 1, 4, 3), (3, 3, 1, 4, 2, 1, 4, 3)))
+        logs = recover_trace(t1)[1], recover_trace(t2)[1]
+        part = next(k for k, (s1, s2) in enumerate(zip(logs[0], logs[1])) if s1 != s2)
+        assert part < min(map(len, logs)) - 1
+        peels = []
+        real = reconstruct.peel
+        monkeypatch.setattr(reconstruct, "peel", lambda t: peels.append(1) or real(t))
+        assert not isomorphic_images(t1, t2)
+        assert len(peels) == 2 * (part + 1)
+
     def test_different_algebras(self):
         with pytest.raises(ValueError):
             isomorphic_images(sum_of_projectives(ZigzagAlgebra(A2)), sum_of_projectives(ZigzagAlgebra(A3)))

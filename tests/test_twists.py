@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -241,6 +242,16 @@ class TestTwistInvOutputs:
                 h.update(json.dumps([i, complex_to_json_obj(twist_inv(i, t))], sort_keys=True).encode())
         assert h.hexdigest() == digest
 
+    @pytest.mark.parametrize("name, max_len", [("A3", 4), ("D4", 3)])
+    def test_qq_corpus_scalars_are_ints(self, name, max_len):
+        # over QQ an integral scalar is an int; a Fraction here would be a silent return to the slow path
+        alg = ZigzagAlgebra(diagram_from_name(name), QQ)
+        types = set()
+        for t in twist_corpus(alg, max_len).values():
+            for x in (t, *(twist_inv(i, t) for i in alg.diagram.vertices)):
+                types.update(type(c) for mat in x.diffs.values() for entry in mat.values() for c in entry)
+        assert types == {int}
+
     def test_matches_minimizing_the_whole_complex(self):
         # the corrupt algebra's Hom tables differ from the sound ones, and
         # twist_inv reads its copy columns straight off them
@@ -400,6 +411,18 @@ class TestReflection:
             two_term_reflect(tt, set())
         with pytest.raises(ValueError):
             two_term_reflect(tt, {1, 2})  # mixed colors
+
+    def test_properness_is_decided_once_per_colour(self, alg, monkeypatch):
+        tt = two_term(alg, 0, (1,), (2,), arrows={(0, 0)})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tt.side = 1
+        built = []
+        real = twists.hom_dims
+        monkeypatch.setattr(twists, "hom_dims", lambda l, x: built.append(l) or real(l, x))
+        assert is_right_proper(tt) and is_left_proper(tt)
+        assert sorted(built) == [1, 2]
+        assert two_term_reflect(tt, {2}) == ({}, {1: 1}) and two_term_reflect(tt, {1}) == ({2: 1}, {})
+        assert sorted(built) == [1, 2]
 
     def test_improper_object_rejected(self, alg):
         tt = two_term(alg, 0, (1,), (2,), arrows=set())

@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistlab.braid import build_diagram
 from twistlab.fields import GF2, QQ, PrimeField, field_from_name
@@ -11,6 +12,12 @@ from twistlab.zigzag import ZigzagAlgebra
 A2 = build_diagram("A", 2)
 A3 = build_diagram("A", 3)
 D4 = build_diagram("D", 4)
+
+# rationals of both types, integral ones also as Fractions: canonical scalars and not
+RATIONALS = st.one_of(
+    st.integers(-50, 50),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)),
+)
 
 
 class TestFields:
@@ -35,10 +42,43 @@ class TestFields:
         assert QQ.parse("2/4") == Fraction(1, 2)
         assert QQ.format(Fraction(4, 2)) == "2"
 
-    def test_rational_zero_and_one_are_shared(self):
-        assert QQ.zero is QQ.zero and QQ.one is QQ.one
-        assert (QQ.zero, QQ.one) == (Fraction(0), Fraction(1))
-        assert type(QQ.zero) is Fraction and type(QQ.one) is Fraction
+    def test_rational_integral_values_are_ints(self):
+        assert (QQ.zero, QQ.one) == (0, 1)
+        assert type(QQ.zero) is int and type(QQ.one) is int
+        assert type(QQ.from_int(-3)) is int
+        half = QQ.parse("1/2")
+        assert type(half) is Fraction
+        for value in (QQ.add(half, half), QQ.mul(2, half), QQ.sub(half, QQ.neg(half)), QQ.inv(half), QQ.inv(-1)):
+            assert type(value) is int
+        assert QQ.parse("4/2") == 2 and type(QQ.parse("4/2")) is int
+        assert QQ.parse("-3/6") == Fraction(-1, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(RATIONALS, RATIONALS)
+    def test_rational_arithmetic_agrees_with_fraction(self, a, b):
+        fa, fb = Fraction(a), Fraction(b)
+        results = [
+            (QQ.add(a, b), fa + fb),
+            (QQ.sub(a, b), fa - fb),
+            (QQ.mul(a, b), fa * fb),
+            (QQ.parse(QQ.format(a)), fa),
+            (QQ.parse(f"{fa.numerator * 3}/{fa.denominator * 3}"), fa),
+        ]
+        if fb:
+            results.append((QQ.inv(b), 1 / fb))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                QQ.inv(b)
+        for got, want in results:
+            assert got == want
+            assert (type(got) is int) == (want.denominator == 1)
+            assert type(got) in (int, Fraction)
+        # neg is plain negation: it keeps a canonical scalar canonical
+        for x in (a, b):
+            if type(x) is int or x.denominator != 1:
+                assert QQ.neg(x) == -x and type(QQ.neg(x)) is type(x)
+        assert QQ.format(a) == (str(fa.numerator) if fa.denominator == 1 else f"{fa.numerator}/{fa.denominator}")
+        assert QQ.is_zero(a) == (not fa) == (not QQ.add(a, QQ.zero))
 
 
 class TestHomBasis:
