@@ -1,11 +1,14 @@
 """Paired parent/change runs of the benchmark, written as one BENCH_<n>.json.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --pairs 10 --out BENCH_14.json
+    python3 scripts/bench_pairs.py --parent HEAD~1 --pairs 3 --seed 2 --workload twist-long --out seed2.json
 
 The change side is HEAD.  Each side runs from an export of its git revision,
 made with git archive into a temporary directory, so both sides run
-committed files only and nothing is left in the repository.  Every workload
-and the run length come from the change's BENCHMARK.json, and the seed is 1.
+committed files only and nothing is left in the repository.  The workloads
+and the run length come from the change's BENCHMARK.json: every workload,
+or those named by --workload (repeatable).  The seed is --seed, 1 by
+default; another seed re-checks a claim on op lists it was not written on.
 For each workload, pair k runs perfbench/run.py --trace 0 once on each side,
 the parent first in even pairs and the change first in odd ones; one
 --trace 1 run per side then gives the layer rows.  Every run has
@@ -13,7 +16,8 @@ PYTHONDONTWRITEBYTECODE=1 and starts with no __pycache__ in its export:
 setup_s includes compiling twistlab, and cached bytecode would cut it by
 more than half on one side only.
 
-The output holds both revisions, the Python version and the CPU count, and
+The output holds a description naming the seed, both revisions, the
+Python version and the CPU count, and
 per workload and end-to-end metric the runs, median and quartiles of both
 sides (statistics.quantiles, n=4), the pairs the change wins, the ratio of
 the medians and gain_rule_met: whether a gain may be claimed, that is, the
@@ -39,7 +43,6 @@ from typing import Dict, List, Sequence
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
-SEED = 1
 
 
 def summarize(parent: Sequence[float], change: Sequence[float], better: str, unit: str) -> dict:
@@ -74,20 +77,20 @@ def export(rev: str, into: str) -> str:
     return sha
 
 
-def run_once(tree: str, workload: str, seconds: int, trace: bool) -> dict:
+def run_once(tree: str, workload: str, seed: int, seconds: int, trace: bool) -> dict:
     """The result line of one perfbench/run.py run in tree, without bytecode."""
     for here, dirs, _ in os.walk(tree):
         if "__pycache__" in dirs:
             shutil.rmtree(os.path.join(here, "__pycache__"))
             dirs.remove("__pycache__")
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(int(trace))]
     done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def bench_workload(trees: Dict[str, str], spec: dict, workload: str, pairs: int) -> dict:
+def bench_workload(trees: Dict[str, str], spec: dict, workload: str, pairs: int, seed: int) -> dict:
     seconds = spec["run_seconds"]
     runs: Dict[str, List[dict]] = {side: [] for side in SIDES}
     first = []
@@ -95,7 +98,7 @@ def bench_workload(trees: Dict[str, str], spec: dict, workload: str, pairs: int)
         order = SIDES if k % 2 == 0 else SIDES[::-1]
         first.append(order[0])
         for side in order:
-            runs[side].append(run_once(trees[side], workload, seconds, False))
+            runs[side].append(run_once(trees[side], workload, seed, seconds, False))
         print(f"{workload}: pair {k + 1}/{pairs} done", file=sys.stderr)
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     metrics = {}
@@ -104,7 +107,7 @@ def bench_workload(trees: Dict[str, str], spec: dict, workload: str, pairs: int)
         direction = better.get(name, "lower")
         row = metrics[name] = summarize(series["parent"], series["change"], direction, value["unit"])
         row["gain_rule_met"] = gain_rule_met(row, direction)
-    traced = {side: run_once(trees[side], workload, seconds, True)["metrics"] for side in SIDES}
+    traced = {side: run_once(trees[side], workload, seed, seconds, True)["metrics"] for side in SIDES}
     # a layer row that reads 0 on both sides shows nothing
     layers = {
         name: {side: traced[side].get(name, {}).get("value", 0) for side in SIDES}
@@ -125,6 +128,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1, help="the seed of every run (default 1)")
+    parser.add_argument("--workload", action="append", help="a workload to run (repeatable; default: every workload)")
     parser.add_argument("--out", required=True, help="the JSON file to write")
     args = parser.parse_args(argv)
     if args.pairs < 2:
@@ -134,16 +139,21 @@ def main(argv=None) -> int:
         revisions = {side: export(rev, trees[side]) for side, rev in zip(SIDES, (args.parent, "HEAD"))}
         with open(os.path.join(trees["change"], "BENCHMARK.json")) as fh:
             spec = json.load(fh)
+        names = [w["name"] for w in spec["workloads"]]
+        unknown = sorted(set(args.workload or ()) - set(names))
+        if unknown:
+            parser.error(f"unknown workload(s) {', '.join(unknown)}; BENCHMARK.json has {', '.join(names)}")
+        chosen = [n for n in names if not args.workload or n in args.workload]
         report = {
             "description": (
-                f"Paired parent/change runs of perfbench/run.py, --seconds {spec['run_seconds']}, seed {SEED}, "
+                f"Paired parent/change runs of perfbench/run.py, --seconds {spec['run_seconds']}, seed {args.seed}, "
                 "alternating which side runs first, PYTHONDONTWRITEBYTECODE=1; "
                 "layer rows from one --trace 1 run per side."
             ),
             "revisions": revisions,
             "python": platform.python_version(),
             "cpu_count": os.cpu_count(),
-            "workloads": {w["name"]: bench_workload(trees, spec, w["name"], args.pairs) for w in spec["workloads"]},
+            "workloads": {n: bench_workload(trees, spec, n, args.pairs, args.seed) for n in chosen},
         }
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)

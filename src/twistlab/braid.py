@@ -103,6 +103,13 @@ def diagram_from_name(name: str) -> DynkinDiagram:
     return build_diagram(name[0], int(name[1:]))
 
 
+def json_int(v: object, what: str) -> int:
+    """v, which must be a JSON integer: an int, not a bool, a float or a string."""
+    if type(v) is not int:
+        raise ValueError(f"{what} must be a JSON integer, got {v!r}")
+    return v
+
+
 def diagram_from_json_obj(obj: Mapping) -> DynkinDiagram:
     return build_diagram(str(obj["family"]), int(obj["rank"]))
 
@@ -225,7 +232,7 @@ def layered_from_json_obj(obj: Mapping) -> LayeredWord:
     if not isinstance(obj, Mapping):
         raise ValueError("a layered word must be a JSON object")
     d = diagram_from_json_obj(obj["diagram"])
-    return LayeredWord(d, tuple(frozenset(int(v) for v in sl) for sl in obj["slices"]))
+    return LayeredWord(d, tuple(frozenset(json_int(v, "a vertex") for v in sl) for sl in obj["slices"]))
 
 
 def _neighbor_moves(diagram: DynkinDiagram, letters: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

@@ -20,9 +20,10 @@ scalars as entries, which is the format linalg reduces.  A Hom complex
 numbers its basis by position: summand s's slot k, a slot naming a basis
 morphism of the algebra, sits at s's offset plus k, so no basis element is
 stored; hom_offsets numbers them, for hom_complex and for the twists.
-hom_complex reads each differential entry once through the algebra's Hom
-table (zigzag.HomTable), which says where postcomposition with it sends
-each basis slot and how many slots each label has; it composes nothing.
+hom_complex reads each differential entry's nonzero cells from the memo of
+the algebra's Hom table (zigzag.HomTable.record), which says where
+postcomposition with the entry sends each basis slot and how many slots
+each label has; it composes nothing but what a new entry's record needs.
 
 cone() is the checked entry point for chain maps from outside the package
 (a ChainMap built by a caller): it checks that f is a chain map on every
@@ -46,7 +47,8 @@ complex: it builds both indexes and the list of unit entries from the
 complex's differentials.  eliminate() is the core, and the twists write
 their cones straight into its indexes instead (see twists.py), so a cone
 is never built as a complex first.  A degree that lost no summand keeps
-its label tuple and its positions.  A pivot costs its row and
+its label tuple and its positions, and only the degrees that lost one get
+a position map.  A pivot costs its row and
 column plus one correction per pair of other entries in them, and phi is
 inverted only when there is such a pair: most pivots of the twist path
 have none.
@@ -54,7 +56,10 @@ have none.
 Memoized, for the life of the object that holds it (nothing outlives it):
 - eliminate() marks its output minimal, and minimize() returns a minimal
   input unchanged;
-- a complex keeps its profile(), and hands out a fresh copy on each call.
+- a complex keeps its profile(), and hands out a fresh copy on each call;
+- an algebra's Hom table keeps, for at most HomTable.MEMO_CAP entries, each
+  entry's cells and the twist's check verdict (zigzag.HomTable.record),
+  which hom_complex and both twists read.
 Hom complexes themselves are not kept on their complex.  A ProjComplex is
 frozen; the two memo fields are set here alone, through object.__setattr__.
 """
@@ -63,12 +68,13 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
-from .braid import DynkinDiagram
+from .braid import DynkinDiagram, json_int
 from .fields import Field, Scalar
 from .zigzag import Entry, ZigzagAlgebra
 
@@ -314,23 +320,31 @@ def eliminate(
     column holds no other entry makes no correction, and then phi is not
     inverted at all.  Stale heap items (entries since removed or changed)
     are skipped when popped; every entry that becomes a unit is pushed
-    again.  The output is read back from the row index.
+    again.  The output is read back from the row index: the summands
+    of a degree that lost some are renumbered through a position map, made
+    for those degrees alone, and every entry is re-keyed into a (row, col)
+    Matrix, through the maps of its row's and column's degrees where they
+    have one.
     """
     is_unit, compose, plus = alg.is_unit, alg.compose, alg.plus
+    heappop, heappush = heapq.heappop, heapq.heappush
     neg_one = alg.field.neg(alg.field.one)
     queue = units
     heapq.heapify(queue)
 
-    dropped: Dict[int, set] = {d: set() for d in labels}
+    dropped: Dict[int, set] = defaultdict(set)  # degree -> the input positions it lost, for those that lost any
     while queue:
-        d, pr, pc = heapq.heappop(queue)
-        rr, cc = by_row[d], by_col[d]
+        d, pr, pc = heappop(queue)
+        rr = by_row[d]
         row = rr.get(pr)
         phi = row.get(pc) if row else None
-        rows, cols = labels[d + 1], labels[d]
-        v = rows[pr]
-        if phi is None or not is_unit(v, v, phi):
+        if phi is None:
             continue
+        rows = labels[d + 1]
+        v = rows[pr]
+        if not is_unit(v, v, phi):
+            continue
+        cc = by_col[d]
         # the pivot row and column leave degree d: unlink them, then correct
         # the block they span by delta - gamma phi^{-1} beta
         del rr[pr]
@@ -341,6 +355,7 @@ def eliminate(
         for r2 in col:
             del rr[r2][pc]
         if row and col:
+            cols = labels[d]
             neg_phi_inv = alg.times(neg_one, alg.inverse(phi))
             for r2, g in col.items():
                 # -g phi^{-1}: nonzero, as phi is a unit
@@ -356,36 +371,47 @@ def eliminate(
                     else:
                         r2_row[c2] = cc[c2][r2] = new
                         if r2_lab == cols[c2] and is_unit(cols[c2], r2_lab, new):
-                            heapq.heappush(queue, (d, r2, c2))
+                            heappush(queue, (d, r2, c2))
         # the pivot column's summand is a row of degree d-1, the pivot row's
         # summand a column of degree d+1
-        if d - 1 in by_row:
-            below = by_col[d - 1]
-            for c2 in by_row[d - 1].pop(pc, ()):
-                del below[c2][pc]
-        if d + 1 in by_col:
-            above = by_row[d + 1]
-            for r2 in by_col[d + 1].pop(pr, ()):
-                del above[r2][pr]
+        below = by_row.get(d - 1)
+        if below:
+            below_c = by_col[d - 1]
+            for c2 in below.pop(pc, ()):
+                del below_c[c2][pc]
+        above = by_col.get(d + 1)
+        if above:
+            above_r = by_row[d + 1]
+            for r2 in above.pop(pr, ()):
+                del above_r[r2][pr]
         dropped[d].add(pc)
         dropped[d + 1].add(pr)
 
-    # a degree that lost no summand keeps its tuple and its positions
-    summands: Dict[int, Tuple[int, ...]] = {}
-    position: Dict[int, Union[range, Dict[int, int]]] = {}  # degree -> input index -> output index
-    for d, labs in labels.items():
-        gone = dropped[d]
-        if not gone:
-            summands[d], position[d] = labs, range(len(labs))
-            continue
+    # a degree that lost no summand keeps its tuple and its positions, and
+    # has no position map: only the degrees in dropped are remapped
+    summands = dict(labels)
+    position: Dict[int, Dict[int, int]] = {}  # degree -> input index -> output index
+    for d, gone in dropped.items():
+        labs = labels[d]
         keep = [s for s in range(len(labs)) if s not in gone]
         if keep:
-            summands[d] = tuple(labs[s] for s in keep)
-            position[d] = {s: n for n, s in enumerate(keep)}
+            summands[d] = tuple(map(labs.__getitem__, keep))
+            position[d] = dict(zip(keep, range(len(keep))))
+        else:
+            del summands[d]
     diffs: Dict[int, Matrix] = {}
     for d, rr in by_row.items():
         at_row, at_col = position.get(d + 1), position.get(d)
-        mat = {(at_row[r], at_col[c]): m for r, row in rr.items() for c, m in row.items()}
+        mat = {}
+        for r, row in rr.items():
+            if at_row is not None:
+                r = at_row[r]
+            if at_col is None:
+                for c, m in row.items():
+                    mat[r, c] = m
+            else:
+                for c, m in row.items():
+                    mat[r, at_col[c]] = m
         if mat:
             diffs[d] = mat
     out = ProjComplex(alg, summands, diffs)
@@ -455,8 +481,9 @@ def hom_offsets(j: int, x: ProjComplex) -> Dict[int, List[int]]:
 
 
 def hom_complex(j: int, x: ProjComplex) -> HomComplex:
-    """Hom(P_j, X), each differential entry read once through the Hom table of j."""
+    """Hom(P_j, X), each differential entry's cells read from the memo of j's Hom table (HomTable.record)."""
     table = x.algebra.hom_table(j)
+    memo = table.memo
     offsets = hom_offsets(j, x)
     mats: Dict[int, Dict[Tuple[int, int], Scalar]] = {}
     for d, diff in x.diffs.items():
@@ -466,12 +493,18 @@ def hom_complex(j: int, x: ProjComplex) -> HomComplex:
         cols, rows = x.summands[d], x.summands[d + 1]
         # distinct entries fill distinct blocks, and a rule's (slot, slot2)
         # pairs are distinct: every cell is written at most once
-        mat = {
-            (row0[r] + slot2, col0[c] + slot): e[k]
-            for (r, c), e in diff.items()
-            for slot, slot2, k in table[cols[c], rows[r]]
-            if e[k]
-        }
+        mat = {}
+        for (r, c), e in diff.items():
+            lc, lr = cols[c], rows[r]
+            rule = table[lc, lr]
+            if not rule:
+                continue
+            record = memo.get((lc, lr, e))
+            if record is None or record[0] is not rule:
+                record = table.record(lc, lr, e)
+            r0, c0 = row0[r], col0[c]
+            for slot, slot2, a in record[1]:
+                mat[r0 + slot2, c0 + slot] = a
         if mat:
             mats[d] = mat
     return HomComplex(x.algebra.field, j, offsets, mats)
@@ -504,9 +537,16 @@ def profile(x: ProjComplex) -> HomProfile:
 def matrix_to_json_obj(
     algebra: ZigzagAlgebra, mat: Matrix, rows: Sequence[int], cols: Sequence[int]
 ) -> List[list]:
-    """The JSON view of a matrix: one cell per (row, col), an absent one as a zero morphism."""
+    """The JSON view of a matrix: one cell per (row, col), an absent one as a zero morphism.
+
+    Every cell starts as the zero cell, and the nonzero entries then replace
+    theirs, so entry_to_json_obj runs once per entry, not once per cell.
+    """
+    out = [[{"src": src, "tgt": tgt, "terms": []} for src in cols] for tgt in rows]
     cell = algebra.entry_to_json_obj
-    return [[cell(src, tgt, mat.get((r, c))) for c, src in enumerate(cols)] for r, tgt in enumerate(rows)]
+    for (r, c), m in mat.items():
+        out[r][c] = cell(cols[c], rows[r], m)
+    return out
 
 
 def complex_to_json_obj(x: ProjComplex) -> dict:
@@ -529,7 +569,7 @@ def complex_from_json_obj(algebra: ZigzagAlgebra, obj: Mapping) -> ProjComplex:
     sm: Dict[int, Tuple[int, ...]] = {}
     obj = _json_dict(obj, "a complex")
     for d, labels in _json_dict(obj.get("degrees", {}), "degrees").items():
-        labels = sm[int(d)] = tuple(int(v) for v in labels)
+        labels = sm[int(d)] = tuple(json_int(v, f"degree {d}: a vertex label") for v in labels)
         if not all(1 <= v <= rank for v in labels):
             raise ValueError(f"degree {d}: vertex labels must lie in 1..{rank}")
     dd: Dict[int, Matrix] = {}

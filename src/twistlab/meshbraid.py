@@ -91,17 +91,17 @@ class DecoratedSet:
 
 
 def decorated_from_json_obj(obj: Mapping) -> DecoratedSet:
-    from .braid import diagram_from_json_obj
+    from .braid import diagram_from_json_obj, json_int
 
     if not isinstance(obj, Mapping):
         raise MeshError("a decorated set must be a JSON object")
     d = diagram_from_json_obj(obj["diagram"])
-    vertices = frozenset((int(n), int(j)) for n, j in obj["vertices"])
+    vertices = frozenset((json_int(n, "a vertex's n"), json_int(j, "a vertex's label")) for n, j in obj["vertices"])
     theta: Dict[ZVert, int] = {}
     for key, value in obj.get("theta", {}).items():
         n, j = key.split(",")
-        theta[(int(n), int(j))] = int(value)
-    boundary = {int(j): int(v) for j, v in obj["boundary"].items()}
+        theta[(int(n), int(j))] = json_int(value, "a theta value")
+    boundary = {int(j): json_int(v, "a boundary value") for j, v in obj["boundary"].items()}
     return DecoratedSet(d, vertices, theta, boundary)
 
 

@@ -16,26 +16,35 @@ dual_basis(i, l)[slot], both read from the algebra's Hom table of i
 offsets, never looked up.  Neither functor builds the Hom complex: the
 scalar a that its differential holds at (offsets[d+1][r] + slot2,
 offsets[d][c] + slot) is g[k] for X's entry g at (r, c) and a triple
-(slot, slot2, k) of the Hom-table rule for g's labels, and each functor
-reads these straight off X's differential, in the pass that writes its
-cone, giving the copies of P_i the entry scalar(a), a times the identity,
-for each nonzero a.  JSON views are the only dense form.
+(slot, slot2, k) of the Hom-table rule for g's labels.  These nonzero
+cells (slot, slot2, g[k]) depend on g and its labels alone, so each
+functor reads them from the Hom table's memo (HomTable.record), worked
+out once per distinct entry, in the pass over X's differential that
+writes its cone, giving the copies of P_i the entry scalar(a), a times
+the identity, for each cell.  JSON views are the only dense form.
 
 twist writes the cone of evaluation straight into the row and column
-indexes of the elimination core, complexes.eliminate, in one pass over
-X's differential.  Degree d holds the copies for the basis of Hom^{d+1},
-then X^d.  Its entries are -a times the identity between copies, the
-basis morphism from each copy to its summand, and X's own differential,
-each indexed at the (row, col) position that cone() gives it.  Every entry
-between equal labels is asked whether it is a unit, and the units seed the
-core's pivots.  No source complex, no chain map and no cone complex are
-built, and nothing is indexed twice.  The check that cone() makes runs in
-the same pass.  It makes the checks of ChainMap.is_valid: every evaluation
-entry is a basis entry of the Hom table, and the table types each of those
-once, when it is built (a mistyped one raises ValueError there); and
-ev_{d+1} o d_src = d_X o ev_d, whose cells (r, offsets[d][c] + slot)
-depend on X's entry at (r, c) alone, is composed entry by entry as that
-entry is written.  A failure raises cone()'s ValueError.  cone() itself
+indexes of the elimination core, complexes.eliminate: one pass per degree
+of X numbers the Hom basis, lays out the cone's labels and writes the
+evaluation entries, then one pass over X's differential writes the rest.
+Degree d holds the copies for the basis of Hom^{d+1}, then X^d.  Its
+entries are -a times the identity between copies, the basis morphism from
+each copy to its summand, and X's own differential, each indexed at the
+(row, col) position that cone() gives it.  The units among them seed the
+core's pivots: every entry of X between equal labels is asked whether it
+is a unit, the evaluation entries of basis[i] once per twist, and -a times
+the identity always is one.  No source complex, no chain map and no cone
+complex are built, and nothing is indexed twice.  The check that cone()
+makes runs in the same pass.  It makes the checks of ChainMap.is_valid:
+every evaluation entry is a basis entry of the Hom table, and the table
+types each of those once, when it is built (a mistyped one raises
+ValueError there); and ev_{d+1} o d_src = d_X o ev_d, whose cells
+(r, offsets[d][c] + slot) depend on X's entry g at (r, c) and its labels
+alone.  So the check is composed once per distinct entry that the memo
+holds (past its cap, once per occurrence), with its cells, and the memo
+keeps the verdict: a failing one raises cone()'s ValueError
+on every call that meets that entry, and a rule replaced in the table
+voids the verdicts read from the old one.  cone() itself
 stays the checked entry point for chain maps from outside (see
 complexes.py), and tests/test_twists.py checks twist entry for entry
 against minimize(cone()) of evaluation built as a ChainMap.
@@ -66,6 +75,7 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, Iterable, Optional, Tuple
 
 from .braid import BraidWord
@@ -91,32 +101,50 @@ def twist(i: int, x: ProjComplex) -> ProjComplex:
     the basis morphism basis[l][slot] from the copy at offsets[s] + slot to
     its summand s, labelled l, X's own differential, and, for each entry g
     of it and each triple (slot, slot2, k) of its Hom-table rule with g[k]
-    nonzero, -g[k] times the identity between copies.  Every entry between
-    equal labels is asked whether it is a unit.
+    nonzero, -g[k] times the identity between copies, read with the check's
+    verdict from the memo record of g (HomTable.record).
     """
     alg = x.algebra
     table = alg.hom_table(i)
-    basis = table.basis
-    offsets = hom_offsets(i, x)
-    is_unit, neg, scalar = alg.is_unit, alg.field.neg, alg.scalar
-    compose, plus = alg.compose, alg.plus
+    basis, width, memo = table.basis, table.width.__getitem__, table.memo
+    is_unit = alg.is_unit
     xs = x.summands
-    dim = {d: offs[-1] for d, offs in offsets.items()}
-    labels = {d: (i,) * dim.get(d + 1, 0) + xs.get(d, ()) for d in set(xs) | {d - 1 for d in offsets}}
+    # the slots of basis[i] whose evaluation entry, an endomorphism of P_i, is a unit
+    unit_slots = [slot for slot, e in enumerate(basis[i]) if is_unit(i, i, e)]
+    # one pass per degree d of X, top down, so that dim(d + 1) is known:
+    # offsets[d] numbers Hom^d (hom_offsets), degree d of the cone holds
+    # dim(d + 1) copies, then X^d, and degree d - 1 holds the copies for
+    # Hom^d, each column holding one evaluation entry, written first
+    offsets: Dict[int, list] = {}
+    dim: Dict[int, int] = {}
+    labels: Dict[int, Tuple[int, ...]] = {}
     # degree d: rows are the copies for Hom^{d+2}, then X^{d+1}; columns the copies for Hom^{d+1}, then X^d
-    by_row: Dict[int, Index] = {d: {} for d in labels}
-    by_col: Dict[int, Index] = {d: {} for d in labels}
+    by_row: Dict[int, Index] = {}
+    by_col: Dict[int, Index] = {}
     units = []
-    for d, offs in offsets.items():
-        # each copy column holds one evaluation entry, written first
-        rr, cc, row_x = by_row[d - 1], by_col[d - 1], dim.get(d + 1, 0)
-        for s, lab in enumerate(xs[d]):
+    for d in sorted(xs, reverse=True):
+        labs = xs[d]
+        row_x = dim.get(d + 1, 0)
+        labels[d] = (i,) * row_x + labs
+        by_row.setdefault(d, {})
+        by_col.setdefault(d, {})
+        offs = list(accumulate(map(width, labs), initial=0))
+        if not offs[-1]:
+            continue
+        offsets[d] = offs
+        dim[d] = offs[-1]
+        if d - 1 not in xs:
+            labels[d - 1] = (i,) * offs[-1]
+        rr = by_row[d - 1] = {}
+        cc = by_col[d - 1] = {}
+        for s, lab in enumerate(labs):
             n, r = offs[s], row_x + s
             row = rr[r] = {}
             for slot, e in enumerate(basis[lab]):
                 row[n + slot] = e
                 cc[n + slot] = {r: e}
-                if lab == i and is_unit(i, i, e):
+            if lab == i:
+                for slot in unit_slots:
                     units.append((d - 1, r, n + slot))
     for d, mat in x.diffs.items():
         rows, cols = xs[d + 1], xs[d]
@@ -125,28 +153,26 @@ def twist(i: int, x: ProjComplex) -> ProjComplex:
         col0, row0 = offsets.get(d), offsets.get(d + 1)
         for (r, c), g in mat.items():
             lr, lc = rows[r], cols[c]
-            rr.setdefault(row_x + r, {})[col_x + c] = cc.setdefault(col_x + c, {})[row_x + r] = g
+            at_r, at_c = row_x + r, col_x + c
+            rr.setdefault(at_r, {})[at_c] = cc.setdefault(at_c, {})[at_r] = g
             if lr == lc and is_unit(lc, lr, g):
-                units.append((d, row_x + r, col_x + c))
+                units.append((d, at_r, at_c))
             if not basis[lc]:
                 continue
-            # the copies of c map to those of r in degree d - 1, and the chain-map
-            # check's cells (r, col0[c] + slot) are this entry's alone: in each,
-            # ev o d_src, summed over the rule, must equal d_X o ev = g o basis
-            acc: Dict[int, Optional[Entry]] = {}
-            for slot, slot2, k in table[lc, lr]:
-                a = g[k]
-                if a:
-                    at_r, at_c = row0[r] + slot2, col0[c] + slot
-                    m = below_r.setdefault(at_r, {})[at_c] = below_c.setdefault(at_c, {})[at_r] = scalar(neg(a))
-                    if is_unit(i, i, m):
-                        units.append((d - 1, at_r, at_c))
-                    term = compose(i, i, lr, basis[lr][slot2], scalar(a))
-                    if term is not None:
-                        acc[slot] = plus(acc.get(slot), term)
-            for slot, e in enumerate(basis[lc]):
-                if acc.get(slot) != compose(i, lc, lr, g, e):
-                    raise ValueError("cone of an invalid chain map")
+            # the copies of c map to those of r in degree d - 1 by -a times the
+            # identity, a unit, for each cell a of g's block of Hom(P_i, X)'s
+            # differential; the chain-map check's cells (r, col0[c] + slot) are
+            # g's alone, so its verdict is the memo's for g (HomTable.record)
+            record = memo.get((lc, lr, g))
+            if record is None or record[0] is not table[lc, lr]:
+                record = table.record(lc, lr, g)
+            _, _, ok, cone = record
+            if not ok:
+                raise ValueError("cone of an invalid chain map")
+            for slot, slot2, m in cone:
+                at_r, at_c = row0[r] + slot2, col0[c] + slot
+                below_r.setdefault(at_r, {})[at_c] = below_c.setdefault(at_c, {})[at_r] = m
+                units.append((d - 1, at_r, at_c))
     return eliminate(alg, labels, by_row, by_col, units)
 
 
@@ -166,7 +192,7 @@ def twist_inv(i: int, x: ProjComplex) -> ProjComplex:
     """
     alg = x.algebra
     table = alg.hom_table(i)
-    dual = table.dual
+    dual, memo = table.dual, table.memo
     offsets = hom_offsets(i, x)
     times, plus, neg, is_unit = alg.times, alg.plus, alg.field.neg, alg.is_unit
     loop = dual[i][0]
@@ -242,9 +268,16 @@ def twist_inv(i: int, x: ProjComplex) -> ProjComplex:
         if col_copy:
             srcs, tgts, col0, row0 = x.summands[d - 1], x.summands.get(d, ()), offsets[d - 1], offsets.get(d)
             for (xr, xc), g in x.diffs.get(d - 1, {}).items():
-                for slot, slot2, k in table[srcs[xc], tgts[xr]]:
-                    a, c = g[k], col0[xc] + slot
-                    if not a or c not in col_copy:
+                lc, lr = srcs[xc], tgts[xr]
+                rule = table[lc, lr]
+                if not rule:
+                    continue
+                record = memo.get((lc, lr, g))
+                if record is None or record[0] is not rule:
+                    record = table.record(lc, lr, g)
+                for slot, slot2, a in record[1]:
+                    c = col0[xc] + slot
+                    if c not in col_copy:
                         continue
                     col, r = x_cols + col_copy[c], row0[xr] + slot2
                     if r in row_copy:

@@ -36,7 +36,12 @@ are derived from compose on basis entries, the first time each pair is
 asked for, so a corrupt_compose algebra gets its own corrupt rules.  An
 algebra keeps its tables, at most one per vertex, each of at most rank^2
 rules.  With them a Hom complex is read off a differential's entries
-without composing any of them.
+without composing any of them.  A table also memoizes, per label pair
+and entry e, the nonzero cells (slot, slot2, e[k]) that e owns in
+Hom(P_j, X)'s differential and the twist's evaluation check for e
+(HomTable.record), so both are worked out once per distinct entry, not
+once per occurrence.  The memo holds at most HomTable.MEMO_CAP records;
+twist images over GF(2), GF(3) and QQ use at most 8 per label pair.
 
 This is the only module that knows the entry format: the rest of the package
 builds, combines and reads entries through ZigzagAlgebra's methods and Hom
@@ -50,7 +55,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
-from .braid import DynkinDiagram
+from .braid import DynkinDiagram, json_int
 from .fields import Field, GF2, Scalar
 
 Entry = Tuple[Scalar, Scalar]
@@ -196,7 +201,7 @@ class ZigzagAlgebra:
 
     def entry_from_json_obj(self, obj: Mapping) -> Tuple[int, int, Optional[Entry]]:
         """(src, tgt, entry) of a JSON cell; every term is checked, repeated kinds add up."""
-        src, tgt = int(obj["src"]), int(obj["tgt"])
+        src, tgt = json_int(obj["src"], "src"), json_int(obj["tgt"], "tgt")
         if not (1 <= src <= self.diagram.rank and 1 <= tgt <= self.diagram.rank):
             raise ValueError(f"unknown vertex pair ({src}, {tgt})")
         kinds = self._kinds(src, tgt)
@@ -212,6 +217,11 @@ class ZigzagAlgebra:
         return src, tgt, ((a, b) if a or b else None)
 
 
+Rule = Tuple[Tuple[int, int, int], ...]
+Cells = Tuple[Tuple[int, int, Scalar], ...]
+Record = Tuple[Rule, Cells, bool, Tuple[Tuple[int, int, Entry], ...]]
+
+
 class HomTable(dict):
     """(i, l) -> the postcomposition rule of Hom(P_j, -) for entries P_i -> P_l, each derived on first use.
 
@@ -223,7 +233,20 @@ class HomTable(dict):
     coefficients are entries of e; and the basis of Hom(P_i, P_l) sends one
     basis morphism to distinct products, so no two triples of a rule share
     (slot, slot2).
+
+    memo maps (i, l, e) to the record that record() returns for an entry e:
+    P_i -> P_l, and holds at most MEMO_CAP of them; past the cap a record
+    is worked out and not stored.  A record keeps the rule it was read
+    from, and its readers take it from the memo only while that rule is
+    still the table's (compared by identity), so a rule replaced in the
+    table voids the records read from the old one.  Records are asked for
+    entries whose source label has a slot, i in j's closed neighbourhood,
+    and whose target l is i or next to it: at most 16 label pairs.  Twist
+    images over GF(2), GF(3) and QQ have at most 8 distinct entries per
+    label pair, so they fill at most half the cap.
     """
+
+    MEMO_CAP = 256
 
     def __init__(self, algebra: ZigzagAlgebra, j: int) -> None:
         super().__init__()
@@ -234,8 +257,9 @@ class HomTable(dict):
             if not all(algebra.in_hom(j, l, e) for e in entries):
                 raise ValueError(f"hom_basis({j}, {l}) holds an entry outside Hom(P_{j}, P_{l})")
         self.width = {l: len(b) for l, b in self.basis.items()}
+        self.memo: Dict[Tuple[int, int, Entry], Record] = {}
 
-    def __missing__(self, key: Tuple[int, int]) -> Tuple[Tuple[int, int, int], ...]:
+    def __missing__(self, key: Tuple[int, int]) -> Rule:
         i, l = key
         alg, j = self.algebra, self.vertex
         rule = []
@@ -244,6 +268,36 @@ class HomTable(dict):
                 rule.extend((slot, slot2, k) for slot2 in _product_slots(alg, j, i, l, g, f))
         self[key] = rule = tuple(rule)
         return rule
+
+    def record(self, i: int, l: int, e: Entry) -> Record:
+        """(rule, cells, ok, cone) for an entry e: P_i -> P_l, from the memo while its rule is the table's.
+
+        rule is self[i, l].  cells are the triples (slot, slot2, e[k]) of the
+        rule with e[k] nonzero: Hom(P_j, X)'s differential holds e[k] at
+        (slot2, slot) of e's block.  ok is the twist's evaluation check for
+        e: for each slot of basis[i], the sum over its cells of
+        basis[l][slot2] o (e[k] times the identity) equals e o
+        basis[i][slot].  cone holds, cell by cell, (slot, slot2, -e[k]
+        times the identity), the entry the twist writes between copies.
+        """
+        rule = self[i, l]
+        key = (i, l, e)
+        hit = self.memo.get(key)
+        if hit is not None and hit[0] is rule:
+            return hit
+        alg, j, basis = self.algebra, self.vertex, self.basis
+        cells = tuple((slot, slot2, e[k]) for slot, slot2, k in rule if e[k])
+        acc: Dict[int, Optional[Entry]] = {}
+        for slot, slot2, a in cells:
+            term = alg.compose(j, j, l, basis[l][slot2], alg.scalar(a))
+            if term is not None:
+                acc[slot] = alg.plus(acc.get(slot), term)
+        ok = all(acc.get(slot) == alg.compose(j, i, l, e, f) for slot, f in enumerate(basis[i]))
+        cone = tuple((slot, slot2, alg.scalar(alg.field.neg(a))) for slot, slot2, a in cells)
+        record = (rule, cells, ok, cone)
+        if hit is not None or len(self.memo) < self.MEMO_CAP:
+            self.memo[key] = record
+        return record
 
 
 def _product_slots(alg: ZigzagAlgebra, i: int, j: int, l: int, g: Entry, f: Entry) -> Tuple[int, ...]:

@@ -3,6 +3,8 @@
 import importlib.util
 import json
 import os
+import shutil
+import subprocess
 
 import pytest
 
@@ -62,3 +64,50 @@ def test_gain_rule_not_met_on_eight_wins_of_ten():
     assert row["change_better_in_pairs"] == 8
     assert row["parent"]["median"] - row["change"]["median"] > row["parent"]["q3"] - row["parent"]["q1"]
     assert not tool.gain_rule_met(row, "lower")
+
+
+
+def _export(rev, into):
+    """A stand-in for bench_pairs.export: the tree holds BENCHMARK.json alone."""
+    os.makedirs(into)
+    shutil.copy(os.path.join(ROOT, "BENCHMARK.json"), into)
+    return f"sha-of-{rev}"
+
+
+def test_seed_and_workload_filter_reach_every_run(monkeypatch, tmp_path):
+    tool = _load_tool()
+    commands = []
+
+    def run(cmd, **kwargs):
+        commands.append(cmd)
+        metrics = {name: {"value": 1.0 + len(commands), "unit": "s"} for name in BETTER}
+        line = json.dumps({"correct": True, "failed": 0, "metrics": metrics})
+        return subprocess.CompletedProcess(cmd, 0, stdout=line + "\n", stderr="")
+
+    monkeypatch.setattr(tool, "export", _export)
+    monkeypatch.setattr(tool.subprocess, "run", run)
+    out = tmp_path / "bench.json"
+    assert tool.main(["--parent", "p", "--pairs", "2", "--seed", "7", "--workload", "corpus-sweep", "--out", str(out)]) == 0
+    # two pairs of untraced runs and one traced run per side
+    assert len(commands) == 6
+    for cmd in commands:
+        assert cmd[1] == "perfbench/run.py"
+        assert cmd[cmd.index("--seed") + 1] == "7"
+        assert cmd[cmd.index("--workload") + 1] == "corpus-sweep"
+    report = json.loads(out.read_text())
+    assert list(report["workloads"]) == ["corpus-sweep"]
+    assert "seed 7" in report["description"]
+    assert report["revisions"] == {"parent": "sha-of-p", "change": "sha-of-HEAD"}
+
+
+def test_defaults_are_seed_1_and_every_workload(monkeypatch, tmp_path):
+    tool = _load_tool()
+    seen = []
+    monkeypatch.setattr(tool, "export", _export)
+    monkeypatch.setattr(tool, "bench_workload", lambda trees, spec, name, pairs, seed: seen.append((name, seed)) or {})
+    out = tmp_path / "bench.json"
+    assert tool.main(["--parent", "p", "--out", str(out)]) == 0
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        names = [w["name"] for w in json.load(fh)["workloads"]]
+    assert seen == [(name, 1) for name in names]
+    assert "seed 1" in json.loads(out.read_text())["description"]

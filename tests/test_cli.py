@@ -90,7 +90,16 @@ MALFORMED_COMPLEXES = {
     "row-too-short": {"degrees": {"0": [1, 1], "1": [2]}, "diffs": {"0": [[None]]}},
     "label-out-of-range": {"degrees": {"0": [1], "1": [9]}, "diffs": {}},
     "top-level-array": [1],
+    # labels, src and tgt are JSON integers: no string, float or bool
+    "labels-as-a-string": {"degrees": {"0": "12"}, "diffs": {}},
+    "label-as-a-float": {"degrees": {"0": [1.9]}, "diffs": {}},
+    "label-as-a-bool": {"degrees": {"0": [True]}, "diffs": {}},
+    "src-float-tgt-string": {
+        "degrees": {"0": [1], "1": [2]},
+        "diffs": {"0": [[{"src": 1.7, "tgt": "2", "terms": [{"kind": "arrow", "coef": "1"}]}]]},
+    },
 }
+_A2 = {"family": "A", "rank": 2}
 MALFORMED_CASES = [
     (f"{command[0]}-{name}", command, payload)
     for command in (["twist", "1", "--object", "-"], ["recover"])
@@ -98,6 +107,17 @@ MALFORMED_CASES = [
 ] + [
     ("mesh-solve-decorated-array", ["mesh-solve", "--decorated"], [1]),
     ("mesh-solve-layered-array", ["mesh-solve", "--layered"], [1]),
+    ("mesh-solve-layered-float-vertex", ["mesh-solve", "--layered"], {"diagram": _A2, "slices": [[1.0], [2], [1]]}),
+    (
+        "mesh-solve-decorated-string-theta",
+        ["mesh-solve", "--decorated"],
+        {
+            "diagram": _A2,
+            "vertices": [[0, 1], [1, 2], [2, 1]],
+            "theta": {"0,1": "1", "1,2": 1, "2,1": 0},
+            "boundary": {"1": -1, "2": 0},
+        },
+    ),
 ]
 
 

@@ -35,7 +35,7 @@ from twistlab.twists import (
     two_term_of,
     two_term_reflect,
 )
-from twistlab.zigzag import ZigzagAlgebra
+from twistlab.zigzag import HomTable, ZigzagAlgebra
 
 from support import direct_sum, key, reference_twist, reference_twist_inv
 
@@ -156,6 +156,74 @@ class TestTwist:
         assert sum(map(len, t.summands.values())) == 843
         digest = hashlib.sha256(json.dumps(complex_to_json_obj(t), sort_keys=True).encode()).hexdigest()
         assert digest == "9daadeab82d9cc212e3f882e57001d09a684a6384493edcea4cf9b23c564350b"
+
+
+def _many_entry_complex(alg, per_label):
+    """A minimal two-term complex on A2: per_label summands of each label in degree 0 onto P_1 (+) P_2 in degree 1.
+
+    Column c holds a = (c mod 100 + 1)/7 times the loop into its own label
+    and a times the arrow into the other label, so each of the four label
+    pairs has min(per_label, 100) distinct entries, over GF(101) as over QQ.
+    No entry is a unit, so the complex is minimal.
+    """
+    k = alg.field
+    labels = (1,) * per_label + (2,) * per_label
+    mat = {}
+    for c, lab in enumerate(labels):
+        a = k.parse(f"{c % 100 + 1}/7")
+        for r, tgt in enumerate((1, 2)):
+            mat[(r, c)] = (k.zero, a) if tgt == lab else (a, k.zero)
+    x = make_complex(alg, {0: labels, 1: (1, 2)}, {0: mat})
+    x.check()
+    return x
+
+
+class TestHomTableMemo:
+    """The Hom table's memo of per-entry cells and evaluation verdicts is bounded and leaves every output as it was."""
+
+    @pytest.mark.parametrize("field", [PrimeField(101), QQ], ids=["gf101", "qq"])
+    def test_past_the_cap_both_twists_match_the_reference(self, field):
+        alg = ZigzagAlgebra(A2, field)
+        cap = HomTable.MEMO_CAP
+        x = _many_entry_complex(alg, cap)
+        distinct = {(x.summands[0][c], x.summands[1][r], e) for (r, c), e in x.diffs[0].items()}
+        assert len(distinct) > cap
+        for i in (1, 2):
+            table = alg.hom_table(i)
+            # twice each: the second pass reads the records the first one stored
+            for _ in range(2):
+                assert key(twist(i, x)) == key(reference_twist(i, x))
+                assert len(table.memo) <= cap
+                assert key(twist_inv(i, x)) == key(reference_twist_inv(i, x))
+                assert len(table.memo) <= cap
+            assert len(table.memo) == cap
+
+    def test_a_failing_verdict_is_kept_and_raised_on_every_call(self):
+        # the corrupt algebra derives its rules from its own compose, so its
+        # check passes; here vertex 2's rule for the label pair of an entry
+        # of X loses all its triples instead, after a sound twist has filled
+        # the memo: the evaluation check then fails for that entry, on every call
+        algebra = ZigzagAlgebra(A3, GF3)
+        x = twist_word(word(A3, (2, 1, 3)), sum_of_projectives(algebra))
+        table = algebra.hom_table(2)
+        expected = key(twist(2, x))
+        pair = next(
+            (x.summands[d][c], x.summands[d + 1][r])
+            for d, mat in sorted(x.diffs.items())
+            for (r, c), g in sorted(mat.items())
+            if table[x.summands[d][c], x.summands[d + 1][r]]
+        )
+        rule = table[pair]
+        table[pair] = ()
+        try:
+            for _ in range(3):
+                with pytest.raises(ValueError, match="cone of an invalid chain map"):
+                    twist(2, x)
+            failing = [k for k, record in table.memo.items() if not record[2]]
+            assert failing and all(k[:2] == pair for k in failing)
+        finally:
+            table[pair] = rule
+        assert key(twist(2, x)) == expected == key(reference_twist(2, x))
 
 
 class TestTwistMatchesTheCheckedCone:
