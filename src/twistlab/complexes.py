@@ -275,9 +275,9 @@ def minimize(x: ProjComplex) -> ProjComplex:
     """Strip contractible pairs until no unit identity entry remains.
 
     Indexes each differential by row and by column, queues every unit entry
-    between equal labels, and hands all of it to eliminate(), which shares
-    the differentials that no pivot touched with x.  The output is marked
-    minimal, and a minimal input is returned as is.
+    between equal labels, and hands all of it to eliminate(), whose output
+    keeps x's label tuple in every degree that lost no summand.  The output
+    is marked minimal, and a minimal input is returned as is.
     """
     if x._minimal:
         return x

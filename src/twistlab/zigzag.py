@@ -36,7 +36,8 @@ are derived from compose on basis entries, the first time each pair is
 asked for, so a corrupt_compose algebra gets its own corrupt rules.  An
 algebra keeps its tables, at most one per vertex, each of at most rank^2
 rules.  With them a Hom complex is read off a differential's entries
-without composing any of them.  A table also memoizes, per label pair
+without composing any of them, but for the one check that a new entry's
+memo record composes.  A table also memoizes, per label pair
 and entry e, the nonzero cells (slot, slot2, e[k]) that e owns in
 Hom(P_j, X)'s differential and the twist's evaluation check for e
 (HomTable.record), so both are worked out once per distinct entry, not
