@@ -17,6 +17,8 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 _FAMILIES = ("A", "D", "E")
+# the largest rank build_diagram accepts: the oracle's root tables grow as rank^4
+MAX_RANK = 32
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,9 @@ def _edge_set(family: str, rank: int) -> frozenset[tuple[int, int]]:
 
 
 def build_diagram(family: str, rank: int) -> DynkinDiagram:
-    """Construct the canonical ADE diagram for (family, rank)."""
+    """Construct the canonical ADE diagram for (family, rank), rank at most MAX_RANK."""
+    if rank > MAX_RANK:
+        raise ValueError(f"rank {rank} is above the largest supported rank, {MAX_RANK}")
     family = family.upper()
     edges = _edge_set(family, rank)
     # BFS 2-coloring from vertex 1; the diagram is a tree, so this is unique.
@@ -111,7 +115,10 @@ def json_int(v: object, what: str) -> int:
 
 
 def diagram_from_json_obj(obj: Mapping) -> DynkinDiagram:
-    return build_diagram(str(obj["family"]), int(obj["rank"]))
+    family = obj["family"]
+    if not isinstance(family, str):
+        raise ValueError(f"a diagram's family must be a JSON string, got {family!r}")
+    return build_diagram(family, json_int(obj["rank"], "a diagram's rank"))
 
 
 def neighbors(diagram: DynkinDiagram, j: int) -> frozenset[int]:

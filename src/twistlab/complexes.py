@@ -19,7 +19,8 @@ The scalar matrices of Hom complexes are sparse the same way, with nonzero
 scalars as entries, which is the format linalg reduces.  A Hom complex
 numbers its basis by position: summand s's slot k, a slot naming a basis
 morphism of the algebra, sits at s's offset plus k, so no basis element is
-stored; hom_offsets numbers them, for hom_complex and for the twists.
+stored; hom_offsets numbers them for hom_complex, and the twists number
+their own in the pass per degree that lays out their cones.
 hom_complex reads each differential entry's nonzero cells from the memo of
 the algebra's Hom table (zigzag.HomTable.record), which says where
 postcomposition with the entry sends each basis slot and how many slots
@@ -305,6 +306,7 @@ def eliminate(
     by_row: Dict[int, Index],
     by_col: Dict[int, Index],
     units: List[Tuple[int, int, int]],
+    dropped: Optional[Dict[int, set]] = None,
 ) -> ProjComplex:
     """The minimal complex left by Gaussian elimination on an indexed complex, which it consumes.
 
@@ -312,11 +314,13 @@ def eliminate(
     by_col[d] hold the nonzero entries of the differential d -> d+1 by row
     and by column (a degree with no entries may have empty indexes or
     none); units lists (degree, row, col) of every unit entry between
-    equal labels.  Entries keep their input (row, col) positions
-    until the end: removing summands never reorders the ones that stay, so
-    a heap of units keyed by (degree, row, col) pops pivots in the order of
-    the module docstring, and a pivot reads its row and its column, and
-    drops the summands it removes, without a scan.  A pivot whose row or
+    equal labels; dropped, if given, maps degrees to sets of input
+    positions that are gone already and that no entry touches (twist_inv's
+    cancelled pairs), and is consumed too.  Entries keep their input (row,
+    col) positions until the end: removing summands never reorders the ones
+    that stay, so a heap of units keyed by (degree, row, col) pops pivots
+    in the order of the module docstring, and a pivot reads its row and its
+    column, and drops the summands it removes, without a scan.  A pivot whose row or
     column holds no other entry makes no correction, and then phi is not
     inverted at all.  Stale heap items (entries since removed or changed)
     are skipped when popped; every entry that becomes a unit is pushed
@@ -332,7 +336,7 @@ def eliminate(
     queue = units
     heapq.heapify(queue)
 
-    dropped: Dict[int, set] = defaultdict(set)  # degree -> the input positions it lost, for those that lost any
+    dropped = defaultdict(set, dropped or ())  # degree -> the input positions it lost, for those that lost any
     while queue:
         d, pr, pc = heappop(queue)
         rr = by_row[d]

@@ -9,7 +9,7 @@ degree higher, and X maps into them by the trace-pairing dual basis
 stays small.  The complexes and two-term connecting maps built here hold
 nonzero entries only, in the sparse Matrix format of complexes, and every
 entry comes from the algebra: the Hom complex's basis element at position
-offsets[d][s] + slot (complexes.hom_offsets), slot slot of summand s
+offsets[d][s] + slot (as in complexes.HomComplex), slot slot of summand s
 labelled l, is evaluated by hom_basis(i, l)[slot] and coevaluated by
 dual_basis(i, l)[slot], both read from the algebra's Hom table of i
 (zigzag.HomTable), not rebuilt per slot.  Positions are computed from the
@@ -49,22 +49,28 @@ stays the checked entry point for chain maps from outside (see
 complexes.py), and tests/test_twists.py checks twist entry for entry
 against minimize(cone()) of evaluation built as a ChainMap.
 
-The inverse twist cancels its predictable pivots before the core sees
-them.  Each summand s of X^d labelled i has two slots, the identity
-(slot 0) and the loop (slot 1), and the dual of the loop slot is the
-identity: s maps to its loop slot's copy by a unit.  These pairs form an
-identity block, since no matched pivot's row or column meets another:
-the loop slot's copy of s gets an entry from X^d at s alone, and s sends
-entries to its own two copies alone.  So eliminating them all is one
-Schur-complement step D' = D - C B with no inverse, C the other entries
-of the pivot columns and B those of the pivot rows, and it equals the
-pivot-by-pivot elimination in exact arithmetic.  twist_inv writes that
-reduced complex, without the summands labelled i or their loop copies,
-into the core's indexes as twist does, leaving out every cell whose terms
-cancel, and the core eliminates the rest.  Summands that stay keep their
-order, so on minimal complexes the output matches, entry for entry, that of
-minimizing the whole unreduced complex: tests/test_twists.py checks it
-against such a reference and pins a digest of a corpus of outputs.
+twist_inv writes its cone into the core's indexes too, in the cone's own
+positions: degree d holds X^d, then the copies for the basis of
+Hom^{d-1}, summand s's slot at len(X^d) + offsets[d-1][s] + slot, as
+tests/support.py's reference_twist_inv places them.  It cancels its
+predictable pivots before the core sees them.  Each summand s of X^d
+labelled i has two slots, the identity (slot 0) and the loop (slot 1),
+and the dual of the loop slot is the identity: s maps to its loop slot's
+copy by a unit.  These pairs form an identity block, since no matched
+pivot's row or column meets another: the loop slot's copy of s gets an
+entry from X^d at s alone, and s sends entries to its own two copies
+alone.  So eliminating them all is one Schur-complement step D' = D - C B
+with no inverse, C the other entries of the pivot columns and B those of
+the pivot rows, and it equals the pivot-by-pivot elimination in exact
+arithmetic.  A pair is read off the slot, since only a summand labelled i
+has a slot 1.  twist_inv writes no entry into or out of either member,
+writes D' - D in their place, leaving out every cell whose terms cancel,
+and hands both positions to eliminate, whose readback drops them with the
+summands its own pivots remove.  Removing positions never reorders the
+ones that stay, so the core pops the same pivots, and on minimal
+complexes the output matches, entry for entry, that of minimizing the
+whole unreduced complex: tests/test_twists.py checks it against such a
+reference and pins a digest of a corpus of outputs.
 
 The concrete model is the omega = 0 one: all Hom spaces between
 projectives are concentrated in degree 0, so no twist carries a shift.
@@ -73,7 +79,7 @@ projectives are concentrated in degree 0, so no twist carries a shift.
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, Iterable, Optional, Tuple
@@ -85,7 +91,6 @@ from .complexes import (
     ProjComplex,
     eliminate,
     hom_dims,
-    hom_offsets,
     make_complex,
     matrix_to_json_obj,
     minimize,
@@ -179,124 +184,107 @@ def twist(i: int, x: ProjComplex) -> ProjComplex:
 def twist_inv(i: int, x: ProjComplex) -> ProjComplex:
     """Quasi-inverse twist, built from the trace-pairing dual basis, its identity pivots cancelled in bulk.
 
-    Degree d holds X^d then the copies of P_i for Hom^{d-1}; the
-    differential sends X^d to X^{d+1} by X's own, each summand s to its
-    copies, at offsets[s] + slot, by dual slots, and copies to copies by
-    minus the Hom complex's differential, read off X's (see the module
-    docstring).  Every summand s labelled i (and none else) meets the copy
-    of its loop slot, at offsets[s] + 1, by the identity; the module
-    docstring says why all of these pairs cancel at once.  A copy column c
-    whose scalar in the row offsets[s] + 1 is a picks up a times X's
-    differential out of s in each row of X, and a times the loop in the row
-    of the copy at offsets[s].
+    Degree d holds X^d, then the copies of P_i for Hom^{d-1}, the copy of
+    summand s's slot at len(X^d) + offsets[d-1][s] + slot, as in the cone.
+    The differential sends X^d to X^{d+1} by X's own, each summand s to
+    its copies by dual slots, and copies to copies by minus the Hom
+    complex's differential, read off X's (see the module docstring).  A
+    summand s labelled i and its loop slot's copy cancel, and neither is
+    written: a copy column whose scalar in the row of that copy is a picks
+    up a times X's differential out of s in each row of X, and a times the
+    loop in the row of the copy of s's slot 0.  eliminate drops both
+    positions with those its own pivots remove.
     """
     alg = x.algebra
     table = alg.hom_table(i)
-    dual, memo = table.dual, table.memo
-    offsets = hom_offsets(i, x)
+    dual, width, memo = table.dual, table.width.__getitem__, table.memo
     times, plus, neg, is_unit = alg.times, alg.plus, alg.field.neg, alg.is_unit
     loop = dual[i][0]
-    # new position of each summand of X that stays: those not labelled i
-    x_at = {
-        d: {s: n for n, s in enumerate(s for s, lab in enumerate(labels) if lab != i)}
-        for d, labels in x.summands.items()
-    }
-    # per degree d: new position of each copy for Hom^d that stays, every
-    # copy but the loop slot's of a summand s labelled i; and for those s,
-    # the position of the loop slot's copy and the new position of the
-    # identity slot's copy
-    copy_at: Dict[int, Dict[int, int]] = {}
-    loop_of: Dict[int, Dict[int, int]] = {}
-    loop_row: Dict[int, Dict[int, int]] = {}
-    for d, offs in offsets.items():
-        at: Dict[int, int] = {}
-        lo, lr = {}, {}
-        for s, lab in enumerate(x.summands[d]):
-            n = offs[s]
-            if lab == i:
-                lo[n + 1], lr[s] = s, len(at)
-                at[n] = len(at)
-            else:
-                for p in range(n, offs[s + 1]):
-                    at[p] = len(at)
-        copy_at[d], loop_of[d], loop_row[d] = at, lo, lr
+    xs = x.summands
+    # one pass per degree d of X, bottom up, so that dim(d - 1) is known:
+    # offsets[d] numbers Hom^d, degree d of the cone holds X^d, then the
+    # copies for Hom^{d-1}, and each summand of X^d not labelled i maps to
+    # its copies, never between equal labels
+    offsets: Dict[int, list] = {}
+    dim: Dict[int, int] = {}
     labels: Dict[int, Tuple[int, ...]] = {}
-    for d in set(x.summands) | {d + 1 for d in offsets}:
-        labs = tuple(lab for lab in x.summands.get(d, ()) if lab != i) + (i,) * len(copy_at.get(d - 1, ()))
-        if labs:
-            labels[d] = labs
-    # rows: X^{d+1} then the copies for Hom^d; columns: X^d then the
-    # copies for Hom^{d-1}, each part in its order above
-    by_row: Dict[int, Index] = {}
-    by_col: Dict[int, Index] = {}
+    by_row: Dict[int, Index] = defaultdict(dict)
+    by_col: Dict[int, Index] = defaultdict(dict)
+    dropped: Dict[int, set] = defaultdict(set)
     units = []
-    for d, cols in labels.items():
-        rows = labels.get(d + 1, ())
-        row_x, col_x = x_at.get(d + 1, {}), x_at.get(d, {})
-        row_copy, col_copy = copy_at.get(d, {}), copy_at.get(d - 1, {})
-        x_rows, x_cols = len(row_x), len(col_x)
-        rr: Index = {}
-        cc: Index = {}
-        out_of: Dict[int, list] = {}  # s labelled i -> X's differential out of s, in the new rows
-        for (r, c), g in x.diffs.get(d, {}).items():
-            if r in row_x:
-                if c in col_x:
-                    r, c = row_x[r], col_x[c]
-                    rr.setdefault(r, {})[c] = cc.setdefault(c, {})[r] = g
-                    if rows[r] == cols[c] and is_unit(cols[c], rows[r], g):
-                        units.append((d, r, c))
-                else:
-                    out_of.setdefault(c, []).append((row_x[r], g))
-        if row_copy:
-            # a summand not labelled i to its copies, never between equal
-            # labels; each of those copy rows holds this one entry so far
-            offs = offsets[d]
-            for s, lab in enumerate(x.summands[d]):
-                if lab != i:
-                    n, c = offs[s], col_x[s]
-                    col = cc.setdefault(c, {})
-                    for slot, e in enumerate(dual[lab]):
-                        r = x_rows + row_copy[n + slot]
-                        rr[r] = {c: e}
-                        col[r] = e
-        # the copy columns sum several terms in a cell, so they are added up
-        # first and only the cells that do not cancel are written; the scalar
-        # a of Hom(P_i, X)'s differential at (r, c) is read off the Hom-table
-        # rule of X's entry that owns it
+    for d in sorted(xs):
+        labs = xs[d]
+        labels[d] = labs + (i,) * dim.get(d - 1, 0)
+        offs = list(accumulate(map(width, labs), initial=0))
+        if not offs[-1]:
+            continue
+        offsets[d] = offs
+        dim[d] = offs[-1]
+        if d + 1 not in xs:
+            labels[d + 1] = (i,) * offs[-1]
+        row_x = len(xs.get(d + 1, ()))
+        rr, cc = by_row[d], by_col[d]
+        for s, lab in enumerate(labs):
+            n = row_x + offs[s]
+            if lab == i:
+                dropped[d].add(s)
+                dropped[d + 1].add(n + 1)
+                continue
+            col = cc[s] = {}
+            for slot, e in enumerate(dual[lab]):
+                rr[n + slot] = {s: e}
+                col[n + slot] = e
+    # X's differential, top down, so that its entries out of X^{d+1}, kept
+    # by column in out_of, are known when the copy cells of degree d + 1
+    # need them; entries into or out of a summand labelled i are not written
+    out_of: Dict[int, list] = {}
+    for d in sorted(x.diffs, reverse=True):
+        rows, cols = xs[d + 1], xs[d]
+        rr, cc = by_row[d], by_col[d]
+        above = out_of if d + 1 in x.diffs else {}
+        out_of = {}
+        col_x, row_x = len(rows), len(xs.get(d + 2, ()))
+        col0, row0 = offsets.get(d), offsets.get(d + 1)
+        # the copy cells of degree d + 1 sum several terms, so they are added
+        # up first and only the cells that do not cancel are written; the
+        # scalar a of Hom(P_i, X)'s differential is read off the Hom-table
+        # rule of the X entry g that owns it
         acc: Dict[Tuple[int, int], Optional[Entry]] = {}
-        owners, loops = loop_of.get(d, {}), loop_row.get(d, {})
-        if col_copy:
-            srcs, tgts, col0, row0 = x.summands[d - 1], x.summands.get(d, ()), offsets[d - 1], offsets.get(d)
-            for (xr, xc), g in x.diffs.get(d - 1, {}).items():
-                lc, lr = srcs[xc], tgts[xr]
-                rule = table[lc, lr]
-                if not rule:
+        for (r, c), g in x.diffs[d].items():
+            lr, lc = rows[r], cols[c]
+            if lc == i:
+                if lr != i:
+                    out_of.setdefault(c, []).append((r, g))
+            elif lr != i:
+                rr.setdefault(r, {})[c] = cc.setdefault(c, {})[r] = g
+                if lr == lc and is_unit(lc, lr, g):
+                    units.append((d, r, c))
+            rule = table[lc, lr]
+            if not rule:
+                continue
+            record = memo.get((lc, lr, g))
+            if record is None or record[0] is not rule:
+                record = table.record(lc, lr, g)
+            # slot 1 is the loop slot, which only a summand labelled i has
+            for slot, slot2, a in record[1]:
+                if slot == 1:
                     continue
-                record = memo.get((lc, lr, g))
-                if record is None or record[0] is not rule:
-                    record = table.record(lc, lr, g)
-                for slot, slot2, a in record[1]:
-                    c = col0[xc] + slot
-                    if c not in col_copy:
-                        continue
-                    col, r = x_cols + col_copy[c], row0[xr] + slot2
-                    if r in row_copy:
-                        cell = (x_rows + row_copy[r], col)
-                        acc[cell] = plus(acc.get(cell), alg.scalar(neg(a)))
-                        continue
-                    s = owners[r]
-                    for row, e in out_of.get(s, ()):
-                        acc[(row, col)] = plus(acc.get((row, col)), times(a, e))
-                    cell = (x_rows + loops[s], col)
-                    acc[cell] = plus(acc.get(cell), times(a, loop))
+                at_r, at_c = row_x + row0[r] + slot2, col_x + col0[c] + slot
+                if slot2 == 1:
+                    for r2, e in above.get(r, ()):
+                        acc[r2, at_c] = plus(acc.get((r2, at_c)), times(a, e))
+                    at_r -= 1
+                    acc[at_r, at_c] = plus(acc.get((at_r, at_c)), times(a, loop))
+                else:
+                    acc[at_r, at_c] = plus(acc.get((at_r, at_c)), alg.scalar(neg(a)))
+        rr, cc = by_row[d + 1], by_col[d + 1]
         for (r, c), m in acc.items():
             if m is not None:
                 rr.setdefault(r, {})[c] = cc.setdefault(c, {})[r] = m
                 # copy rows are labelled i, as copy columns are
-                if r >= x_rows and is_unit(i, i, m):
-                    units.append((d, r, c))
-        by_row[d], by_col[d] = rr, cc
-    return eliminate(alg, labels, by_row, by_col, units)
+                if r >= row_x and is_unit(i, i, m):
+                    units.append((d + 1, r, c))
+    return eliminate(alg, labels, by_row, by_col, units, dropped)
 
 
 def twist_word(w: BraidWord, x: ProjComplex) -> ProjComplex:

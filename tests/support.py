@@ -11,7 +11,8 @@ public path (a ChainMap of evaluation, the checked cone(), minimize),
 against which twists.twist's cone written into the elimination index is
 checked; reference_twist_inv is the inverse twist with every contractible
 pair left to minimize, against which twists.twist_inv's bulk cancellation
-is checked.  _reduce brings a sparse scalar matrix to reduced echelon form
+is checked.  Both twists lay out their cones in the positions these two
+give them.  _reduce brings a sparse scalar matrix to reduced echelon form
 and kernel_basis reads a basis of its kernel off that form; linalg.rank
 stops at an echelon form, and only long_morphism_dim needs a kernel.
 

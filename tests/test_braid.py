@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistlab.braid import (
+    MAX_RANK,
     build_diagram,
     braid_class,
     canonical_form,
+    diagram_from_json_obj,
     diagram_from_name,
     equivalent,
     layer,
@@ -44,6 +46,24 @@ class TestDiagrams:
         with pytest.raises(ValueError):
             build_diagram(family, rank)
 
+    def test_rank_is_bounded(self):
+        assert build_diagram("D", MAX_RANK).rank == MAX_RANK
+        with pytest.raises(ValueError, match=f"rank {MAX_RANK + 1} is above"):
+            build_diagram("A", MAX_RANK + 1)
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"family": "A", "rank": 2.5}, "rank must be a JSON integer"),
+            ({"family": "A", "rank": "3"}, "rank must be a JSON integer"),
+            ({"family": ["A"], "rank": 2}, "family must be a JSON string"),
+        ],
+        ids=["float-rank", "string-rank", "list-family"],
+    )
+    def test_diagram_json_fields_are_typed(self, obj, message):
+        with pytest.raises(ValueError, match=message):
+            diagram_from_json_obj(obj)
+
     def test_neighbors_examples(self):
         assert neighbors(A3, 2) == {1, 3}
         assert neighbors(A3, 1) == {2}
@@ -58,8 +78,6 @@ class TestDiagrams:
                 assert d.color(a) != d.color(b)
 
     def test_diagram_json_roundtrip(self):
-        from twistlab.braid import diagram_from_json_obj
-
         assert diagram_from_json_obj(D4.to_json_obj()) == D4
 
 

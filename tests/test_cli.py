@@ -108,6 +108,17 @@ MALFORMED_CASES = [
     ("mesh-solve-decorated-array", ["mesh-solve", "--decorated"], [1]),
     ("mesh-solve-layered-array", ["mesh-solve", "--layered"], [1]),
     ("mesh-solve-layered-float-vertex", ["mesh-solve", "--layered"], {"diagram": _A2, "slices": [[1.0], [2], [1]]}),
+    # a diagram's rank is a JSON integer
+    (
+        "mesh-solve-layered-float-rank",
+        ["mesh-solve", "--layered"],
+        {"diagram": {"family": "A", "rank": 2.5}, "slices": [[1], [2], [1]]},
+    ),
+    (
+        "mesh-solve-layered-string-rank",
+        ["mesh-solve", "--layered"],
+        {"diagram": {"family": "A", "rank": "3"}, "slices": [[1], [2], [1]]},
+    ),
     (
         "mesh-solve-decorated-string-theta",
         ["mesh-solve", "--decorated"],
@@ -140,27 +151,35 @@ def _cell_complex(coef):
 
 
 # Hostile input: each ends at once with exit 2 and a message, not with a
-# traceback (a zero denominator, deep nesting) or a hang (a huge exponent or
-# field order).  (field, command, stdin, expected message)
+# traceback (a zero denominator, deep nesting) or a hang (a huge exponent,
+# field order or rank).  (diagram, field, command, stdin, expected message)
 HOSTILE_CASES = {
-    "zero-denominator-q": ("q", ["recover"], _cell_complex("1/0"), "zero denominator"),
-    "zero-denominator-f2": ("f2", ["recover"], _cell_complex("1/2"), "divides by zero in GF(2)"),
-    "coefficient-exponent": ("q", ["recover"], _cell_complex("1e999999999"), "malformed coefficient"),
-    "nested-complex": ("f2", ["recover"], "[" * 100000 + "]" * 100000, "bad complex on stdin"),
-    "nested-layered": ("f2", ["mesh-solve", "--layered"], "[" * 100000 + "]" * 100000, "bad layered word"),
-    "nested-decorated": ("f2", ["mesh-solve", "--decorated"], "[" * 100000 + "]" * 100000, "bad decorated set"),
-    "huge-field-order": ("f1000000000000000000000000000057", ["twist", "1"], "", "too large"),
+    "zero-denominator-q": ("A2", "q", ["recover"], _cell_complex("1/0"), "zero denominator"),
+    "zero-denominator-f2": ("A2", "f2", ["recover"], _cell_complex("1/2"), "divides by zero in GF(2)"),
+    "coefficient-exponent": ("A2", "q", ["recover"], _cell_complex("1e999999999"), "malformed coefficient"),
+    "nested-complex": ("A2", "f2", ["recover"], "[" * 100000 + "]" * 100000, "bad complex on stdin"),
+    "nested-layered": ("A2", "f2", ["mesh-solve", "--layered"], "[" * 100000 + "]" * 100000, "bad layered word"),
+    "nested-decorated": ("A2", "f2", ["mesh-solve", "--decorated"], "[" * 100000 + "]" * 100000, "bad decorated set"),
+    "huge-field-order": ("A2", "f1000000000000000000000000000057", ["twist", "1"], "", "too large"),
+    "huge-rank": ("A100000", "f2", ["braid-eq", "1", "1", "--mode", "oracle"], "", "rank 100000 is above"),
+    "huge-layered-rank": (
+        "A2",
+        "f2",
+        ["mesh-solve", "--layered"],
+        json.dumps({"diagram": {"family": "A", "rank": 10**9}, "slices": [[1]]}),
+        "rank 1000000000 is above",
+    ),
 }
 
 
-@pytest.mark.parametrize("field,argv,text,message", HOSTILE_CASES.values(), ids=list(HOSTILE_CASES))
-def test_hostile_input_exits_2_at_once(capsys, monkeypatch, field, argv, text, message):
+@pytest.mark.parametrize("diagram,field,argv,text,message", HOSTILE_CASES.values(), ids=list(HOSTILE_CASES))
+def test_hostile_input_exits_2_at_once(capsys, monkeypatch, diagram, field, argv, text, message):
     import io
     import time
 
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "--diagram", "A2", "--field", field, *argv)
+    code, out, err = run_cli(capsys, "--diagram", diagram, "--field", field, *argv)
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert out == ""

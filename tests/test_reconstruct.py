@@ -216,11 +216,14 @@ class TestPeelTerminates:
     @pytest.mark.parametrize("diagram, max_len", [(A3, 4), (D4, 3), (A4, 3)], ids=["A3", "D4", "A4"])
     def test_every_bottom_label_lowers_the_pair(self, monkeypatch, diagram, max_len, field, corrupt):
         corpus = _bottom_label_corpus(diagram, max_len, ZigzagAlgebra(diagram, field, corrupt_compose=corrupt))
-        raw = []  # the labels twist_inv hands to the elimination core, before any pivot
+        raw = []  # the labels twist_inv hands to the elimination core, before any pivot, less those it drops
 
-        def capturing(alg, labels, *index):
-            raw.append(dict(labels))
-            return eliminate(alg, labels, *index)
+        def capturing(alg, labels, by_row, by_col, units, dropped):
+            kept = {}
+            for d, labs in labels.items():
+                kept[d] = tuple(lab for n, lab in enumerate(labs) if n not in dropped.get(d, ()))
+            raw.append({d: labs for d, labs in kept.items() if labs})
+            return eliminate(alg, labels, by_row, by_col, units, dropped)
 
         monkeypatch.setattr(twists, "eliminate", capturing)
         cases = 0

@@ -251,6 +251,29 @@ class TestTwistMatchesTheCheckedCone:
         assert checked == len(corpus) * (1 + rank) * rank
 
 
+class TestDifferentialsThatSkipADegree:
+    """X (+) Y[-4] for twist images X and Y of up to two letters: no differential reaches degree 1,
+    so a twist must read each degree's cells off the differentials next to it, not the last ones walked."""
+
+    @pytest.mark.parametrize("field", [GF2, QQ], ids=["gf2", "qq"])
+    @pytest.mark.parametrize("diagram", [A2, A3], ids=["A2", "A3"])
+    @pytest.mark.parametrize(
+        "step, reference", [(twist, reference_twist), (twist_inv, reference_twist_inv)], ids=["twist", "twist_inv"]
+    )
+    def test_matches_the_reference(self, step, reference, diagram, field):
+        alg = ZigzagAlgebra(diagram, field)
+        images = list(twist_corpus(alg, 2).values())
+        checked = 0
+        for t in images:
+            for u in images:
+                x = direct_sum(t, shift(u, -4))
+                assert 1 not in x.summands
+                for i in diagram.vertices:
+                    assert key(step(i, x)) == key(reference(i, x)), (key(x), i)
+                    checked += 1
+        assert checked == len(images) ** 2 * diagram.rank
+
+
 class TestTwistInverse:
     def test_inverse_of_own_projective(self, alg):
         p1 = projective(alg, 1)
