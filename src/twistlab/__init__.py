@@ -11,7 +11,6 @@ from .braid import (
     equivalent,
     layer,
     left_divisible_by,
-    neighbors,
     word,
 )
 from .fields import GF2, QQ, PrimeField, RationalField, field_from_name

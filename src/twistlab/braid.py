@@ -121,10 +121,6 @@ def diagram_from_json_obj(obj: Mapping) -> DynkinDiagram:
     return build_diagram(family, json_int(obj["rank"], "a diagram's rank"))
 
 
-def neighbors(diagram: DynkinDiagram, j: int) -> frozenset[int]:
-    return diagram.neighbors(j)
-
-
 @lru_cache(maxsize=32)  # bounded: at most 32 diagrams, each a few hundred bytes
 def _adjacency(diagram: DynkinDiagram) -> dict[int, frozenset[int]]:
     return {v: frozenset(a + b - v for a, b in diagram.edges if v in (a, b)) for v in diagram.vertices}

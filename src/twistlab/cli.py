@@ -103,7 +103,10 @@ def _object_spec(config: RunConfig, algebra: ZigzagAlgebra, spec: str) -> ProjCo
     if spec in ("L", "Lambda", "lambda", "sum"):
         return sum_of_projectives(algebra)
     if spec.upper().startswith("P") and spec[1:].isdigit():
-        return projective(algebra, int(spec[1:]))
+        try:
+            return projective(algebra, int(spec[1:]))
+        except ValueError as exc:
+            raise InputError(f"bad object {spec!r}: {exc}") from exc
     if spec == "-":
         try:
             return complex_from_json_obj(algebra, json.load(sys.stdin))
@@ -218,7 +221,11 @@ def cmd_mesh_solve(args) -> int:
         if not w.letters:
             raise InputError("the empty word has no left divisors")
         seed = args.seed_vertex if args.seed_vertex is not None else w.letters[0]
-        s = to_decorated(layer(w), chi_boundary(config.diagram, seed))
+        try:
+            boundary = chi_boundary(config.diagram, seed)
+        except MeshError as exc:
+            raise InputError(f"bad --seed-vertex: {exc}") from exc
+        s = to_decorated(layer(w), boundary)
     initial_word = word_of(s)
     try:
         j, cert = find_left_divisor(s)

@@ -19,12 +19,12 @@ The scalar matrices of Hom complexes are sparse the same way, with nonzero
 scalars as entries, which is the format linalg reduces.  A Hom complex
 numbers its basis by position: summand s's slot k, a slot naming a basis
 morphism of the algebra, sits at s's offset plus k, so no basis element is
-stored; hom_offsets numbers them for hom_complex, and the twists number
-their own in the pass per degree that lays out their cones.
-hom_complex reads each differential entry's nonzero cells from the memo of
-the algebra's Hom table (zigzag.HomTable.record), which says where
-postcomposition with the entry sends each basis slot and how many slots
-each label has; it composes nothing but what a new entry's record needs.
+stored.  The algebra's Hom table numbers the slots (zigzag.HomTable.offsets)
+for hom_complex and for the twists alike, and hom_complex reads each
+differential entry's nonzero cells from the table's memo
+(zigzag.HomTable.record), which says where postcomposition with the entry
+sends each basis slot; it composes nothing but what a new entry's record
+needs.
 
 cone() is the checked entry point for chain maps from outside the package
 (a ChainMap built by a caller): it checks that f is a chain map on every
@@ -71,7 +71,6 @@ import dataclasses
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
@@ -477,18 +476,12 @@ class HomComplex:
         return out
 
 
-def hom_offsets(j: int, x: ProjComplex) -> Dict[int, List[int]]:
-    """The position numbering of Hom(P_j, X)'s basis, HomComplex.offsets: degrees of dimension 0 have none."""
-    width = x.algebra.hom_table(j).width.__getitem__
-    offsets = {d: list(accumulate(map(width, labels), initial=0)) for d, labels in x.summands.items()}
-    return {d: offs for d, offs in offsets.items() if offs[-1]}
-
-
 def hom_complex(j: int, x: ProjComplex) -> HomComplex:
-    """Hom(P_j, X), each differential entry's cells read from the memo of j's Hom table (HomTable.record)."""
+    """Hom(P_j, X), numbered by j's Hom table (HomTable.offsets), each differential entry's cells read from its memo."""
     table = x.algebra.hom_table(j)
     memo = table.memo
-    offsets = hom_offsets(j, x)
+    offsets = {d: table.offsets(labels) for d, labels in x.summands.items()}
+    offsets = {d: offs for d, offs in offsets.items() if offs[-1]}
     mats: Dict[int, Dict[Tuple[int, int], Scalar]] = {}
     for d, diff in x.diffs.items():
         col0, row0 = offsets.get(d), offsets.get(d + 1)
@@ -500,14 +493,11 @@ def hom_complex(j: int, x: ProjComplex) -> HomComplex:
         mat = {}
         for (r, c), e in diff.items():
             lc, lr = cols[c], rows[r]
-            rule = table[lc, lr]
-            if not rule:
+            if not table[lc, lr]:
                 continue
-            record = memo.get((lc, lr, e))
-            if record is None or record[0] is not rule:
-                record = table.record(lc, lr, e)
+            cells = (memo.get((lc, lr, e)) or table.record(lc, lr, e))[0]
             r0, c0 = row0[r], col0[c]
-            for slot, slot2, a in record[1]:
+            for slot, slot2, a in cells:
                 mat[r0 + slot2, c0 + slot] = a
         if mat:
             mats[d] = mat

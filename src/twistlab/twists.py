@@ -13,15 +13,16 @@ offsets[d][s] + slot (as in complexes.HomComplex), slot slot of summand s
 labelled l, is evaluated by hom_basis(i, l)[slot] and coevaluated by
 dual_basis(i, l)[slot], both read from the algebra's Hom table of i
 (zigzag.HomTable), not rebuilt per slot.  Positions are computed from the
-offsets, never looked up.  Neither functor builds the Hom complex: the
-scalar a that its differential holds at (offsets[d+1][r] + slot2,
-offsets[d][c] + slot) is g[k] for X's entry g at (r, c) and a triple
-(slot, slot2, k) of the Hom-table rule for g's labels.  These nonzero
-cells (slot, slot2, g[k]) depend on g and its labels alone, so each
-functor reads them from the Hom table's memo (HomTable.record), worked
-out once per distinct entry, in the pass over X's differential that
-writes its cone, giving the copies of P_i the entry scalar(a), a times
-the identity, for each cell.  JSON views are the only dense form.
+offsets that the table numbers (HomTable.offsets), never looked up.
+Neither functor builds the Hom complex: the scalar a that its
+differential holds at (offsets[d+1][r] + slot2, offsets[d][c] + slot) is
+g[k] for X's entry g at (r, c) and a triple (slot, slot2, k) of the
+Hom-table rule for g's labels.  These nonzero cells (slot, slot2, g[k])
+depend on g and its labels alone, so each functor reads them from the Hom
+table's memo (HomTable.record), worked out once per distinct entry, in
+the pass over X's differential that writes its cone, with the entry -a
+times the identity that each cell gives the copies of P_i.  JSON views
+are the only dense form.
 
 twist writes the cone of evaluation straight into the row and column
 indexes of the elimination core, complexes.eliminate: one pass per degree
@@ -42,12 +43,11 @@ ValueError there); and ev_{d+1} o d_src = d_X o ev_d, whose cells
 (r, offsets[d][c] + slot) depend on X's entry g at (r, c) and its labels
 alone.  So the check is composed once per distinct entry that the memo
 holds (past its cap, once per occurrence), with its cells, and the memo
-keeps the verdict: a failing one raises cone()'s ValueError
-on every call that meets that entry, and a rule replaced in the table
-voids the verdicts read from the old one.  cone() itself
-stays the checked entry point for chain maps from outside (see
-complexes.py), and tests/test_twists.py checks twist entry for entry
-against minimize(cone()) of evaluation built as a ChainMap.
+keeps the verdict: a failing one raises cone()'s ValueError on every call
+that meets that entry.  cone() itself stays the checked entry point for
+chain maps from outside (see complexes.py), and tests/test_twists.py
+checks twist entry for entry against minimize(cone()) of evaluation built
+as a ChainMap.
 
 twist_inv writes its cone into the core's indexes too, in the cone's own
 positions: degree d holds X^d, then the copies for the basis of
@@ -81,7 +81,6 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Dict, Iterable, Optional, Tuple
 
 from .braid import BraidWord
@@ -111,13 +110,13 @@ def twist(i: int, x: ProjComplex) -> ProjComplex:
     """
     alg = x.algebra
     table = alg.hom_table(i)
-    basis, width, memo = table.basis, table.width.__getitem__, table.memo
+    basis, memo = table.basis, table.memo
     is_unit = alg.is_unit
     xs = x.summands
     # the slots of basis[i] whose evaluation entry, an endomorphism of P_i, is a unit
     unit_slots = [slot for slot, e in enumerate(basis[i]) if is_unit(i, i, e)]
     # one pass per degree d of X, top down, so that dim(d + 1) is known:
-    # offsets[d] numbers Hom^d (hom_offsets), degree d of the cone holds
+    # offsets[d] numbers Hom^d (HomTable.offsets), degree d of the cone holds
     # dim(d + 1) copies, then X^d, and degree d - 1 holds the copies for
     # Hom^d, each column holding one evaluation entry, written first
     offsets: Dict[int, list] = {}
@@ -133,7 +132,7 @@ def twist(i: int, x: ProjComplex) -> ProjComplex:
         labels[d] = (i,) * row_x + labs
         by_row.setdefault(d, {})
         by_col.setdefault(d, {})
-        offs = list(accumulate(map(width, labs), initial=0))
+        offs = table.offsets(labs)
         if not offs[-1]:
             continue
         offsets[d] = offs
@@ -168,10 +167,7 @@ def twist(i: int, x: ProjComplex) -> ProjComplex:
             # identity, a unit, for each cell a of g's block of Hom(P_i, X)'s
             # differential; the chain-map check's cells (r, col0[c] + slot) are
             # g's alone, so its verdict is the memo's for g (HomTable.record)
-            record = memo.get((lc, lr, g))
-            if record is None or record[0] is not table[lc, lr]:
-                record = table.record(lc, lr, g)
-            _, _, ok, cone = record
+            _, ok, cone = memo.get((lc, lr, g)) or table.record(lc, lr, g)
             if not ok:
                 raise ValueError("cone of an invalid chain map")
             for slot, slot2, m in cone:
@@ -197,8 +193,8 @@ def twist_inv(i: int, x: ProjComplex) -> ProjComplex:
     """
     alg = x.algebra
     table = alg.hom_table(i)
-    dual, width, memo = table.dual, table.width.__getitem__, table.memo
-    times, plus, neg, is_unit = alg.times, alg.plus, alg.field.neg, alg.is_unit
+    dual, memo = table.dual, table.memo
+    times, plus, is_unit = alg.times, alg.plus, alg.is_unit
     loop = dual[i][0]
     xs = x.summands
     # one pass per degree d of X, bottom up, so that dim(d - 1) is known:
@@ -215,7 +211,7 @@ def twist_inv(i: int, x: ProjComplex) -> ProjComplex:
     for d in sorted(xs):
         labs = xs[d]
         labels[d] = labs + (i,) * dim.get(d - 1, 0)
-        offs = list(accumulate(map(width, labs), initial=0))
+        offs = table.offsets(labs)
         if not offs[-1]:
             continue
         offsets[d] = offs
@@ -247,8 +243,8 @@ def twist_inv(i: int, x: ProjComplex) -> ProjComplex:
         col0, row0 = offsets.get(d), offsets.get(d + 1)
         # the copy cells of degree d + 1 sum several terms, so they are added
         # up first and only the cells that do not cancel are written; the
-        # scalar a of Hom(P_i, X)'s differential is read off the Hom-table
-        # rule of the X entry g that owns it
+        # scalar a of Hom(P_i, X)'s differential and its copy entry -a times
+        # the identity are read off the memo record of the X entry g that owns it
         acc: Dict[Tuple[int, int], Optional[Entry]] = {}
         for (r, c), g in x.diffs[d].items():
             lr, lc = rows[r], cols[c]
@@ -259,14 +255,11 @@ def twist_inv(i: int, x: ProjComplex) -> ProjComplex:
                 rr.setdefault(r, {})[c] = cc.setdefault(c, {})[r] = g
                 if lr == lc and is_unit(lc, lr, g):
                     units.append((d, r, c))
-            rule = table[lc, lr]
-            if not rule:
+            if not table[lc, lr]:
                 continue
-            record = memo.get((lc, lr, g))
-            if record is None or record[0] is not rule:
-                record = table.record(lc, lr, g)
+            cells, _, cone = memo.get((lc, lr, g)) or table.record(lc, lr, g)
             # slot 1 is the loop slot, which only a summand labelled i has
-            for slot, slot2, a in record[1]:
+            for (slot, slot2, a), (_, _, m) in zip(cells, cone):
                 if slot == 1:
                     continue
                 at_r, at_c = row_x + row0[r] + slot2, col_x + col0[c] + slot
@@ -276,7 +269,7 @@ def twist_inv(i: int, x: ProjComplex) -> ProjComplex:
                     at_r -= 1
                     acc[at_r, at_c] = plus(acc.get((at_r, at_c)), times(a, loop))
                 else:
-                    acc[at_r, at_c] = plus(acc.get((at_r, at_c)), alg.scalar(neg(a)))
+                    acc[at_r, at_c] = plus(acc.get((at_r, at_c)), m)
         rr, cc = by_row[d + 1], by_col[d + 1]
         for (r, c), m in acc.items():
             if m is not None:

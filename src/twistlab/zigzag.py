@@ -41,8 +41,10 @@ memo record composes.  A table also memoizes, per label pair
 and entry e, the nonzero cells (slot, slot2, e[k]) that e owns in
 Hom(P_j, X)'s differential and the twist's evaluation check for e
 (HomTable.record), so both are worked out once per distinct entry, not
-once per occurrence.  The memo holds at most HomTable.MEMO_CAP records;
-twist images over GF(2), GF(3) and QQ use at most 8 per label pair.
+once per occurrence, and it numbers the basis slots of a degree's
+summands (HomTable.offsets).  The memo holds at most HomTable.MEMO_CAP
+records; twist images over GF(2), GF(3) and QQ use at most 8 per label
+pair.
 
 This is the only module that knows the entry format: the rest of the package
 builds, combines and reads entries through ZigzagAlgebra's methods and Hom
@@ -54,7 +56,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from itertools import accumulate
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .braid import DynkinDiagram, json_int
 from .fields import Field, GF2, Scalar
@@ -220,7 +223,7 @@ class ZigzagAlgebra:
 
 Rule = Tuple[Tuple[int, int, int], ...]
 Cells = Tuple[Tuple[int, int, Scalar], ...]
-Record = Tuple[Rule, Cells, bool, Tuple[Tuple[int, int, Entry], ...]]
+Record = Tuple[Cells, bool, Tuple[Tuple[int, int, Entry], ...]]
 
 
 class HomTable(dict):
@@ -237,14 +240,13 @@ class HomTable(dict):
 
     memo maps (i, l, e) to the record that record() returns for an entry e:
     P_i -> P_l, and holds at most MEMO_CAP of them; past the cap a record
-    is worked out and not stored.  A record keeps the rule it was read
-    from, and its readers take it from the memo only while that rule is
-    still the table's (compared by identity), so a rule replaced in the
-    table voids the records read from the old one.  Records are asked for
-    entries whose source label has a slot, i in j's closed neighbourhood,
-    and whose target l is i or next to it: at most 16 label pairs.  Twist
-    images over GF(2), GF(3) and QQ have at most 8 distinct entries per
-    label pair, so they fill at most half the cap.
+    is worked out and not stored.  Replacing a rule clears the memo, so
+    every record it holds was read from the table's current rules and its
+    readers take it as it is.  Records are asked for entries whose source
+    label has a slot, i in j's closed neighbourhood, and whose target l is
+    i or next to it: at most 16 label pairs.  Twist images over GF(2),
+    GF(3) and QQ have at most 8 distinct entries per label pair, so they
+    fill at most half the cap.
     """
 
     MEMO_CAP = 256
@@ -270,24 +272,29 @@ class HomTable(dict):
         self[key] = rule = tuple(rule)
         return rule
 
-    def record(self, i: int, l: int, e: Entry) -> Record:
-        """(rule, cells, ok, cone) for an entry e: P_i -> P_l, from the memo while its rule is the table's.
+    def __setitem__(self, key: Tuple[int, int], rule: Rule) -> None:
+        # records read from a replaced rule are void; a new pair has none yet
+        if key in self:
+            self.memo.clear()
+        super().__setitem__(key, rule)
 
-        rule is self[i, l].  cells are the triples (slot, slot2, e[k]) of the
-        rule with e[k] nonzero: Hom(P_j, X)'s differential holds e[k] at
-        (slot2, slot) of e's block.  ok is the twist's evaluation check for
-        e: for each slot of basis[i], the sum over its cells of
-        basis[l][slot2] o (e[k] times the identity) equals e o
-        basis[i][slot].  cone holds, cell by cell, (slot, slot2, -e[k]
-        times the identity), the entry the twist writes between copies.
+    def offsets(self, labels: Tuple[int, ...]) -> List[int]:
+        """The position of each summand's first basis slot, for summands labelled labels, then the dimension."""
+        return list(accumulate(map(self.width.__getitem__, labels), initial=0))
+
+    def record(self, i: int, l: int, e: Entry) -> Record:
+        """(cells, ok, cone) for an entry e: P_i -> P_l, worked out and kept in the memo while it has room.
+
+        cells are the triples (slot, slot2, e[k]) of the rule self[i, l]
+        with e[k] nonzero: Hom(P_j, X)'s differential holds e[k] at (slot2,
+        slot) of e's block.  ok is the twist's evaluation check for e: for
+        each slot of basis[i], the sum over its cells of basis[l][slot2] o
+        (e[k] times the identity) equals e o basis[i][slot].  cone holds,
+        cell by cell, (slot, slot2, -e[k] times the identity), the entry the
+        twist writes between copies.
         """
-        rule = self[i, l]
-        key = (i, l, e)
-        hit = self.memo.get(key)
-        if hit is not None and hit[0] is rule:
-            return hit
         alg, j, basis = self.algebra, self.vertex, self.basis
-        cells = tuple((slot, slot2, e[k]) for slot, slot2, k in rule if e[k])
+        cells = tuple((slot, slot2, e[k]) for slot, slot2, k in self[i, l] if e[k])
         acc: Dict[int, Optional[Entry]] = {}
         for slot, slot2, a in cells:
             term = alg.compose(j, j, l, basis[l][slot2], alg.scalar(a))
@@ -295,9 +302,9 @@ class HomTable(dict):
                 acc[slot] = alg.plus(acc.get(slot), term)
         ok = all(acc.get(slot) == alg.compose(j, i, l, e, f) for slot, f in enumerate(basis[i]))
         cone = tuple((slot, slot2, alg.scalar(alg.field.neg(a))) for slot, slot2, a in cells)
-        record = (rule, cells, ok, cone)
-        if hit is not None or len(self.memo) < self.MEMO_CAP:
-            self.memo[key] = record
+        record = (cells, ok, cone)
+        if len(self.memo) < self.MEMO_CAP:
+            self.memo[i, l, e] = record
         return record
 
 

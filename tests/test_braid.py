@@ -15,7 +15,6 @@ from twistlab.braid import (
     layer,
     layered_from_json_obj,
     left_divisible_by,
-    neighbors,
     parse_letters,
     word,
 )
@@ -34,12 +33,12 @@ class TestDiagrams:
 
     def test_d4_star_with_center_2(self):
         assert sorted(D4.edges) == [(1, 2), (2, 3), (2, 4)]
-        assert neighbors(D4, 2) == {1, 3, 4}
+        assert D4.neighbors(2) == {1, 3, 4}
 
     def test_e6_branch_at_4(self):
         e6 = build_diagram("E", 6)
         assert sorted(e6.edges) == [(1, 3), (2, 4), (3, 4), (4, 5), (5, 6)]
-        assert neighbors(e6, 4) == {2, 3, 5}
+        assert e6.neighbors(4) == {2, 3, 5}
 
     @pytest.mark.parametrize("family,rank", [("E", 5), ("E", 9), ("D", 3), ("A", 1), ("F", 4)])
     def test_illegal_pairs_rejected(self, family, rank):
@@ -65,10 +64,10 @@ class TestDiagrams:
             diagram_from_json_obj(obj)
 
     def test_neighbors_examples(self):
-        assert neighbors(A3, 2) == {1, 3}
-        assert neighbors(A3, 1) == {2}
+        assert A3.neighbors(2) == {1, 3}
+        assert A3.neighbors(1) == {2}
         with pytest.raises(ValueError):
-            neighbors(A3, 7)
+            A3.neighbors(7)
 
     def test_coloring_is_proper_everywhere(self):
         for name in ("A2", "A5", "D4", "D6", "E6", "E7", "E8"):
@@ -326,7 +325,7 @@ def test_long_words(name):
 @pytest.mark.parametrize("name", ["A15", "D11", "A16", "D12"])
 def test_high_rank_diagrams(name):
     d = diagram_from_name(name)
-    assert neighbors(d, d.rank) == {d.rank - 1}
+    assert d.neighbors(d.rank) == {d.rank - 1}
     rng = random.Random(name)
     for _ in range(40):
         base = rng.randint(1, d.rank - 2)

@@ -35,6 +35,13 @@ class TestTwist:
         payload = json.loads(out)
         assert payload["complex"]["degrees"] == {"-1": [1], "0": [2]}
 
+    @pytest.mark.parametrize("spec", ["P9", "P0"])
+    def test_projective_outside_the_diagram_exits_2(self, capsys, spec):
+        code, out, err = run_cli(capsys, "--diagram", "A2", "twist", "1", "--object", spec)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error: ") and f"unknown vertex {spec[1:]}" in err
+
     def test_malformed_word_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "--diagram", "A2", "twist", "1,x")
         assert code == 2
@@ -353,6 +360,13 @@ class TestMeshSolve:
         code, _, err = run_cli(capsys, "--diagram", "A2", "mesh-solve", "1,1")
         assert code == 2
         assert "hypotheses" in err
+
+    @pytest.mark.parametrize("seed", ["9", "0"])
+    def test_seed_vertex_outside_the_diagram_exits_2(self, capsys, seed):
+        code, out, err = run_cli(capsys, "--diagram", "A2", "mesh-solve", "1,2,1", "--seed-vertex", seed)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error: ") and f"unknown vertex {seed}" in err
 
     def test_decorated_stdin(self, capsys, monkeypatch):
         import io

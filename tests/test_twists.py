@@ -219,7 +219,8 @@ class TestHomTableMemo:
             for _ in range(3):
                 with pytest.raises(ValueError, match="cone of an invalid chain map"):
                     twist(2, x)
-            failing = [k for k, record in table.memo.items() if not record[2]]
+            # a record is (cells, ok, cone): the verdict is its second field
+            failing = [k for k, (_, ok, _) in table.memo.items() if not ok]
             assert failing and all(k[:2] == pair for k in failing)
         finally:
             table[pair] = rule

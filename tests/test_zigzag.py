@@ -117,6 +117,30 @@ class TestHomTable:
         assert bad.hom_table(2)[1, 2] == ()
         assert bad.hom_table(2)[2, 2] == good.hom_table(2)[2, 2]
 
+    def test_offsets_number_the_slots(self):
+        table = ZigzagAlgebra(A3).hom_table(1)
+        # P_1 has two slots, P_2 one, P_3 none
+        assert table.offsets((2, 1, 3, 1)) == [0, 1, 3, 3, 5]
+        assert table.offsets((3,)) == [0, 0]
+        assert table.offsets(()) == [0]
+
+    def test_replacing_a_rule_clears_the_memo(self):
+        alg = ZigzagAlgebra(A3, GF2)
+        table = alg.hom_table(1)
+        one = alg.scalar(GF2.one)
+        cells, ok, cone = table.record(1, 1, one)
+        assert table.memo == {(1, 1, one): (cells, ok, cone)} and ok
+        # a rule built on first use leaves the memo as it is
+        table[2, 1]
+        assert len(table.memo) == 1
+        rule = table[1, 1]
+        table[1, 1] = ()
+        assert table.memo == {}
+        assert table.record(1, 1, one) == ((), False, ())
+        table[1, 1] = rule
+        assert table.memo == {}
+        assert table.record(1, 1, one) == (cells, ok, cone)
+
     def test_rules_are_built_on_first_use(self):
         table = ZigzagAlgebra(D4, GF2).hom_table(3)
         assert dict(table) == {}
